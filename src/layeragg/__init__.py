@@ -6,12 +6,11 @@ reconstructs the exact gradient sum while the library accounts for both
 communication costs as exact rationals.
 """
 
-from ._kernels import BACKEND
 from .aggregate import (
     AggregatedMessage,
     LayerAggregationPlan,
+    RoundPlan,
     aggregate_helper,
-    message_count,
     plan_layer,
 )
 from .client import (
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregatedMessage",
     "AverageCost",
-    "BACKEND",
     "CapExceededError",
     "CodewordArray",
     "ConfigurationError",
@@ -68,6 +66,7 @@ __all__ = [
     "LayerMap",
     "MdsCode",
     "ProtocolError",
+    "RoundPlan",
     "Scenario",
     "SchemeParams",
     "TradeoffTable",
@@ -84,7 +83,6 @@ __all__ = [
     "enumerate_all",
     "enumerate_layers",
     "make_generator",
-    "message_count",
     "partition_gradient",
     "plan_layer",
     "run_round",

@@ -1,69 +1,20 @@
-"""Hot GF(2^m) array kernels with a numba fast path and a pure-numpy fallback.
-
-The backend is picked once at import time from the LAYERAGG_BACKEND
-environment variable:
-
-    auto   (default) use numba if it imports, numpy otherwise
-    numba  require numba, fail loudly if missing
-    numpy  force the pure-numpy path even when numba is installed
-
-Both implementations are kept importable so they can be tested against
-each other and benchmarked (see benchmarks/bench_kernels.py).
-"""
+"""Hot GF(2^m) array kernels: the log/antilog matrix product and the XOR fold."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_CHOICE = os.environ.get("LAYERAGG_BACKEND", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"LAYERAGG_BACKEND={_CHOICE!r} not understood; use auto, numba or numpy"
-    )
 
-if _CHOICE == "numpy":
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        _numba = None
+def gf_matmul(a, b, log, exp):
+    """Matrix product over GF(2^m) via log/antilog tables.
 
-BACKEND = "numpy" if _numba is None else "numba"
-
-
-def _gf_matmul_loops(a, b, log, exp, out):
-    # out[i, t] ^= exp[log[a[i, k]] + log[b[k, t]]], skipping zero factors.
-    # The exp table is doubled so the index sum never needs a modulo.
-    n, k = a.shape
-    d = b.shape[1]
-    for i in range(n):
-        for kk in range(k):
-            coef = a[i, kk]
-            if coef == 0:
-                continue
-            lc = log[coef]
-            for t in range(d):
-                x = b[kk, t]
-                if x != 0:
-                    out[i, t] ^= exp[lc + log[x]]
-    return out
-
-
-def _xor_rows_loops(x, out):
-    rows, d = x.shape
-    for r in range(rows):
-        for t in range(d):
-            out[t] ^= x[r, t]
-    return out
-
-
-def _gf_matmul_numpy(a, b, log, exp, out):
-    # Vectorized over the (usually long) last axis; k stays tiny.
+    a: (n, k) coefficients, b: (k, d) symbols; returns (n, d).
+    Vectorized over the (usually long) last axis; k stays tiny. The exp
+    table is doubled so the log sum never needs a modulo.
+    """
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=b.dtype)
     log_b = log[b]
     zero_b = b == 0
     for kk in range(a.shape[1]):
@@ -78,32 +29,9 @@ def _gf_matmul_numpy(a, b, log, exp, out):
     return out
 
 
-def _xor_rows_numpy(x, out):
-    if x.shape[0]:
-        np.bitwise_xor.reduce(x, axis=0, out=out)
-    return out
-
-
-if _numba is not None:
-    _gf_matmul_impl = _numba.njit(cache=True)(_gf_matmul_loops)
-    _xor_rows_impl = _numba.njit(cache=True)(_xor_rows_loops)
-else:
-    _gf_matmul_impl = _gf_matmul_numpy
-    _xor_rows_impl = _xor_rows_numpy
-
-
-def gf_matmul(a, b, log, exp):
-    """Matrix product over GF(2^m) via log/antilog tables.
-
-    a: (n, k) coefficients, b: (k, d) symbols; returns (n, d).
-    """
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=b.dtype)
-    return _gf_matmul_impl(np.ascontiguousarray(a), np.ascontiguousarray(b), log, exp, out)
-
-
 def xor_reduce(x):
     """XOR-fold the rows of a (rows, d) array into a (d,) vector."""
     out = np.zeros(x.shape[1], dtype=x.dtype)
     if x.shape[0]:
-        _xor_rows_impl(np.ascontiguousarray(x), out)
+        np.bitwise_xor.reduce(np.ascontiguousarray(x), axis=0, out=out)
     return out

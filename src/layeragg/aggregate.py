@@ -6,7 +6,8 @@ lexicographically smallest s-subset of the layer's helpers that contains
 its erasure footprint. Classes sharing a cover are merged into one
 group, and every helper outside the cover emits that group's symbol sum.
 Helpers and the master derive identical plans from the erasure matrix
-alone, so the wire format needs no per-entry metadata.
+alone, so the wire format needs no per-entry metadata; RoundPlan builds
+that plan once per matrix for all of them.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ def plan_layer(
     layer: int, helpers: tuple[int, ...], eps: np.ndarray, s: int
 ) -> LayerAggregationPlan:
     """Build the aggregation plan for one layer from the erasure matrix."""
-    helper_set = set(helpers)
     by_key: dict[tuple[int, ...], list[int]] = {}
     for i in range(eps.shape[0]):
         key = tuple(j for j in helpers if eps[i, j])
@@ -75,7 +75,6 @@ def plan_layer(
     for cover, edges in zip(phi, classes):
         grouped[cover].extend(edges)
     groups = tuple(tuple(sorted(grouped[im])) for im in images)
-    assert all(set(key) <= helper_set for key in class_keys)
     return LayerAggregationPlan(
         layer=layer,
         helpers=tuple(helpers),
@@ -87,26 +86,37 @@ def plan_layer(
     )
 
 
-def layer_plans(
-    eps: np.ndarray, params: SchemeParams, layers: LayerMap
-) -> list[LayerAggregationPlan]:
-    return [
-        plan_layer(layer, subset, eps, params.s) for layer, subset in enumerate(layers)
-    ]
+class RoundPlan:
+    """The aggregation plan of one erasure matrix, built once and shared by
+    every helper, the master and the cost accounting.
 
+    layer_plans  one LayerAggregationPlan per layer, in layer order
+    schedules    per helper, the ordered (layer, image index) pairs it
+                 emits: layers ascending, image index ascending, only
+                 where the helper sits outside the cover
+    """
 
-def emission_schedule(
-    j: int, plans, layers: LayerMap
-) -> list[tuple[int, int]]:
-    """Ordered (layer, image index) pairs helper j emits: layers ascending,
-    image index ascending, only where j sits outside the cover."""
-    schedule = []
-    for layer, _ in layers.column_slots(j):
-        plan = plans[layer]
-        for a, cover in enumerate(plan.images):
-            if j not in cover:
-                schedule.append((layer, a))
-    return schedule
+    def __init__(
+        self, eps: np.ndarray, params: SchemeParams, layers: LayerMap | None = None
+    ):
+        if layers is None:
+            layers = LayerMap(params.n_h, params.nu + params.s)
+        self.eps = eps
+        self.params = params
+        self.layers = layers
+        self.layer_plans = tuple(
+            plan_layer(layer, subset, eps, params.s)
+            for layer, subset in enumerate(layers)
+        )
+        schedules = []
+        for j in range(params.n_h):
+            schedule = []
+            for layer, _ in layers.column_slots(j):
+                for a, cover in enumerate(self.layer_plans[layer].images):
+                    if j not in cover:
+                        schedule.append((layer, a))
+            schedules.append(tuple(schedule))
+        self.schedules = tuple(schedules)
 
 
 @dataclass(frozen=True)
@@ -121,54 +131,32 @@ class AggregatedMessage:
 
 
 def aggregate_helper(
-    j: int,
-    received: Mapping[int, np.ndarray],
-    eps: np.ndarray,
-    params: SchemeParams,
-    layers: LayerMap,
-    field: GF,
+    j: int, received: Mapping[int, np.ndarray], plan: RoundPlan, field: GF
 ) -> AggregatedMessage:
-    """Run the aggregation strategy at helper j.
+    """Run the aggregation strategy at helper j, in the order of its schedule.
 
     received maps edge index -> that edge's (b, d) column, present only
     for surviving links. Every group sum only touches edges whose link
     to j survived; a gap means the erasure bookkeeping is broken.
     """
-    plans = {
-        layer: plan_layer(layer, layers[layer], eps, params.s)
-        for layer, _ in layers.column_slots(j)
-    }
+    eps, layers = plan.eps, plan.layers
     entries = []
-    for row, (layer, _) in enumerate(layers.column_slots(j)):
-        plan = plans[layer]
-        for cover, group in zip(plan.images, plan.groups):
-            if j in cover:
-                continue
-            rows = []
-            for i in group:
-                if eps[i, j] or i not in received:
-                    raise ProtocolError(
-                        f"helper {j} needs the layer-{layer} symbol of edge {i} "
-                        f"but that link is erased"
-                    )
-                rows.append(received[i][row])
-            entries.append(field.xor_sum(np.stack(rows)))
+    for layer, a in plan.schedules[j]:
+        row = layers.row_in_column(j, layer)
+        rows = []
+        for i in plan.layer_plans[layer].groups[a]:
+            if eps[i, j] or i not in received:
+                raise ProtocolError(
+                    f"helper {j} needs the layer-{layer} symbol of edge {i} "
+                    f"but that link is erased"
+                )
+            rows.append(received[i][row])
+        entries.append(field.xor_sum(np.stack(rows)))
     if entries:
         stacked = np.stack(entries)
     else:
-        stacked = np.zeros((0, params.d), dtype=field.dtype)
+        stacked = np.zeros((0, plan.params.d), dtype=field.dtype)
     return AggregatedMessage(helper=j, entries=stacked)
-
-
-def message_count(
-    j: int, eps: np.ndarray, params: SchemeParams, layers: LayerMap
-) -> int:
-    """m_j(eps): entries helper j emits, counted without touching symbols."""
-    count = 0
-    for layer, _ in layers.column_slots(j):
-        plan = plan_layer(layer, layers[layer], eps, params.s)
-        count += sum(1 for cover in plan.images if j not in cover)
-    return count
 
 
 def message_to_bytes(message: AggregatedMessage, field: GF) -> bytes:

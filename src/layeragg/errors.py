@@ -14,7 +14,8 @@ class CorruptionError(RuntimeError):
 
 
 class ProtocolError(RuntimeError):
-    """A symbol or message entry required by the protocol is missing."""
+    """A message entry is missing or malformed, or the round plan breaks
+    one of its own counting identities."""
 
 
 class CapExceededError(RuntimeError):

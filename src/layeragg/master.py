@@ -20,8 +20,8 @@ from math import comb
 
 import numpy as np
 
-from .aggregate import AggregatedMessage, emission_schedule, layer_plans
-from .client import LayerMap, SchemeParams, enumerate_layers, reassemble_gradient
+from .aggregate import AggregatedMessage, RoundPlan
+from .client import LayerMap, SchemeParams, reassemble_gradient
 from .erasure import enumerate_all, omega_size, sample_uniform, worst_case_pattern
 from .errors import ProtocolError
 from .mds import MdsCode, invert_matrix
@@ -105,24 +105,22 @@ class AverageCost:
         }
 
 
-def decode_global(
-    messages,
-    eps: np.ndarray,
-    params: SchemeParams,
-    layers: LayerMap,
-    code: MdsCode,
-) -> np.ndarray:
+def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     """Recover the sum of all edge gradients from the helper messages.
 
     messages is a sequence of AggregatedMessage indexed by helper.
     """
+    params = plan.params
     if len(messages) != params.n_h:
         raise ProtocolError(f"need {params.n_h} helper messages, got {len(messages)}")
-    plans = layer_plans(eps, params, layers)
     lookup: list[dict[tuple[int, int], int]] = []
-    for j in range(params.n_h):
-        schedule = emission_schedule(j, plans, layers)
+    for j, schedule in enumerate(plan.schedules):
         msg: AggregatedMessage = messages[j]
+        if msg.entries.ndim != 2 or msg.entries.shape[1] != params.d:
+            raise ProtocolError(
+                f"helper {j} sent entries of shape {msg.entries.shape}, "
+                f"expected ({len(schedule)}, {params.d})"
+            )
         if len(msg) != len(schedule):
             raise ProtocolError(
                 f"helper {j} sent {len(msg)} entries, schedule has {len(schedule)}"
@@ -133,16 +131,16 @@ def decode_global(
     # Cover patterns repeat across layers and groups; cache one solve per pattern.
     solver_cache: dict[tuple[int, ...], np.ndarray] = {}
     layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
-    for plan in plans:
-        for a, cover in enumerate(plan.images):
-            emitters = [h for h in plan.helpers if h not in cover]
-            positions = tuple(k for k, h in enumerate(plan.helpers) if h not in cover)
+    for lp in plan.layer_plans:
+        for a, cover in enumerate(lp.images):
+            emitters = [h for h in lp.helpers if h not in cover]
+            positions = tuple(k for k, h in enumerate(lp.helpers) if h not in cover)
             rows = []
             for h in emitters:
-                idx = lookup[h].get((plan.layer, a))
+                idx = lookup[h].get((lp.layer, a))
                 if idx is None:
                     raise ProtocolError(
-                        f"missing entry for layer {plan.layer}, group {a}, helper {h}"
+                        f"missing entry for layer {lp.layer}, group {a}, helper {h}"
                     )
                 rows.append(messages[h].entries[idx])
             solver = solver_cache.get(positions)
@@ -150,33 +148,31 @@ def decode_global(
                 solver = invert_matrix(field, code.generator[:, list(positions)].T)
                 solver_cache[positions] = solver
             group_message = field.matmul(solver, np.stack(rows))
-            layer_sums[plan.layer] ^= group_message
+            layer_sums[lp.layer] ^= group_message
     return reassemble_gradient(layer_sums, params)
 
 
 def cost_realized(
-    eps: np.ndarray,
-    params: SchemeParams,
-    layers: LayerMap | None = None,
+    plan: RoundPlan,
     worst: str | None = None,
     average: str | None = None,
     trials: int = 1000,
     seed=0,
 ) -> CostReport:
-    """Exact costs for one erasure matrix, counted from the emission plans.
+    """Exact costs for one erasure matrix, counted from its round plan.
 
     The helper-to-master count is derived per helper (sum of m_j) and
     cross-checked against the per-layer identity sum(m_j) = nu * sum(beta).
     Pass worst / average mode names to also fill the optional report fields.
     """
-    if layers is None:
-        layers = enumerate_layers(params.n_h, params.nu + params.s)
-    plans = layer_plans(eps, params, layers)
-    m_total = sum(
-        len(emission_schedule(j, plans, layers)) for j in range(params.n_h)
-    )
-    beta_total = sum(plan.beta for plan in plans)
-    assert m_total == params.nu * beta_total
+    params = plan.params
+    m_total = sum(len(schedule) for schedule in plan.schedules)
+    beta_total = sum(lp.beta for lp in plan.layer_plans)
+    if m_total != params.nu * beta_total:
+        raise ProtocolError(
+            f"plan double count broken: sum m_j = {m_total} != "
+            f"nu * sum beta = {params.nu * beta_total}"
+        )
     eh_symbols = params.n_h * params.b * params.d
     hm_symbols = m_total * params.d
     return CostReport(
@@ -208,10 +204,14 @@ def cost_worst_case(
     if mode == "theorem":
         bound = Fraction(min(params.n_e, params.alpha))
         star = cost_realized(
-            worst_case_pattern(params.n_e, params.n_h, params.s), params
+            RoundPlan(worst_case_pattern(params.n_e, params.n_h, params.s), params)
         ).c_hm_realized
         if params.n_e >= comb(params.n_h, params.s):
-            assert star == Fraction(params.alpha)
+            if star != params.alpha:
+                raise ProtocolError(
+                    f"adversarial pattern costs {star}, the theorem says "
+                    f"C(nu+s, s) = {params.alpha}"
+                )
             return WorstCaseCost(
                 value=Fraction(params.alpha), tight=True, lower_bound=star, mode=mode
             )
@@ -220,9 +220,9 @@ def cost_worst_case(
         )
     if mode == "brute_force":
         kwargs = {} if cap is None else {"cap": cap}
-        layers = enumerate_layers(params.n_h, params.nu + params.s)
+        layers = LayerMap(params.n_h, params.nu + params.s)
         best = max(
-            cost_realized(eps, params, layers).c_hm_realized
+            cost_realized(RoundPlan(eps, params, layers)).c_hm_realized
             for eps in enumerate_all(params.n_e, params.n_h, params.s, **kwargs)
         )
         return WorstCaseCost(value=best, tight=True, lower_bound=best, mode=mode)
@@ -237,12 +237,12 @@ def cost_average(
     cap: int | None = None,
 ) -> AverageCost:
     """Mean realized cost over Omega(s): exact enumeration or Monte Carlo."""
-    layers = enumerate_layers(params.n_h, params.nu + params.s)
+    layers = LayerMap(params.n_h, params.nu + params.s)
     if mode == "exhaustive":
         kwargs = {} if cap is None else {"cap": cap}
         total = Fraction(0)
         for eps in enumerate_all(params.n_e, params.n_h, params.s, **kwargs):
-            total += cost_realized(eps, params, layers).c_hm_realized
+            total += cost_realized(RoundPlan(eps, params, layers)).c_hm_realized
         count = omega_size(params.n_e, params.n_h, params.s)
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)
     if mode == "monte_carlo":
@@ -252,7 +252,7 @@ def cost_average(
         samples = np.empty(trials)
         for t in range(trials):
             eps = sample_uniform(params.n_e, params.n_h, params.s, rng)
-            samples[t] = float(cost_realized(eps, params, layers).c_hm_realized)
+            samples[t] = float(cost_realized(RoundPlan(eps, params, layers)).c_hm_realized)
         stderr = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return AverageCost(
             value=float(samples.mean()), stderr=stderr, mode=mode, trials=trials

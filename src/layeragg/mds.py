@@ -77,7 +77,10 @@ def make_generator(field: GF, nu: int, s: int) -> MdsCode:
             vand[r, c] = field.gen_pow(r * c)
     left_inv = invert_matrix(field, vand[:, :nu])
     gen = field.matmul(left_inv, vand)
-    assert np.array_equal(gen[:, :nu], np.eye(nu, dtype=field.dtype))
+    if not np.array_equal(gen[:, :nu], np.eye(nu, dtype=field.dtype)):
+        raise ConfigurationError(
+            f"generator for nu={nu}, s={s} over {field!r} is not systematic"
+        )
     gen.setflags(write=False)
     return MdsCode(field=field, nu=nu, s=s, generator=gen)
 

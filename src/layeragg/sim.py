@@ -94,8 +94,10 @@ class Scenario:
         for name in ("p", "n_e", "n_h", "s", "nu"):
             if name not in data:
                 raise ConfigurationError(f"scenario field '{name}' is missing")
-            if not isinstance(data[name], int):
+            if not _is_int(data[name]):
                 raise ConfigurationError(f"scenario field '{name}' must be an integer")
+        if "seed" in data:
+            _check_seed(data["seed"], "seed")
         known = {
             "p", "n_e", "n_h", "s", "nu",
             "field_bits", "field_poly", "erasures", "gradients", "seed",
@@ -114,6 +116,15 @@ class Scenario:
         return scenario
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # bool subclasses int
+
+
+def _check_seed(value, name: str) -> None:
+    if not _is_int(value) or value < 0:
+        raise ConfigurationError(f"scenario field '{name}' must be a non-negative integer")
+
+
 def _validate_spec(spec, name: str, kinds: set) -> None:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigurationError(f"scenario field '{name}' needs a 'kind'")
@@ -122,6 +133,8 @@ def _validate_spec(spec, name: str, kinds: set) -> None:
             f"scenario field '{name}.kind' must be one of {sorted(kinds)}, "
             f"got {spec['kind']!r}"
         )
+    if "seed" in spec:
+        _check_seed(spec["seed"], f"{name}.seed")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -196,6 +209,7 @@ def run_round(
             "validate", ValueError(f"erasure matrix shape {eps.shape} mismatch")
         )
 
+    plan = stage("plan", aggregate.RoundPlan, eps, params, layers)
     gradients = stage("gradients", _round_gradients, scenario, fld, round_index)
 
     def encode_all():
@@ -224,17 +238,17 @@ def run_round(
 
     def aggregate_all():
         return [
-            aggregate.aggregate_helper(j, inbox[j], eps, params, layers, fld)
+            aggregate.aggregate_helper(j, inbox[j], plan, fld)
             for j in range(params.n_h)
         ]
 
     messages = stage("aggregate", aggregate_all)
     hm_symbols = sum(m.entries.size for m in messages)
 
-    decoded = stage("decode", master.decode_global, messages, eps, params, layers, code)
+    decoded = stage("decode", master.decode_global, messages, plan, code)
     reference = np.bitwise_xor.reduce(gradients, axis=0)
 
-    report = stage("account", master.cost_realized, eps, params, layers)
+    report = stage("account", master.cost_realized, plan)
     if eh_per_edge != report.eh_symbols_per_edge or hm_symbols != report.hm_symbols:
         raise StageFailure(
             "account",
@@ -466,23 +480,21 @@ def verify_scheme(
         double = CheckResult(tag + "double_count", True)
         for t in range(trials):
             eps = erasure.sample_uniform(n_e, n_h, s, rng)
-            plans = aggregate.layer_plans(eps, params, layers)
-            for plan in plans:
-                for cover, group in zip(plan.images, plan.groups):
-                    for j in plan.helpers:
+            plan = aggregate.RoundPlan(eps, params, layers)
+            for lp in plan.layer_plans:
+                for cover, group in zip(lp.images, lp.groups):
+                    for j in lp.helpers:
                         if j in cover:
                             continue
                         if any(eps[i, j] for i in group):
                             avail = CheckResult(
                                 tag + "availability",
                                 False,
-                                f"trial {t}: layer {plan.layer} group {cover} "
+                                f"trial {t}: layer {lp.layer} group {cover} "
                                 f"uses an erased link to helper {j}",
                             )
-            m_total = sum(
-                aggregate.message_count(j, eps, params, layers) for j in range(n_h)
-            )
-            beta_total = sum(plan.beta for plan in plans)
+            m_total = sum(len(schedule) for schedule in plan.schedules)
+            beta_total = sum(lp.beta for lp in plan.layer_plans)
             if m_total != v * beta_total:
                 double = CheckResult(
                     tag + "double_count",

@@ -10,13 +10,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from layeragg.aggregate import (
-    aggregate_helper,
-    emission_schedule,
-    layer_plans,
-    message_count,
-    plan_layer,
-)
+from layeragg.aggregate import RoundPlan, aggregate_helper, plan_layer
 from layeragg.client import (
     SchemeParams,
     encode_client,
@@ -89,7 +83,7 @@ def test_criterion_2_worst_case_cost_ten_helper_curve():
     ]
     for nu in range(1, 9):
         params = SchemeParams(p=comb(10, nu + 2) * nu, n_e=50, n_h=10, s=2, nu=nu)
-        report = cost_realized(eps_star, params)
+        report = cost_realized(RoundPlan(eps_star, params))
         if report.c_hm_realized != Fraction(comb(nu + 2, 2)):
             failures.append(("c_hm", nu, report.c_hm_realized))
         if report.c_hm_realized != want_hm[nu - 1]:
@@ -109,7 +103,7 @@ def test_criterion_3_brute_force_matches_and_respects_bound():
             params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu)
             layers = enumerate_layers(n_h, nu + s)
             found = max(
-                cost_realized(eps, params, layers).c_hm_realized
+                cost_realized(RoundPlan(eps, params, layers)).c_hm_realized
                 for eps in enumerate_all(n_e, n_h, s)
             )
             reported = cost_worst_case(params, mode="brute_force").value
@@ -140,8 +134,9 @@ def test_criterion_4_seven_edge_layer_plan_and_emission():
     grads = [random_gradient(rng, _FIELD, 120) for _ in range(7)]
     arrays = [encode_client(g, params, code, layers, owner=i) for i, g in enumerate(grads)]
     received = {i: arrays[i].column(0) for i in range(7) if not eps[i, 0]}
-    msg = aggregate_helper(0, received, eps, params, layers, _FIELD)
-    schedule = emission_schedule(0, layer_plans(eps, params, layers), layers)
+    round_plan = RoundPlan(eps, params, layers)
+    msg = aggregate_helper(0, received, round_plan, _FIELD)
+    schedule = round_plan.schedules[0]
     hits = [idx for idx, (layer, _) in enumerate(schedule) if layer == 0]
     if len(hits) != 1:
         failures.append(("entry count for the {0,1,2,3} layer", len(hits)))
@@ -178,10 +173,10 @@ def test_criterion_6_endpoint_costs():
         for s in range(1, n_h):
             arc = SchemeParams(p=comb(n_h, 1 + s), n_e=3, n_h=n_h, s=s, nu=1)
             eps = np.zeros((3, n_h), dtype=np.uint8)
-            if cost_realized(eps, arc).c_eh != Fraction(s + 1):
+            if cost_realized(RoundPlan(eps, arc)).c_eh != Fraction(s + 1):
                 failures.append(("arc", n_h, s))
             amc = SchemeParams(p=n_h - s, n_e=3, n_h=n_h, s=s, nu=n_h - s)
-            if cost_realized(eps, amc).c_eh != Fraction(n_h, n_h - s):
+            if cost_realized(RoundPlan(eps, amc)).c_eh != Fraction(n_h, n_h - s):
                 failures.append(("amc", n_h, s))
     _criterion(6, "nu=1 gives C_EH=s+1 and nu=n_h-s gives C_EH=n_h/(n_h-s)", failures)
 
@@ -216,13 +211,14 @@ def test_criterion_7_structural_property_suite():
     rng = np.random.default_rng(9)
     for t in range(1000):
         eps = sample_uniform(7, 6, 2, rng)
-        plans = layer_plans(eps, params, layers)
+        round_plan = RoundPlan(eps, params, layers)
+        plans = round_plan.layer_plans
         for plan in plans:
             for cover, group in zip(plan.images, plan.groups):
                 for j in plan.helpers:
                     if j not in cover and any(eps[i, j] for i in group):
                         failures.append(("availability", t, plan.layer))
-        m_total = sum(message_count(j, eps, params, layers) for j in range(6))
+        m_total = sum(len(schedule) for schedule in round_plan.schedules)
         if m_total != params.nu * sum(plan.beta for plan in plans):
             failures.append(("double_count", t))
     _criterion(7, "minors, decodability, availability, double-count identity", failures)

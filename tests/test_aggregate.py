@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from layeragg.aggregate import (
+    RoundPlan,
     aggregate_helper,
-    emission_schedule,
-    layer_plans,
     lexmin_cover,
-    message_count,
     message_from_bytes,
     message_to_bytes,
     plan_layer,
@@ -82,7 +80,7 @@ def test_plan_is_deterministic(gf8):
 
 def test_groups_partition_all_edges(gf8):
     params, layers, _, eps = seven_edge_setup(gf8)
-    for plan in layer_plans(eps, params, layers):
+    for plan in RoundPlan(eps, params, layers).layer_plans:
         merged = sorted(i for group in plan.groups for i in group)
         assert merged == list(range(7))
 
@@ -93,11 +91,12 @@ def test_helper_emission_matches_seven_edge_example(gf8):
     grads = [random_gradient(rng, gf8, params.p) for _ in range(7)]
     arrays = [encode_client(g, params, code, layers, owner=i) for i, g in enumerate(grads)]
     received = {i: arrays[i].column(0) for i in range(7) if not eps[i, 0]}
-    msg = aggregate_helper(0, received, eps, params, layers, gf8)
+    plan = RoundPlan(eps, params, layers)
+    msg = aggregate_helper(0, received, plan, gf8)
 
     # the layer on helpers {0,1,2,3} is layer 0; helper 0 emits exactly one
     # entry for it: the sum of edges 3 and 4 (the group covered by {2,3})
-    schedule = emission_schedule(0, layer_plans(eps, params, layers), layers)
+    schedule = plan.schedules[0]
     layer0_entries = [idx for idx, (layer, _) in enumerate(schedule) if layer == 0]
     assert len(layer0_entries) == 1
     want = arrays[3].fragments[0, 0] ^ arrays[4].fragments[0, 0]
@@ -109,7 +108,7 @@ def test_zero_gradients_aggregate_to_zero(gf8):
     zero = np.zeros(params.p, dtype=np.uint8)
     arrays = [encode_client(zero, params, code, layers, owner=i) for i in range(7)]
     received = {i: arrays[i].column(2) for i in range(7) if not eps[i, 2]}
-    msg = aggregate_helper(2, received, eps, params, layers, gf8)
+    msg = aggregate_helper(2, received, RoundPlan(eps, params, layers), gf8)
     assert len(msg) > 0
     assert not msg.entries.any()
 
@@ -122,9 +121,9 @@ def test_single_edge_entries_are_raw_symbols(gf8):
     g = random_gradient(np.random.default_rng(3), gf8, 12)
     arr = encode_client(g, params, code, layers)
     received = {0: arr.column(1)}
-    msg = aggregate_helper(1, received, eps, params, layers, gf8)
-    plans = layer_plans(eps, params, layers)
-    for idx, (layer, _) in enumerate(emission_schedule(1, plans, layers)):
+    plan = RoundPlan(eps, params, layers)
+    msg = aggregate_helper(1, received, plan, gf8)
+    for idx, (layer, _) in enumerate(plan.schedules[1]):
         row = layers.row_in_column(1, layer)
         assert np.array_equal(msg.entries[idx], arr.column(1)[row])
 
@@ -138,10 +137,11 @@ def test_message_count_matches_brute_force_recount(gf8):
     grads = [random_gradient(rng, gf8, 6) for _ in range(2)]
     arrays = [encode_client(g, params, code, layers, owner=i) for i, g in enumerate(grads)]
     for eps in enumerate_all(2, 3, 1):
+        plan = RoundPlan(eps, params, layers)
         for j in range(3):
             received = {i: arrays[i].column(j) for i in range(2) if not eps[i, j]}
-            msg = aggregate_helper(j, received, eps, params, layers, gf8)
-            assert len(msg) == message_count(j, eps, params, layers)
+            msg = aggregate_helper(j, received, plan, gf8)
+            assert len(msg) == len(plan.schedules[j])
 
 
 def test_double_count_identity_random(gf8):
@@ -150,21 +150,21 @@ def test_double_count_identity_random(gf8):
     rng = np.random.default_rng(0)
     for _ in range(50):
         eps = sample_uniform(7, 6, 2, rng)
-        total = sum(message_count(j, eps, params, layers) for j in range(6))
-        plans = layer_plans(eps, params, layers)
-        assert total == params.nu * sum(plan.beta for plan in plans)
+        plan = RoundPlan(eps, params, layers)
+        total = sum(len(schedule) for schedule in plan.schedules)
+        assert total == params.nu * sum(lp.beta for lp in plan.layer_plans)
 
 
 def test_each_group_is_emitted_by_exactly_nu_helpers(gf8):
     params, layers, _, eps = seven_edge_setup(gf8)
-    plans = layer_plans(eps, params, layers)
+    plan = RoundPlan(eps, params, layers)
     emitted: dict[tuple[int, int], int] = {}
-    for j in range(6):
-        for pair in emission_schedule(j, plans, layers):
+    for schedule in plan.schedules:
+        for pair in schedule:
             emitted[pair] = emitted.get(pair, 0) + 1
-    for plan in plans:
-        for a in range(plan.beta):
-            assert emitted[(plan.layer, a)] == params.nu
+    for lp in plan.layer_plans:
+        for a in range(lp.beta):
+            assert emitted[(lp.layer, a)] == params.nu
 
 
 def test_availability_invariant(gf8):
@@ -172,7 +172,7 @@ def test_availability_invariant(gf8):
     rng = np.random.default_rng(8)
     for _ in range(25):
         eps = sample_uniform(7, 6, 2, rng)
-        for plan in layer_plans(eps, params, layers):
+        for plan in RoundPlan(eps, params, layers).layer_plans:
             for cover, group in zip(plan.images, plan.groups):
                 for j in plan.helpers:
                     if j not in cover:
@@ -186,7 +186,7 @@ def test_aggregate_detects_missing_column(gf8):
     received = {i: arrays[i].column(0) for i in range(7) if not eps[i, 0]}
     received.pop(3)  # edge 3's link to helper 0 survived but the column is gone
     with pytest.raises(ProtocolError):
-        aggregate_helper(0, received, eps, params, layers, gf8)
+        aggregate_helper(0, received, RoundPlan(eps, params, layers), gf8)
 
 
 def test_wire_format_round_trip_and_layout(gf8):

@@ -1,52 +1,8 @@
-"""Backend equivalence and selection tests for the hot kernels."""
-
-import os
-import subprocess
-import sys
+"""Edge cases of the hot kernels; tests/test_gf.py holds the matmul oracle."""
 
 import numpy as np
-import pytest
 
 from layeragg import _kernels
-from layeragg.gf import GF
-
-
-@pytest.fixture(scope="module")
-def gf8():
-    return GF(8)
-
-
-def test_numpy_path_matches_selected_backend(gf8):
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 256, size=(5, 3), dtype=np.uint8)
-    b = rng.integers(0, 256, size=(3, 40), dtype=np.uint8)
-    out_selected = _kernels.gf_matmul(a, b, gf8.log, gf8.exp)
-    out_numpy = _kernels._gf_matmul_numpy(
-        a, b, gf8.log, gf8.exp, np.zeros((5, 40), dtype=np.uint8)
-    )
-    assert np.array_equal(out_selected, out_numpy)
-
-
-@pytest.mark.skipif(_kernels.BACKEND != "numba", reason="numba not active")
-def test_numba_and_numpy_agree_across_dtypes():
-    for m in (4, 8, 16):
-        fld = GF(m)
-        rng = np.random.default_rng(m)
-        a = rng.integers(0, fld.order, size=(4, 6), dtype=fld.dtype)
-        b = rng.integers(0, fld.order, size=(6, 33), dtype=fld.dtype)
-        jit = _kernels._gf_matmul_impl(
-            a, b, fld.log, fld.exp, np.zeros((4, 33), dtype=fld.dtype)
-        )
-        ref = _kernels._gf_matmul_numpy(
-            a, b, fld.log, fld.exp, np.zeros((4, 33), dtype=fld.dtype)
-        )
-        assert np.array_equal(jit, ref)
-
-        x = rng.integers(0, fld.order, size=(7, 19), dtype=fld.dtype)
-        assert np.array_equal(
-            _kernels._xor_rows_impl(x, np.zeros(19, dtype=fld.dtype)),
-            _kernels._xor_rows_numpy(x, np.zeros(19, dtype=fld.dtype)),
-        )
 
 
 def test_xor_reduce_empty_and_single():
@@ -54,32 +10,3 @@ def test_xor_reduce_empty_and_single():
     assert np.array_equal(_kernels.xor_reduce(empty), np.zeros(5, dtype=np.uint8))
     one = np.arange(5, dtype=np.uint8).reshape(1, 5)
     assert np.array_equal(_kernels.xor_reduce(one), one[0])
-
-
-@pytest.mark.parametrize("choice,expected", [("numpy", "numpy"), ("auto", None)])
-def test_backend_env_selection(choice, expected):
-    env = dict(os.environ, LAYERAGG_BACKEND=choice)
-    out = subprocess.run(
-        [sys.executable, "-c", "from layeragg import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    got = out.stdout.strip()
-    if expected is None:
-        assert got in ("numba", "numpy")
-    else:
-        assert got == expected
-
-
-def test_backend_env_rejects_garbage():
-    env = dict(os.environ, LAYERAGG_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import layeragg._kernels"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode != 0
-    assert "LAYERAGG_BACKEND" in out.stderr

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from layeragg.aggregate import AggregatedMessage, aggregate_helper
+from layeragg.aggregate import AggregatedMessage, RoundPlan, aggregate_helper
 from layeragg.client import SchemeParams, encode_client, enumerate_layers, random_gradient
 from layeragg.erasure import (
     enumerate_all,
@@ -33,7 +33,8 @@ def gf8():
 
 
 def full_round(gf8, params, eps, gradients):
-    layers = enumerate_layers(params.n_h, params.nu + params.s)
+    plan = RoundPlan(eps, params)
+    layers = plan.layers
     code = make_generator(gf8, params.nu, params.s)
     arrays = [
         encode_client(gradients[i], params, code, layers, owner=i)
@@ -44,8 +45,8 @@ def full_round(gf8, params, eps, gradients):
         received = {
             i: arrays[i].column(j) for i in range(params.n_e) if not eps[i, j]
         }
-        messages.append(aggregate_helper(j, received, eps, params, layers, gf8))
-    return decode_global(messages, eps, params, layers, code), messages, layers, code
+        messages.append(aggregate_helper(j, received, plan, gf8))
+    return decode_global(messages, plan, code), messages, plan, code
 
 
 def test_single_edge_no_erasures(gf8):
@@ -98,14 +99,21 @@ def test_decode_rejects_truncated_message(gf8):
     rng = np.random.default_rng(6)
     grads = np.stack([random_gradient(rng, gf8, 24) for _ in range(2)])
     eps = sample_uniform(2, 4, 1, rng)
-    _, messages, layers, code = full_round(gf8, params, eps, grads)
+    _, messages, plan, code = full_round(gf8, params, eps, grads)
     clipped = AggregatedMessage(
         helper=0, entries=messages[0].entries[:-1]
     )
     with pytest.raises(ProtocolError):
-        decode_global([clipped] + messages[1:], eps, params, layers, code)
+        decode_global([clipped] + messages[1:], plan, code)
     with pytest.raises(ProtocolError):
-        decode_global(messages[:3], eps, params, layers, code)
+        decode_global(messages[:3], plan, code)
+    # one symbol too wide: named as the helper's fault, not a numpy broadcast
+    entries = messages[1].entries
+    wide = AggregatedMessage(
+        helper=1, entries=np.hstack([entries, entries[:, :1]])
+    )
+    with pytest.raises(ProtocolError, match="helper 1"):
+        decode_global([messages[0], wide] + messages[2:], plan, code)
 
 
 def test_cost_realized_identity_and_closed_form():
@@ -113,14 +121,14 @@ def test_cost_realized_identity_and_closed_form():
     rng = np.random.default_rng(7)
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
     layers = enumerate_layers(6, 4)
-    from layeragg.aggregate import layer_plans, message_count
 
     for _ in range(20):
         eps = sample_uniform(7, 6, 2, rng)
-        report = cost_realized(eps, params, layers)
+        plan = RoundPlan(eps, params, layers)
+        report = cost_realized(plan)
         assert report.c_eh == Fraction(4, 2)
-        m_total = sum(message_count(j, eps, params, layers) for j in range(6))
-        beta_total = sum(p.beta for p in layer_plans(eps, params, layers))
+        m_total = sum(len(schedule) for schedule in plan.schedules)
+        beta_total = sum(p.beta for p in plan.layer_plans)
         assert report.c_hm_realized == Fraction(params.d * m_total, params.p_padded)
         assert report.c_hm_realized == Fraction(beta_total, params.layers)
 
@@ -128,15 +136,15 @@ def test_cost_realized_identity_and_closed_form():
 def test_cost_endpoints_ten_helpers():
     arc = SchemeParams(p=comb(10, 3), n_e=50, n_h=10, s=2, nu=1)
     eps = worst_case_pattern(50, 10, 2)
-    assert cost_realized(eps, arc).c_eh == Fraction(3)  # s + 1
+    assert cost_realized(RoundPlan(eps, arc)).c_eh == Fraction(3)  # s + 1
     amc = SchemeParams(p=comb(10, 10) * 8, n_e=50, n_h=10, s=2, nu=8)
-    assert cost_realized(eps, amc).c_eh == Fraction(10, 8)  # n_h / (n_h - s)
+    assert cost_realized(RoundPlan(eps, amc)).c_eh == Fraction(10, 8)  # n_h / (n_h - s)
 
 
 def test_cost_report_padding_variants():
     params = SchemeParams(p=100, n_e=2, n_h=4, s=1, nu=2)  # padded to 104
     eps = np.zeros((2, 4), dtype=np.uint8)
-    report = cost_realized(eps, params)
+    report = cost_realized(RoundPlan(eps, params))
     assert report.c_eh == Fraction(3, 2)
     assert report.c_eh_declared == Fraction(report.eh_symbols_per_edge, 100)
     assert report.c_eh_declared > report.c_eh
@@ -147,7 +155,9 @@ def test_cost_report_padding_variants():
 def test_cost_report_optional_sections():
     params = SchemeParams(p=3, n_e=2, n_h=3, s=1, nu=1)
     eps = np.zeros((2, 3), dtype=np.uint8)
-    report = cost_realized(eps, params, worst="theorem", average="exhaustive")
+    report = cost_realized(
+        RoundPlan(eps, params), worst="theorem", average="exhaustive"
+    )
     assert report.c_hm_worst.value == Fraction(2)
     # hand-enumerated: the three equal-pattern matrices cost 1 each, the six
     # distinct-pattern ones cost 4/3, 4/3, 5/3, 5/3, 2, 2; mean 13/9
@@ -155,7 +165,7 @@ def test_cost_report_optional_sections():
     d = report.to_dict()
     assert d["c_hm_worst"]["value"]["num"] == 2
     assert d["c_hm_avg"]["value"] == {"num": 13, "den": 9, "float": 13 / 9}
-    plain = cost_realized(eps, params)
+    plain = cost_realized(RoundPlan(eps, params))
     assert plain.c_hm_worst is None and "c_hm_worst" not in plain.to_dict()
 
 

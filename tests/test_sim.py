@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from layeragg import aggregate
 from layeragg.errors import ConfigurationError
 from layeragg.sim import (
     Scenario,
@@ -54,6 +55,23 @@ def test_scenario_json_round_trip(tmp_path):
             "path",
         ),
         ([1, 2], "object"),
+        ({"p": True, "n_e": 1, "n_h": 4, "s": 1, "nu": 1}, "p"),
+        ({"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "seed": 1.5}, "seed"),
+        ({"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "seed": "x"}, "seed"),
+        (
+            {
+                "p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1,
+                "erasures": {"kind": "uniform", "seed": 1.5},
+            },
+            "erasures.seed",
+        ),
+        (
+            {
+                "p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1,
+                "gradients": {"kind": "random", "seed": True},
+            },
+            "gradients.seed",
+        ),
     ],
 )
 def test_scenario_validation_names_the_field(data, needle):
@@ -89,6 +107,20 @@ def test_round_counts_match_closed_forms():
     assert result.eh_symbols_per_edge == params.n_h * params.b * params.d
     assert Fraction(result.eh_symbols_per_edge, params.p_padded) == Fraction(4, 2)
     assert result.hm_symbols == result.report.hm_symbols
+
+def test_round_plans_each_layer_once(monkeypatch):
+    # helpers, master and cost accounting share one RoundPlan per round
+    calls = []
+    plan_layer = aggregate.plan_layer
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return plan_layer(*args, **kwargs)
+
+    monkeypatch.setattr(aggregate, "plan_layer", counting)
+    scenario = Scenario(p=120, n_e=7, n_h=6, s=2, nu=2, seed=3)
+    assert run_round(scenario).passed
+    assert sorted(calls) == list(range(scenario.params().layers))
 
 def test_invalid_matrix_fails_in_validate_stage():
     scenario = Scenario(
