@@ -113,6 +113,8 @@ def _scenario_from_args(args) -> sim.Scenario:
 
 
 def _cmd_simulate(args) -> int:
+    if args.rounds < 1:
+        raise ConfigurationError(f"--rounds must be a positive integer, got {args.rounds}")
     scenario = _scenario_from_args(args)
     results = sim.run_scenario(scenario, rounds=args.rounds)
     records = []

@@ -189,13 +189,15 @@ def encode_client(
     if (layers.n_h, layers.k) != (params.n_h, params.nu + params.s):
         raise ValueError("layer map does not match the scheme parameters")
     blocks = partition_gradient(g_i, params, code.field)
-    # One field matmul for all layers: stack the L message blocks side by side.
+    # The code is systematic: the nu message rows are copied, and one field
+    # matmul computes the s parity rows of all layers, side by side.
     stacked = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(
         params.nu, params.layers * params.d
     )
-    coded = code.field.matmul(code.generator.T, stacked)
-    fragments = np.ascontiguousarray(
-        coded.reshape(params.nu + params.s, params.layers, params.d).transpose(1, 0, 2)
+    parity = code.field.matmul(code.generator[:, params.nu :].T, stacked)
+    fragments = np.concatenate(
+        [blocks, parity.reshape(params.s, params.layers, params.d).transpose(1, 0, 2)],
+        axis=1,
     )
     return CodewordArray(owner=owner, params=params, layer_map=layers, fragments=fragments)
 

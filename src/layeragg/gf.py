@@ -1,12 +1,16 @@
-"""GF(2^m) arithmetic on log/antilog tables, for m in {4, 8, 16}.
+"""GF(2^m) arithmetic for m in {4, 8, 16}.
 
 Elements are integers in [0, 2^m - 1], read as polynomials over GF(2)
-modulo a fixed irreducible polynomial. Addition is XOR; multiplication
-goes through antilog/log tables built once per field instance, which
-keeps every coding operation linear-time per symbol.
+modulo a fixed irreducible polynomial. Addition is XOR. Scalar
+multiplication goes through antilog/log tables; array products go
+through byte-split product tables derived from them (see _kernels).
+Both are built once per (m, poly) per process, on first use.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -21,6 +25,66 @@ DEFAULT_POLY = {
 }
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _poly_mul(a: int, b: int, m: int, poly: int) -> int:
+    """Schoolbook multiply-and-reduce; only used to bootstrap the tables."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= poly
+    return acc
+
+
+@lru_cache(maxsize=16)
+def _log_exp_tables(m: int, poly: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(generator, antilog, log) of GF(2^m) modulo poly, read-only.
+
+    The antilog table is doubled so a sum of two logs needs no modulo.
+    """
+    q = 1 << m
+    dtype = np.uint8 if m <= 8 else np.uint16
+    for cand in range(2, min(q, 258)):
+        trail = np.zeros(2 * (q - 1), dtype=dtype)
+        x = 1
+        ok = True
+        for i in range(q - 1):
+            trail[i] = x
+            x = _poly_mul(x, cand, m, poly)
+            if x == 1 and i != q - 2:
+                ok = False  # candidate's order divides q-1 properly
+                break
+        if ok and x == 1:
+            trail[q - 1 :] = trail[: q - 1]
+            log = np.zeros(q, dtype=np.int64)  # log[0] unused; callers mask zeros
+            log[trail[: q - 1]] = np.arange(q - 1)
+            trail.setflags(write=False)
+            log.setflags(write=False)
+            return cand, trail, log
+    raise ConfigurationError(
+        f"no multiplicative generator found; 0x{poly:X} is not irreducible"
+    )
+
+
+@lru_cache(maxsize=4096)
+def _byte_tables(m: int, poly: int, c: int) -> np.ndarray:
+    """Product tables T[t][x] = c*(x << 8t) of a nonzero coefficient c."""
+    _, exp, log = _log_exp_tables(m, poly)
+    nbytes = (m + 7) // 8
+    x = np.arange(1, min(1 << m, 256))
+    table = np.zeros((nbytes, x.size + 1), dtype=exp.dtype)
+    for t in range(nbytes):
+        table[t, 1:] = exp[log[c] + log[x << (8 * t)]]
+    table.setflags(write=False)
+    return table
+
+
 class GF:
     """A binary extension field GF(2^m).
 
@@ -31,19 +95,23 @@ class GF:
     poly : int or None
         Irreducible polynomial with bit m set. Defaults per degree.
 
-    The constructor searches for a multiplicative generator while
-    filling the antilog table; failure to find one means the supplied
-    polynomial is not irreducible, which is reported as a
-    ConfigurationError.
+    The first field of a given (m, poly) in a process searches for a
+    multiplicative generator while filling the antilog table; failure to
+    find one means the supplied polynomial is not irreducible, which is
+    reported as a ConfigurationError. Later instances share its tables.
     """
 
     def __init__(self, m: int = 8, poly: int | None = None):
-        if m not in DEFAULT_POLY:
+        if not _is_integer(m) or m not in DEFAULT_POLY:
             raise ConfigurationError(
-                f"unsupported field degree m={m}; expected one of {sorted(DEFAULT_POLY)}"
+                f"unsupported field degree m={m!r}; expected one of {sorted(DEFAULT_POLY)}"
             )
+        m = int(m)
         if poly is None:
             poly = DEFAULT_POLY[m]
+        if not _is_integer(poly):
+            raise ConfigurationError(f"field polynomial must be an integer, got {poly!r}")
+        poly = int(poly)
         if poly >> m != 1:
             raise ConfigurationError(
                 f"polynomial 0x{poly:X} does not have degree exactly {m}"
@@ -53,47 +121,7 @@ class GF:
         self.poly = poly
         self.dtype = np.dtype(np.uint8 if m <= 8 else np.uint16)
         self.element_bytes = (m + 7) // 8
-        self._build_tables()
-
-    # -- table construction -------------------------------------------------
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        """Schoolbook multiply-and-reduce; only used to bootstrap the tables."""
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a >> self.m:
-                a ^= self.poly
-        return acc
-
-    def _build_tables(self) -> None:
-        q = self.order
-        for cand in range(2, min(q, 258)):
-            trail = np.zeros(2 * (q - 1), dtype=self.dtype)
-            x = 1
-            ok = True
-            for i in range(q - 1):
-                trail[i] = x
-                x = self._poly_mul(x, cand)
-                if x == 1 and i != q - 2:
-                    ok = False  # candidate's order divides q-1 properly
-                    break
-            if ok and x == 1:
-                self.generator = cand
-                trail[q - 1 :] = trail[: q - 1]
-                self.exp = trail
-                log = np.zeros(q, dtype=np.int64)  # log[0] unused; callers mask zeros
-                log[trail[: q - 1]] = np.arange(q - 1)
-                self.log = log
-                self.exp.setflags(write=False)
-                self.log.setflags(write=False)
-                return
-        raise ConfigurationError(
-            f"no multiplicative generator found; 0x{self.poly:X} is not irreducible"
-        )
+        self.generator, self.exp, self.log = _log_exp_tables(m, poly)
 
     # -- scalar element arithmetic -------------------------------------------
 
@@ -129,7 +157,18 @@ class GF:
         b = np.asarray(b, dtype=self.dtype)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-        return _kernels.gf_matmul(a, b, self.log, self.exp)
+        return _kernels.gf_matmul(a, b, self.byte_tables)
+
+    def byte_tables(self, c: int) -> np.ndarray:
+        """Read-only product tables of coefficient c: T[t][x] = c*(x << 8t).
+
+        Shape (element_bytes, 256), or (1, 2^m) when m < 8, so that a
+        symbol outside the field fails the gather instead of reading a
+        product. Built once per coefficient per field.
+        """
+        if not 1 <= c < self.order:
+            raise ValueError(f"coefficient {c} is not a nonzero element of {self!r}")
+        return _byte_tables(self.m, self.poly, int(c))
 
     def xor_sum(self, rows: np.ndarray) -> np.ndarray:
         """Field sum (XOR) of the rows of a (rows, d) array."""

@@ -3,8 +3,9 @@
 The master re-derives every helper's emission order from the erasure
 matrix, so the aggregated messages need no tags: entry positions are
 looked up per (layer, group), the nu entries of a group are MDS-decoded
-at the coordinates of the emitting helpers, group messages are summed
-into per-layer totals, and the partition layout is inverted.
+at the coordinates of the emitting helpers (one solve per coordinate
+pattern, shared by every group with that pattern), group messages are
+summed into per-layer totals, and the partition layout is inverted.
 
 Costs are exact rationals. The primary c_eh / c_hm_realized fields are
 normalized by the padded gradient length, which makes the closed forms
@@ -108,7 +109,10 @@ class AverageCost:
 def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     """Recover the sum of all edge gradients from the helper messages.
 
-    messages is a sequence of AggregatedMessage indexed by helper.
+    messages is a sequence of AggregatedMessage indexed by helper. Every
+    (layer, group) is an MDS erasure decode at the layer slots of its nu
+    emitters. Groups that share those slots share one solve: their rows
+    are gathered side by side and decoded with one field matmul.
     """
     params = plan.params
     if len(messages) != params.n_h:
@@ -125,30 +129,41 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
             raise ProtocolError(
                 f"helper {j} sent {len(msg)} entries, schedule has {len(schedule)}"
             )
+        for before, (layer, a) in zip(schedule, schedule[1:]):
+            if (layer, a) <= before:
+                raise ProtocolError(
+                    f"schedule of helper {j} lists layer {layer}, group {a} "
+                    f"after layer {before[0]}, group {before[1]}"
+                )
         lookup.append({pair: idx for idx, pair in enumerate(schedule)})
 
-    field = code.field
-    # Cover patterns repeat across layers and groups; cache one solve per pattern.
-    solver_cache: dict[tuple[int, ...], np.ndarray] = {}
-    layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
+    # Images inside a layer are distinct, so an emitter-slot pattern holds
+    # at most one group per layer.
+    patterns: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for lp in plan.layer_plans:
         for a, cover in enumerate(lp.images):
-            emitters = [h for h in lp.helpers if h not in cover]
-            positions = tuple(k for k, h in enumerate(lp.helpers) if h not in cover)
-            rows = []
-            for h in emitters:
-                idx = lookup[h].get((lp.layer, a))
+            slots = tuple(k for k, h in enumerate(lp.helpers) if h not in cover)
+            patterns.setdefault(slots, []).append((lp.layer, a))
+
+    field = code.field
+    layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
+    for slots, pairs in patterns.items():
+        rows = np.empty((params.nu, len(pairs), params.d), dtype=field.dtype)
+        for g, (layer, a) in enumerate(pairs):
+            helpers = plan.layers[layer]
+            for r, k in enumerate(slots):
+                h = helpers[k]
+                idx = lookup[h].get((layer, a))
                 if idx is None:
                     raise ProtocolError(
-                        f"missing entry for layer {lp.layer}, group {a}, helper {h}"
+                        f"missing entry for layer {layer}, group {a}, helper {h}"
                     )
-                rows.append(messages[h].entries[idx])
-            solver = solver_cache.get(positions)
-            if solver is None:
-                solver = invert_matrix(field, code.generator[:, list(positions)].T)
-                solver_cache[positions] = solver
-            group_message = field.matmul(solver, np.stack(rows))
-            layer_sums[lp.layer] ^= group_message
+                rows[r, g] = messages[h].entries[idx]
+        solver = invert_matrix(field, code.generator[:, list(slots)].T)
+        decoded = field.matmul(solver, rows.reshape(params.nu, -1))
+        layer_sums[[layer for layer, _ in pairs]] ^= decoded.reshape(
+            params.nu, len(pairs), params.d
+        ).transpose(1, 0, 2)
     return reassemble_gradient(layer_sums, params)
 
 

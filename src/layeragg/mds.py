@@ -110,14 +110,16 @@ def singular_minors(code: MdsCode, cap: int = 20000) -> list[tuple[int, ...]]:
 def encode(code: MdsCode, message: np.ndarray) -> np.ndarray:
     """Encode nu message symbols (rows of length d) into nu+s coded symbols.
 
-    Systematic: the first nu output rows are the message itself.
+    Systematic: the first nu output rows are the message itself, and only
+    the s parity rows are computed.
     """
     message = np.asarray(message, dtype=code.field.dtype)
     if message.ndim != 2 or message.shape[0] != code.nu:
         raise ValueError(
             f"message must be (nu, d) = ({code.nu}, *), got {message.shape}"
         )
-    return code.field.matmul(code.generator.T, message)
+    parity = code.field.matmul(code.generator[:, code.nu :].T, message)
+    return np.concatenate([message, parity])
 
 
 def decode_from(code: MdsCode, positions, symbols: np.ndarray) -> np.ndarray:

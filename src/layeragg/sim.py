@@ -50,6 +50,7 @@ class Scenario:
 
     erasures: {"kind": "matrix", "rows": [[...], ...]} | {"kind": "uniform"[, "seed": n]}
               | {"kind": "worst_case"} | {"kind": "exhaustive"}
+              (all but exhaustive take an optional "rounds": n >= 1)
     gradients: {"kind": "random"[, "seed": n]} | {"kind": "file", "path": p}
                | {"kind": "zero"}
     """
@@ -98,6 +99,12 @@ class Scenario:
                 raise ConfigurationError(f"scenario field '{name}' must be an integer")
         if "seed" in data:
             _check_seed(data["seed"], "seed")
+        if "field_bits" in data and not _is_int(data["field_bits"]):
+            raise ConfigurationError("scenario field 'field_bits' must be an integer")
+        if data.get("field_poly") is not None and not _is_int(data["field_poly"]):
+            raise ConfigurationError(
+                "scenario field 'field_poly' must be an integer or null"
+            )
         known = {
             "p", "n_e", "n_h", "s", "nu",
             "field_bits", "field_poly", "erasures", "gradients", "seed",
@@ -112,6 +119,11 @@ class Scenario:
             raise ConfigurationError("scenario field 'erasures.rows' is missing")
         if scenario.gradients["kind"] == "file" and "path" not in scenario.gradients:
             raise ConfigurationError("scenario field 'gradients.path' is missing")
+        rounds = scenario.erasures.get("rounds", 1)
+        if not _is_int(rounds) or rounds < 1:
+            raise ConfigurationError(
+                "scenario field 'erasures.rounds' must be a positive integer"
+            )
         scenario.params()  # range checks
         return scenario
 
@@ -211,7 +223,10 @@ def run_round(
 
     plan = stage("plan", aggregate.RoundPlan, eps, params, layers)
     gradients = stage("gradients", _round_gradients, scenario, fld, round_index)
+    reference = np.bitwise_xor.reduce(gradients, axis=0)
 
+    # Each stage's inputs are dropped once consumed, so the decode's
+    # temporaries do not stack on the gradients, codewords and inbox.
     def encode_all():
         return [
             encode_client(gradients[i], params, code, layers, owner=i)
@@ -219,6 +234,7 @@ def run_round(
         ]
 
     arrays: list[CodewordArray] = stage("encode", encode_all)
+    del gradients
 
     def deliver():
         inbox = []
@@ -234,6 +250,7 @@ def run_round(
         return inbox, sent
 
     inbox, sent_total = stage("deliver", deliver)
+    del arrays
     eh_per_edge = sent_total // params.n_e
 
     def aggregate_all():
@@ -243,10 +260,10 @@ def run_round(
         ]
 
     messages = stage("aggregate", aggregate_all)
+    del inbox
     hm_symbols = sum(m.entries.size for m in messages)
 
     decoded = stage("decode", master.decode_global, messages, plan, code)
-    reference = np.bitwise_xor.reduce(gradients, axis=0)
 
     report = stage("account", master.cost_realized, plan)
     if eh_per_edge != report.eh_symbols_per_edge or hm_symbols != report.hm_symbols:

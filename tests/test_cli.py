@@ -80,6 +80,19 @@ def test_simulate_malformed_scenario_names_field(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path)]) == 2
 
 
+def test_simulate_rejects_nonpositive_rounds(capsys):
+    rc = main(
+        [
+            "simulate", "--p", "60", "--n-e", "5", "--n-h", "4", "--s", "1",
+            "--nu", "2", "--rounds", "0",
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--rounds" in captured.err
+    assert "round 0" not in captured.out
+
+
 def test_sweep_golden_csv(capsys):
     assert main(["sweep", "--n-e", "50", "--n-h", "10", "--s", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

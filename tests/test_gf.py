@@ -116,6 +116,13 @@ def test_constructor_rejects_bad_parameters():
         GF(8, poly=0x1B)  # degree bit missing
     with pytest.raises(ConfigurationError):
         GF(8, poly=0x101)  # x^8 + 1 is reducible
+    with pytest.raises(ConfigurationError, match="degree"):
+        GF(8.0)
+    with pytest.raises(ConfigurationError, match="degree"):
+        GF(True)
+    with pytest.raises(ConfigurationError, match="polynomial"):
+        GF(8, poly="x")
+    assert GF(np.int64(8)) == GF(8)
 
 
 def test_matmul_against_scalar_loops(gf8):

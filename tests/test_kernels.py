@@ -1,8 +1,109 @@
-"""Edge cases of the hot kernels; tests/test_gf.py holds the matmul oracle."""
+"""The hot kernels against the log/antilog product and scalar loops."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import layeragg
 from layeragg import _kernels
+from layeragg.gf import GF
+
+
+def logexp_matmul(a, b, log, exp):
+    """Matrix product over GF(2^m) via log/antilog tables: the bit-exactness oracle.
+
+    exp is doubled, so the sum of two logs needs no modulo; zero operands
+    are masked, since log[0] is meaningless.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=b.dtype)
+    log_b = log[b]
+    for kk in range(a.shape[1]):
+        coefs = a[:, kk]
+        prod = exp[log[coefs][:, None] + log_b[kk][None, :]]
+        prod[:, b[kk] == 0] = 0
+        prod[coefs == 0, :] = 0
+        out ^= prod
+    return out
+
+
+def loop_matmul(fld, a, b):
+    """Scalar loops over GF.mul, as in test_gf.test_matmul_against_scalar_loops."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=fld.dtype)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0
+            for k in range(a.shape[1]):
+                acc ^= fld.mul(int(a[i, k]), int(b[k, j]))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+@pytest.mark.parametrize("n,k,d", [(3, 4, 9), (3, 1, 5), (4, 3, 1), (3, 2, 0)])
+def test_matmul_matches_logexp_and_scalar_loops(m, n, k, d):
+    fld = GF(m)
+    rng = np.random.default_rng([m, n, k, d])
+    a = rng.integers(0, fld.order, size=(n, k), dtype=fld.dtype)
+    a[0, 0] = 0  # skipped coefficient
+    a[-1, -1] = 1  # plain XOR
+    b = rng.integers(0, fld.order, size=(k, d), dtype=fld.dtype)
+    if d:
+        b[:, 0] = fld.order - 1  # the top byte of every symbol is set
+    got = fld.matmul(a, b)
+    assert got.dtype == fld.dtype and got.shape == (n, d)
+    assert np.array_equal(got, logexp_matmul(a, b, fld.log, fld.exp))
+    assert np.array_equal(got, loop_matmul(fld, a, b))
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_matmul_on_long_rows_matches_logexp(m):
+    fld = GF(m)
+    rng = np.random.default_rng(m)
+    a = rng.integers(0, fld.order, size=(3, 4), dtype=fld.dtype)
+    b = rng.integers(0, fld.order, size=(4, 5000), dtype=fld.dtype)
+    assert np.array_equal(fld.matmul(a, b), logexp_matmul(a, b, fld.log, fld.exp))
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_byte_tables_hold_products(m):
+    fld = GF(m)
+    c = fld.gen_pow(5)
+    table = fld.byte_tables(c)
+    assert table.shape == (fld.element_bytes, min(fld.order, 256))
+    assert not table.flags.writeable
+    for t in range(fld.element_bytes):
+        for x in range(table.shape[1]):
+            assert table[t, x] == fld.mul(c, x << (8 * t))
+    assert fld.byte_tables(c) is table  # built once per coefficient
+    with pytest.raises(ValueError):
+        fld.byte_tables(0)
+    with pytest.raises(ValueError):
+        fld.byte_tables(fld.order)
+
+
+def test_symbol_outside_small_field_fails_the_gather():
+    fld = GF(4)
+    with pytest.raises(IndexError):
+        fld.matmul(np.array([[3]]), np.array([[16]]))
+
+
+def test_tables_are_shared_per_field_and_not_built_at_import():
+    assert GF(16).exp is GF(16).exp
+    assert GF(16).byte_tables(7) is GF(16).byte_tables(7)
+    src = str(Path(layeragg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import layeragg.gf as g; "
+        "print(g._log_exp_tables.cache_info().currsize, g._byte_tables.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_xor_reduce_empty_and_single():

@@ -1,5 +1,6 @@
 """Master decode and cost accounting tests; oracle is direct gradient summation."""
 
+import copy
 from fractions import Fraction
 from math import comb
 
@@ -114,6 +115,36 @@ def test_decode_rejects_truncated_message(gf8):
     )
     with pytest.raises(ProtocolError, match="helper 1"):
         decode_global([messages[0], wide] + messages[2:], plan, code)
+
+
+def _with_schedule(plan, j, schedule):
+    tampered = copy.copy(plan)
+    tampered.schedules = plan.schedules[:j] + (tuple(schedule),) + plan.schedules[j + 1 :]
+    return tampered
+
+
+def test_decode_names_a_dropped_or_reordered_schedule_entry(gf8):
+    params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
+    eps = from_erased_sets(SEVEN_EDGE_ROWS, 6)
+    rng = np.random.default_rng(8)
+    grads = np.stack([random_gradient(rng, gf8, 120) for _ in range(7)])
+    _, messages, plan, code = full_round(gf8, params, eps, grads)
+    j = 2
+    schedule = list(plan.schedules[j])
+    assert len(schedule) >= 2
+
+    # dropped: the message shrinks with the schedule, so the counts agree
+    (layer, a), kept = schedule[0], schedule[1:]
+    short = AggregatedMessage(helper=j, entries=messages[j].entries[1:])
+    tampered = messages[:j] + [short] + messages[j + 1 :]
+    with pytest.raises(ProtocolError, match=f"layer {layer}, group {a}, helper {j}"):
+        decode_global(tampered, _with_schedule(plan, j, kept), code)
+
+    # reordered: the same entries in another order
+    swapped = [schedule[1], schedule[0]] + schedule[2:]
+    layer, a = schedule[0]
+    with pytest.raises(ProtocolError, match=f"helper {j} lists layer {layer}, group {a}"):
+        decode_global(messages, _with_schedule(plan, j, swapped), code)
 
 
 def test_cost_realized_identity_and_closed_form():

@@ -1,0 +1,74 @@
+"""Property tests: the decoded sum equals the XOR of the edge gradients.
+
+Fields, shapes, padding and lax erasure matrices are drawn; the
+helper-to-master hop goes through the wire format.
+"""
+
+from math import comb
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from layeragg.aggregate import (  # noqa: E402
+    RoundPlan,
+    aggregate_helper,
+    message_from_bytes,
+    message_to_bytes,
+)
+from layeragg.client import SchemeParams, encode_client  # noqa: E402
+from layeragg.erasure import from_erased_sets, validate  # noqa: E402
+from layeragg.gf import GF  # noqa: E402
+from layeragg.master import decode_global  # noqa: E402
+from layeragg.mds import make_generator  # noqa: E402
+
+
+@st.composite
+def rounds(draw):
+    m = draw(st.sampled_from([4, 8, 16]))
+    n_h = draw(st.integers(2, 6))
+    s = draw(st.integers(1, n_h - 1))
+    nu = draw(st.integers(1, n_h - s))
+    lam = comb(n_h, nu + s) * nu
+    assume(lam > 1)
+    d = draw(st.integers(1, 3))
+    p = lam * d - draw(st.integers(1, lam - 1))  # lam does not divide p
+    n_e = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, n_h - 1), max_size=s, unique=True),
+            min_size=n_e,
+            max_size=n_e,
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    return m, SchemeParams(p=p, n_e=n_e, n_h=n_h, s=s, nu=nu), rows, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds())
+def test_decode_equals_xor_sum_over_the_wire(case):
+    m, params, rows, seed = case
+    fld = GF(m)
+    eps = from_erased_sets(rows, params.n_h)
+    validate(eps, params.s, strict=False)
+    grads = np.random.default_rng(seed).integers(
+        0, fld.order, size=(params.n_e, params.p), dtype=fld.dtype
+    )
+    plan = RoundPlan(eps, params)
+    code = make_generator(fld, params.nu, params.s)
+    arrays = [
+        encode_client(grads[i], params, code, plan.layers, owner=i)
+        for i in range(params.n_e)
+    ]
+    messages = []
+    for j in range(params.n_h):
+        received = {i: arrays[i].column(j) for i in range(params.n_e) if not eps[i, j]}
+        payload = message_to_bytes(aggregate_helper(j, received, plan, fld), fld)
+        messages.append(
+            message_from_bytes(j, payload, fld, len(plan.schedules[j]), params.d)
+        )
+    decoded = decode_global(messages, plan, code)
+    assert np.array_equal(decoded, np.bitwise_xor.reduce(grads, axis=0))

@@ -8,6 +8,7 @@ import pytest
 
 from layeragg import aggregate
 from layeragg.errors import ConfigurationError
+from layeragg.gf import GF
 from layeragg.sim import (
     Scenario,
     StageFailure,
@@ -72,6 +73,22 @@ def test_scenario_json_round_trip(tmp_path):
             },
             "gradients.seed",
         ),
+        (
+            {
+                "p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1,
+                "erasures": {"kind": "uniform", "rounds": "x"},
+            },
+            "erasures.rounds",
+        ),
+        (
+            {
+                "p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1,
+                "erasures": {"kind": "uniform", "rounds": -1},
+            },
+            "erasures.rounds",
+        ),
+        ({"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "field_bits": 8.0}, "field_bits"),
+        ({"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "field_poly": "x"}, "field_poly"),
     ],
 )
 def test_scenario_validation_names_the_field(data, needle):
@@ -121,6 +138,33 @@ def test_round_plans_each_layer_once(monkeypatch):
     scenario = Scenario(p=120, n_e=7, n_h=6, s=2, nu=2, seed=3)
     assert run_round(scenario).passed
     assert sorted(calls) == list(range(scenario.params().layers))
+
+def test_round_makes_one_matmul_per_encode_and_emitter_pattern(monkeypatch):
+    # n_e parity encodes, one decode solve per distinct emitter-slot
+    # pattern, and the generator's own product
+    calls = []
+    matmul = GF.matmul
+
+    def counting(self, a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(GF, "matmul", counting)
+    scenario = Scenario(p=53760 // 8, n_e=20, n_h=8, s=2, nu=3, field_bits=16, seed=4)
+    result = run_round(scenario)
+    assert result.passed
+    params = scenario.params()
+    plan = aggregate.RoundPlan(result.eps, params)
+    patterns = {
+        tuple(k for k, h in enumerate(lp.helpers) if h not in cover)
+        for lp in plan.layer_plans
+        for cover in lp.images
+    }
+    assert 1 < len(patterns) < sum(lp.beta for lp in plan.layer_plans)
+    assert len(calls) == params.n_e + len(patterns) + 1
+    encodes = [c for c in calls if c == ((params.s, params.nu), (params.nu, params.layers * params.d))]
+    assert len(encodes) == params.n_e
+
 
 def test_invalid_matrix_fails_in_validate_stage():
     scenario = Scenario(
