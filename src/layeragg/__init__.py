@@ -18,7 +18,6 @@ from .client import (
     LayerMap,
     SchemeParams,
     encode_client,
-    enumerate_layers,
     partition_gradient,
 )
 from .erasure import enumerate_all, sample_uniform, worst_case_pattern
@@ -81,7 +80,6 @@ __all__ = [
     "encode",
     "encode_client",
     "enumerate_all",
-    "enumerate_layers",
     "make_generator",
     "partition_gradient",
     "plan_layer",

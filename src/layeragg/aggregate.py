@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .client import LayerMap, SchemeParams
+from .client import SchemeParams
 from .errors import ProtocolError
 from .gf import GF
 
@@ -27,7 +27,6 @@ class LayerAggregationPlan:
     """Who aggregates what for one layer, for a fixed erasure matrix.
 
     classes     partition of the edges, ordered by smallest member
-    class_keys  the shared erasure footprint of each class inside the layer
     phi         per-class cover subset (parallel to classes)
     images      the distinct covers, in lexicographic order
     groups      merged edge set per image (parallel to images)
@@ -36,7 +35,6 @@ class LayerAggregationPlan:
     layer: int
     helpers: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    class_keys: tuple[tuple[int, ...], ...]
     phi: tuple[tuple[int, ...], ...]
     images: tuple[tuple[int, ...], ...]
     groups: tuple[tuple[int, ...], ...]
@@ -68,8 +66,7 @@ def plan_layer(
         by_key.setdefault(key, []).append(i)
     # insertion order == order of each class's smallest member
     classes = tuple(tuple(edges) for edges in by_key.values())
-    class_keys = tuple(by_key.keys())
-    phi = tuple(lexmin_cover(helpers, key, s) for key in class_keys)
+    phi = tuple(lexmin_cover(helpers, key, s) for key in by_key)
     images = tuple(sorted(set(phi)))
     grouped: dict[tuple[int, ...], list[int]] = {im: [] for im in images}
     for cover, edges in zip(phi, classes):
@@ -79,7 +76,6 @@ def plan_layer(
         layer=layer,
         helpers=tuple(helpers),
         classes=classes,
-        class_keys=class_keys,
         phi=phi,
         images=images,
         groups=groups,
@@ -96,22 +92,17 @@ class RoundPlan:
                  where the helper sits outside the cover
     """
 
-    def __init__(
-        self, eps: np.ndarray, params: SchemeParams, layers: LayerMap | None = None
-    ):
-        if layers is None:
-            layers = LayerMap(params.n_h, params.nu + params.s)
+    def __init__(self, eps: np.ndarray, params: SchemeParams):
         self.eps = eps
         self.params = params
-        self.layers = layers
         self.layer_plans = tuple(
             plan_layer(layer, subset, eps, params.s)
-            for layer, subset in enumerate(layers)
+            for layer, subset in enumerate(params.layer_map)
         )
         schedules = []
         for j in range(params.n_h):
             schedule = []
-            for layer, _ in layers.column_slots(j):
+            for layer, _ in params.layer_map.column_slots(j):
                 for a, cover in enumerate(self.layer_plans[layer].images):
                     if j not in cover:
                         schedule.append((layer, a))
@@ -139,7 +130,7 @@ def aggregate_helper(
     for surviving links. Every group sum only touches edges whose link
     to j survived; a gap means the erasure bookkeeping is broken.
     """
-    eps, layers = plan.eps, plan.layers
+    eps, layers = plan.eps, plan.params.layer_map
     entries = []
     for layer, a in plan.schedules[j]:
         row = layers.row_in_column(j, layer)

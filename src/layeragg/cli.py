@@ -18,7 +18,6 @@ from . import erasure, master, mds, sim
 from .client import (
     SchemeParams,
     encode_client,
-    enumerate_layers,
     format_layer_grid,
     load_gradient,
     random_gradient,
@@ -59,7 +58,6 @@ def _emit(args, text: str) -> None:
 def _cmd_encode(args) -> int:
     params = SchemeParams(p=args.p, n_e=max(args.n_e, 1), n_h=args.n_h, s=args.s, nu=args.nu)
     fld = GF(m=args.field_bits)
-    layers = enumerate_layers(params.n_h, params.nu + params.s)
     code = mds.make_generator(fld, params.nu, params.s)
     if args.gradient == "random":
         rng = np.random.default_rng(np.random.SeedSequence([_default_seed(args), args.edge_index]))
@@ -68,15 +66,16 @@ def _cmd_encode(args) -> int:
         g = np.zeros(params.p, dtype=fld.dtype)
     else:
         g = load_gradient(args.gradient, fld, p=params.p)
-    arr = encode_client(g, params, code, layers, owner=args.edge_index)
-    grid = format_layer_grid(params, layers)
+    arr = encode_client(g, params, code)
+    grid = format_layer_grid(params)
+    layers = params.layer_map
     payload = {
         "params": {"p": params.p, "n_h": params.n_h, "s": params.s, "nu": params.nu,
                    "L": params.layers, "b": params.b, "d": params.d},
         "edge_index": args.edge_index,
         "grid": grid,
         "columns": [arr.column(j).tolist() for j in range(params.n_h)],
-        "column_layers": [list(arr.column_layers(j)) for j in range(params.n_h)],
+        "column_layers": [list(layers.column_layers(j)) for j in range(params.n_h)],
     }
     if args.format == "json" or args.output is not None:
         _emit(args, json.dumps(payload, indent=2) + "\n")
@@ -85,7 +84,7 @@ def _cmd_encode(args) -> int:
         print()
         for j in range(params.n_h):
             col = arr.column(j)
-            print(f"column {j} (layers {list(arr.column_layers(j))}): "
+            print(f"column {j} (layers {list(layers.column_layers(j))}): "
                   + " ".join("".join(f"{v:0{fld.element_bytes * 2}x}" for v in row) for row in col))
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gf import GF
-from .mds import MdsCode
+from .mds import MdsCode, encode
 
 
 @dataclass(frozen=True)
@@ -86,29 +87,34 @@ class SchemeParams:
         """Number of s-subsets of a layer's helper set."""
         return comb(self.nu + self.s, self.s)
 
+    @property
+    def layer_map(self) -> "LayerMap":
+        """The placement of the layers on the helpers, shared per (n_h, nu+s)."""
+        return _layer_map(self.n_h, self.nu + self.s)
+
 
 class LayerMap:
     """The (nu+s)-subsets of [0, n_h) in lexicographic order, with column indexes.
 
     subset l is stored ascending; column_slots(j) lists the (layer, slot)
-    pairs whose cell lands in helper j's column, in increasing layer order.
+    pairs whose cell lands in helper j's column, in increasing layer order,
+    and column_index(j) holds the same pairs as two index arrays.
     """
 
     def __init__(self, n_h: int, k: int):
         if not 1 <= k <= n_h:
             raise ConfigurationError(f"subset size {k} out of range [1, {n_h}]")
-        self.n_h = n_h
-        self.k = k
         self.subsets = tuple(combinations(range(n_h), k))
         cols: list[list[tuple[int, int]]] = [[] for _ in range(n_h)]
         for layer, subset in enumerate(self.subsets):
             for slot, h in enumerate(subset):
                 cols[h].append((layer, slot))
         self._cols = tuple(tuple(c) for c in cols)
+        # every column has b cells; read-only, since the maps are shared
+        index = np.array(cols, dtype=np.intp).transpose(2, 0, 1).copy()
+        index.setflags(write=False)
+        self._col_layers, self._col_slots = index
         self._row_of = tuple({layer: row for row, (layer, _) in enumerate(c)} for c in cols)
-
-    def __len__(self) -> int:
-        return len(self.subsets)
 
     def __getitem__(self, layer: int) -> tuple[int, ...]:
         return self.subsets[layer]
@@ -119,6 +125,10 @@ class LayerMap:
     def column_slots(self, j: int) -> tuple[tuple[int, int], ...]:
         return self._cols[j]
 
+    def column_index(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(layers, slots) arrays of helper j's column, for one gather."""
+        return self._col_layers[j], self._col_slots[j]
+
     def column_layers(self, j: int) -> tuple[int, ...]:
         return tuple(layer for layer, _ in self._cols[j])
 
@@ -127,7 +137,8 @@ class LayerMap:
         return self._row_of[j][layer]
 
 
-def enumerate_layers(n_h: int, k: int) -> LayerMap:
+@lru_cache(maxsize=64)
+def _layer_map(n_h: int, k: int) -> LayerMap:
     return LayerMap(n_h, k)
 
 
@@ -156,57 +167,37 @@ class CodewordArray:
 
     fragments[l, k] is the symbol placed at cell (l, H_l[k]) of the
     L x n_h grid; the compacted b x n_h transmission form is read off
-    with column().
+    with column(), whose row layers are params.layer_map.column_layers(j).
     """
 
-    owner: int
     params: SchemeParams
-    layer_map: LayerMap
     fragments: np.ndarray  # (L, nu+s, d)
 
     def column(self, j: int) -> np.ndarray:
         """The b symbols sent to helper j, in increasing layer order."""
-        slots = self.layer_map.column_slots(j)
-        return np.stack([self.fragments[layer, slot] for layer, slot in slots])
-
-    def column_layers(self, j: int) -> tuple[int, ...]:
-        """Layer numbers of the column rows; deducible metadata, not payload."""
-        return self.layer_map.column_layers(j)
+        return self.fragments[self.params.layer_map.column_index(j)]
 
 
-def encode_client(
-    g_i: np.ndarray,
-    params: SchemeParams,
-    code: MdsCode,
-    layers: LayerMap,
-    owner: int = 0,
-) -> CodewordArray:
+def encode_client(g_i: np.ndarray, params: SchemeParams, code: MdsCode) -> CodewordArray:
     """Encode one edge's gradient into its codeword array (all layers at once)."""
     if (code.nu, code.s) != (params.nu, params.s):
         raise ValueError(
             f"code is [{code.n},{code.nu}] but params want [{params.nu + params.s},{params.nu}]"
         )
-    if (layers.n_h, layers.k) != (params.n_h, params.nu + params.s):
-        raise ValueError("layer map does not match the scheme parameters")
     blocks = partition_gradient(g_i, params, code.field)
-    # The code is systematic: the nu message rows are copied, and one field
-    # matmul computes the s parity rows of all layers, side by side.
+    # One systematic encode of every layer's message, side by side.
     stacked = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(
         params.nu, params.layers * params.d
     )
-    parity = code.field.matmul(code.generator[:, params.nu :].T, stacked)
-    fragments = np.concatenate(
-        [blocks, parity.reshape(params.s, params.layers, params.d).transpose(1, 0, 2)],
-        axis=1,
-    )
-    return CodewordArray(owner=owner, params=params, layer_map=layers, fragments=fragments)
+    coded = encode(code, stacked).reshape(params.nu + params.s, params.layers, params.d)
+    return CodewordArray(params=params, fragments=coded.transpose(1, 0, 2))
 
 
-def format_layer_grid(params: SchemeParams, layers: LayerMap) -> str:
+def format_layer_grid(params: SchemeParams) -> str:
     """Render the L x n_h placement grid with g/p fragment labels."""
     header = ["layer"] + [f"H{j}" for j in range(params.n_h)]
     rows = [header]
-    for layer, subset in enumerate(layers):
+    for layer, subset in enumerate(params.layer_map):
         cells = [""] * params.n_h
         for slot, h in enumerate(subset):
             cells[h] = f"g{slot}" if slot < params.nu else f"p{slot - params.nu}"

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .aggregate import AggregatedMessage, RoundPlan
-from .client import LayerMap, SchemeParams, reassemble_gradient
+from .client import SchemeParams, reassemble_gradient
 from .erasure import enumerate_all, omega_size, sample_uniform, worst_case_pattern
 from .errors import ProtocolError
 from .mds import MdsCode, invert_matrix
@@ -44,11 +44,9 @@ class CostReport:
     c_hm_realized: Fraction
     c_eh_declared: Fraction
     c_hm_realized_declared: Fraction
-    c_hm_worst: "WorstCaseCost | None" = None
-    c_hm_avg: "AverageCost | None" = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "p": self.p,
             "p_padded": self.p_padded,
             "eh_symbols_per_edge": self.eh_symbols_per_edge,
@@ -58,11 +56,6 @@ class CostReport:
             "c_eh_declared": _rational_dict(self.c_eh_declared),
             "c_hm_realized_declared": _rational_dict(self.c_hm_realized_declared),
         }
-        if self.c_hm_worst is not None:
-            out["c_hm_worst"] = self.c_hm_worst.to_dict()
-        if self.c_hm_avg is not None:
-            out["c_hm_avg"] = self.c_hm_avg.to_dict()
-        return out
 
 
 @dataclass(frozen=True)
@@ -113,6 +106,11 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     (layer, group) is an MDS erasure decode at the layer slots of its nu
     emitters. Groups that share those slots share one solve: their rows
     are gathered side by side and decoded with one field matmul.
+
+    Each group has exactly nu emitters, so there is no redundancy: a
+    message whose shape, count or sender is wrong raises ProtocolError,
+    but a corrupted symbol *value* cannot be detected and decodes into a
+    wrong sum.
     """
     params = plan.params
     if len(messages) != params.n_h:
@@ -120,6 +118,8 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     lookup: list[dict[tuple[int, int], int]] = []
     for j, schedule in enumerate(plan.schedules):
         msg: AggregatedMessage = messages[j]
+        if msg.helper != j:
+            raise ProtocolError(f"slot {j} holds the message of helper {msg.helper}")
         if msg.entries.ndim != 2 or msg.entries.shape[1] != params.d:
             raise ProtocolError(
                 f"helper {j} sent entries of shape {msg.entries.shape}, "
@@ -150,7 +150,7 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     for slots, pairs in patterns.items():
         rows = np.empty((params.nu, len(pairs), params.d), dtype=field.dtype)
         for g, (layer, a) in enumerate(pairs):
-            helpers = plan.layers[layer]
+            helpers = plan.layer_plans[layer].helpers
             for r, k in enumerate(slots):
                 h = helpers[k]
                 idx = lookup[h].get((layer, a))
@@ -167,18 +167,11 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     return reassemble_gradient(layer_sums, params)
 
 
-def cost_realized(
-    plan: RoundPlan,
-    worst: str | None = None,
-    average: str | None = None,
-    trials: int = 1000,
-    seed=0,
-) -> CostReport:
+def cost_realized(plan: RoundPlan) -> CostReport:
     """Exact costs for one erasure matrix, counted from its round plan.
 
     The helper-to-master count is derived per helper (sum of m_j) and
     cross-checked against the per-layer identity sum(m_j) = nu * sum(beta).
-    Pass worst / average mode names to also fill the optional report fields.
     """
     params = plan.params
     m_total = sum(len(schedule) for schedule in plan.schedules)
@@ -199,10 +192,6 @@ def cost_realized(
         c_hm_realized=Fraction(hm_symbols, params.p_padded),
         c_eh_declared=Fraction(eh_symbols, params.p),
         c_hm_realized_declared=Fraction(hm_symbols, params.p),
-        c_hm_worst=None if worst is None else cost_worst_case(params, mode=worst),
-        c_hm_avg=None
-        if average is None
-        else cost_average(params, mode=average, trials=trials, seed=seed),
     )
 
 
@@ -235,9 +224,8 @@ def cost_worst_case(
         )
     if mode == "brute_force":
         kwargs = {} if cap is None else {"cap": cap}
-        layers = LayerMap(params.n_h, params.nu + params.s)
         best = max(
-            cost_realized(RoundPlan(eps, params, layers)).c_hm_realized
+            cost_realized(RoundPlan(eps, params)).c_hm_realized
             for eps in enumerate_all(params.n_e, params.n_h, params.s, **kwargs)
         )
         return WorstCaseCost(value=best, tight=True, lower_bound=best, mode=mode)
@@ -252,12 +240,11 @@ def cost_average(
     cap: int | None = None,
 ) -> AverageCost:
     """Mean realized cost over Omega(s): exact enumeration or Monte Carlo."""
-    layers = LayerMap(params.n_h, params.nu + params.s)
     if mode == "exhaustive":
         kwargs = {} if cap is None else {"cap": cap}
         total = Fraction(0)
         for eps in enumerate_all(params.n_e, params.n_h, params.s, **kwargs):
-            total += cost_realized(RoundPlan(eps, params, layers)).c_hm_realized
+            total += cost_realized(RoundPlan(eps, params)).c_hm_realized
         count = omega_size(params.n_e, params.n_h, params.s)
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)
     if mode == "monte_carlo":
@@ -267,7 +254,7 @@ def cost_average(
         samples = np.empty(trials)
         for t in range(trials):
             eps = sample_uniform(params.n_e, params.n_h, params.s, rng)
-            samples[t] = float(cost_realized(RoundPlan(eps, params, layers)).c_hm_realized)
+            samples[t] = float(cost_realized(RoundPlan(eps, params)).c_hm_realized)
         stderr = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return AverageCost(
             value=float(samples.mean()), stderr=stderr, mode=mode, trials=trials

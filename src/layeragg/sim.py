@@ -22,14 +22,12 @@ import numpy as np
 from . import aggregate, erasure, master, mds
 from .client import (
     CodewordArray,
-    LayerMap,
     SchemeParams,
     encode_client,
-    enumerate_layers,
     load_gradient,
     random_gradient,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ProtocolError
 from .gf import GF
 
 _GRADIENT_STREAM = 0
@@ -119,17 +117,21 @@ class Scenario:
             raise ConfigurationError("scenario field 'erasures.rows' is missing")
         if scenario.gradients["kind"] == "file" and "path" not in scenario.gradients:
             raise ConfigurationError("scenario field 'gradients.path' is missing")
-        rounds = scenario.erasures.get("rounds", 1)
-        if not _is_int(rounds) or rounds < 1:
-            raise ConfigurationError(
-                "scenario field 'erasures.rounds' must be a positive integer"
-            )
+        _check_rounds(
+            scenario.erasures.get("rounds", 1), "scenario field 'erasures.rounds'"
+        )
         scenario.params()  # range checks
         return scenario
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # bool subclasses int
+
+
+def _check_rounds(value, name: str) -> int:
+    if not _is_int(value) or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _check_seed(value, name: str) -> None:
@@ -210,7 +212,6 @@ def run_round(
 
     params = scenario.params()
     fld = scenario.field()
-    layers = enumerate_layers(params.n_h, params.nu + params.s)
     code = stage("setup", mds.make_generator, fld, params.nu, params.s)
 
     if eps is None:
@@ -221,17 +222,14 @@ def run_round(
             "validate", ValueError(f"erasure matrix shape {eps.shape} mismatch")
         )
 
-    plan = stage("plan", aggregate.RoundPlan, eps, params, layers)
+    plan = stage("plan", aggregate.RoundPlan, eps, params)
     gradients = stage("gradients", _round_gradients, scenario, fld, round_index)
     reference = np.bitwise_xor.reduce(gradients, axis=0)
 
     # Each stage's inputs are dropped once consumed, so the decode's
     # temporaries do not stack on the gradients, codewords and inbox.
     def encode_all():
-        return [
-            encode_client(gradients[i], params, code, layers, owner=i)
-            for i in range(params.n_e)
-        ]
+        return [encode_client(gradients[i], params, code) for i in range(params.n_e)]
 
     arrays: list[CodewordArray] = stage("encode", encode_all)
     del gradients
@@ -292,6 +290,10 @@ def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
 
     A rounds count inside the erasure spec overrides the argument.
     """
+    _check_rounds(rounds, "rounds")
+    rounds = _check_rounds(
+        scenario.erasures.get("rounds", rounds), "scenario field 'erasures.rounds'"
+    )
     if scenario.erasures["kind"] == "exhaustive":
         results = []
         for idx, eps in enumerate(
@@ -299,7 +301,6 @@ def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
         ):
             results.append(run_round(scenario, round_index=idx, eps=eps))
         return results
-    rounds = scenario.erasures.get("rounds", rounds)
     return [run_round(scenario, round_index=r) for r in range(rounds)]
 
 
@@ -436,7 +437,7 @@ class VerificationReport:
 
 
 def _check_layer_decodability(
-    code: mds.MdsCode, params: SchemeParams, layers: LayerMap, rng, subset_cap: int = 256
+    code: mds.MdsCode, params: SchemeParams, rng, subset_cap: int = 256
 ) -> CheckResult:
     d = 4
     message = rng.integers(0, code.field.order, size=(params.nu, d), dtype=code.field.dtype)
@@ -479,7 +480,6 @@ def verify_scheme(
     for v in nus:
         tag = f"[nu={v}] "
         params = SchemeParams(p=comb(n_h, v + s) * v * 2, n_e=n_e, n_h=n_h, s=s, nu=v)
-        layers = enumerate_layers(n_h, v + s)
         code = mds.make_generator(fld, v, s)
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
 
@@ -491,33 +491,27 @@ def verify_scheme(
                 None if not bad else f"singular column sets: {bad[:5]}",
             )
         )
-        checks.append(_rename(_check_layer_decodability(code, params, layers, rng), tag))
+        checks.append(_rename(_check_layer_decodability(code, params, rng), tag))
 
         avail = CheckResult(tag + "availability", True)
         double = CheckResult(tag + "double_count", True)
         for t in range(trials):
             eps = erasure.sample_uniform(n_e, n_h, s, rng)
-            plan = aggregate.RoundPlan(eps, params, layers)
-            for lp in plan.layer_plans:
-                for cover, group in zip(lp.images, lp.groups):
-                    for j in lp.helpers:
-                        if j in cover:
-                            continue
-                        if any(eps[i, j] for i in group):
-                            avail = CheckResult(
-                                tag + "availability",
-                                False,
-                                f"trial {t}: layer {lp.layer} group {cover} "
-                                f"uses an erased link to helper {j}",
-                            )
-            m_total = sum(len(schedule) for schedule in plan.schedules)
-            beta_total = sum(lp.beta for lp in plan.layer_plans)
-            if m_total != v * beta_total:
-                double = CheckResult(
-                    tag + "double_count",
-                    False,
-                    f"trial {t}: sum m_j = {m_total} != nu * sum beta = {v * beta_total}",
-                )
+            plan = aggregate.RoundPlan(eps, params)
+            for j, schedule in enumerate(plan.schedules):
+                for layer, a in schedule:
+                    lp = plan.layer_plans[layer]
+                    if any(eps[i, j] for i in lp.groups[a]):
+                        avail = CheckResult(
+                            tag + "availability",
+                            False,
+                            f"trial {t}: layer {layer} group {lp.images[a]} "
+                            f"uses an erased link to helper {j}",
+                        )
+            try:
+                master.cost_realized(plan)
+            except ProtocolError as exc:
+                double = CheckResult(tag + "double_count", False, f"trial {t}: {exc}")
         checks.append(avail)
         checks.append(double)
 

@@ -12,9 +12,9 @@ import pytest
 
 from layeragg.aggregate import RoundPlan, aggregate_helper, plan_layer
 from layeragg.client import (
+    LayerMap,
     SchemeParams,
     encode_client,
-    enumerate_layers,
     partition_gradient,
     random_gradient,
 )
@@ -57,9 +57,8 @@ def test_criterion_1_edge_to_helper_cost_exact():
                     p=comb(n_h, nu + s) * nu * 2, n_e=1, n_h=n_h, s=s, nu=nu
                 )
                 assert params.p_padded == params.p  # divisible by construction
-                layers = enumerate_layers(n_h, nu + s)
                 arr = encode_client(
-                    random_gradient(rng, _FIELD, params.p), params, _code(nu, s), layers
+                    random_gradient(rng, _FIELD, params.p), params, _code(nu, s)
                 )
                 sent = sum(arr.column(j).size for j in range(n_h))
                 if Fraction(sent, params.p) != Fraction(nu + s, nu):
@@ -101,9 +100,8 @@ def test_criterion_3_brute_force_matches_and_respects_bound():
     for n_e, n_h, s in [(2, 3, 1), (3, 4, 1), (2, 4, 2)]:
         for nu in range(1, n_h - s + 1):
             params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu)
-            layers = enumerate_layers(n_h, nu + s)
             found = max(
-                cost_realized(RoundPlan(eps, params, layers)).c_hm_realized
+                cost_realized(RoundPlan(eps, params)).c_hm_realized
                 for eps in enumerate_all(n_e, n_h, s)
             )
             reported = cost_worst_case(params, mode="brute_force").value
@@ -118,7 +116,7 @@ def test_criterion_3_brute_force_matches_and_respects_bound():
 def test_criterion_4_seven_edge_layer_plan_and_emission():
     failures = []
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
-    layers = enumerate_layers(6, 4)
+    layers = LayerMap(6, 4)
     eps = from_erased_sets(SEVEN_EDGE_ROWS, 6)
     assert layers[0] == (0, 1, 2, 3)
     plan = plan_layer(0, layers[0], eps, 2)
@@ -132,9 +130,9 @@ def test_criterion_4_seven_edge_layer_plan_and_emission():
     code = _code(2, 2)
     rng = np.random.default_rng(4)
     grads = [random_gradient(rng, _FIELD, 120) for _ in range(7)]
-    arrays = [encode_client(g, params, code, layers, owner=i) for i, g in enumerate(grads)]
+    arrays = [encode_client(g, params, code) for g in grads]
     received = {i: arrays[i].column(0) for i in range(7) if not eps[i, 0]}
-    round_plan = RoundPlan(eps, params, layers)
+    round_plan = RoundPlan(eps, params)
     msg = aggregate_helper(0, received, round_plan, _FIELD)
     schedule = round_plan.schedules[0]
     hits = [idx for idx, (layer, _) in enumerate(schedule) if layer == 0]
@@ -194,10 +192,9 @@ def test_criterion_7_structural_property_suite():
     rng = np.random.default_rng(7)
     for nu in range(1, 5):
         params = SchemeParams(p=comb(6, nu + 2) * nu, n_e=1, n_h=6, s=2, nu=nu)
-        layers = enumerate_layers(6, nu + 2)
         code = _code(nu, 2)
         g = random_gradient(rng, _FIELD, params.p)
-        arr = encode_client(g, params, code, layers)
+        arr = encode_client(g, params, code)
         blocks = partition_gradient(g, params, _FIELD)
         for layer in range(params.layers):
             for slots in combinations(range(nu + 2), nu):
@@ -207,11 +204,10 @@ def test_criterion_7_structural_property_suite():
 
     # availability + double count on 1000 random matrices at (7, 6, 2), nu=2
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
-    layers = enumerate_layers(6, 4)
     rng = np.random.default_rng(9)
     for t in range(1000):
         eps = sample_uniform(7, 6, 2, rng)
-        round_plan = RoundPlan(eps, params, layers)
+        round_plan = RoundPlan(eps, params)
         plans = round_plan.layer_plans
         for plan in plans:
             for cover, group in zip(plan.images, plan.groups):

@@ -13,7 +13,7 @@ from layeragg.aggregate import (
     message_to_bytes,
     plan_layer,
 )
-from layeragg.client import SchemeParams, encode_client, enumerate_layers, random_gradient
+from layeragg.client import LayerMap, SchemeParams, encode_client, random_gradient
 from layeragg.erasure import enumerate_all, from_erased_sets, sample_uniform
 from layeragg.errors import ProtocolError
 from layeragg.gf import GF
@@ -29,10 +29,9 @@ def gf8():
 
 def seven_edge_setup(gf8):
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
-    layers = enumerate_layers(6, 4)
     code = make_generator(gf8, 2, 2)
     eps = from_erased_sets(SEVEN_EDGE_ROWS, 6)
-    return params, layers, code, eps
+    return params, code, eps
 
 
 def test_lexmin_cover_matches_scan_oracle():
@@ -48,7 +47,7 @@ def test_lexmin_cover_matches_scan_oracle():
 
 
 def test_plan_matches_seven_edge_example(gf8):
-    _, _, _, eps = seven_edge_setup(gf8)
+    _, _, eps = seven_edge_setup(gf8)
     plan = plan_layer(0, (0, 1, 2, 3), eps, 2)
     assert plan.classes == ((0, 1), (2,), (3, 4), (5, 6))
     assert plan.phi == ((0, 1), (0, 3), (2, 3), (0, 1))
@@ -72,26 +71,26 @@ def test_plan_collapses_without_relevant_erasures():
 
 
 def test_plan_is_deterministic(gf8):
-    _, _, _, eps = seven_edge_setup(gf8)
+    _, _, eps = seven_edge_setup(gf8)
     a = plan_layer(0, (0, 1, 2, 3), eps, 2)
     b = plan_layer(0, (0, 1, 2, 3), eps, 2)
     assert a == b
 
 
 def test_groups_partition_all_edges(gf8):
-    params, layers, _, eps = seven_edge_setup(gf8)
-    for plan in RoundPlan(eps, params, layers).layer_plans:
+    params, _, eps = seven_edge_setup(gf8)
+    for plan in RoundPlan(eps, params).layer_plans:
         merged = sorted(i for group in plan.groups for i in group)
         assert merged == list(range(7))
 
 
 def test_helper_emission_matches_seven_edge_example(gf8):
-    params, layers, code, eps = seven_edge_setup(gf8)
+    params, code, eps = seven_edge_setup(gf8)
     rng = np.random.default_rng(1)
     grads = [random_gradient(rng, gf8, params.p) for _ in range(7)]
-    arrays = [encode_client(g, params, code, layers, owner=i) for i, g in enumerate(grads)]
+    arrays = [encode_client(g, params, code) for g in grads]
     received = {i: arrays[i].column(0) for i in range(7) if not eps[i, 0]}
-    plan = RoundPlan(eps, params, layers)
+    plan = RoundPlan(eps, params)
     msg = aggregate_helper(0, received, plan, gf8)
 
     # the layer on helpers {0,1,2,3} is layer 0; helper 0 emits exactly one
@@ -104,24 +103,24 @@ def test_helper_emission_matches_seven_edge_example(gf8):
 
 
 def test_zero_gradients_aggregate_to_zero(gf8):
-    params, layers, code, eps = seven_edge_setup(gf8)
+    params, code, eps = seven_edge_setup(gf8)
     zero = np.zeros(params.p, dtype=np.uint8)
-    arrays = [encode_client(zero, params, code, layers, owner=i) for i in range(7)]
+    arrays = [encode_client(zero, params, code) for _ in range(7)]
     received = {i: arrays[i].column(2) for i in range(7) if not eps[i, 2]}
-    msg = aggregate_helper(2, received, RoundPlan(eps, params, layers), gf8)
+    msg = aggregate_helper(2, received, RoundPlan(eps, params), gf8)
     assert len(msg) > 0
     assert not msg.entries.any()
 
 
 def test_single_edge_entries_are_raw_symbols(gf8):
     params = SchemeParams(p=12, n_e=1, n_h=4, s=1, nu=1)
-    layers = enumerate_layers(4, 2)
+    layers = LayerMap(4, 2)
     code = make_generator(gf8, 1, 1)
     eps = np.zeros((1, 4), dtype=np.uint8)
     g = random_gradient(np.random.default_rng(3), gf8, 12)
-    arr = encode_client(g, params, code, layers)
+    arr = encode_client(g, params, code)
     received = {0: arr.column(1)}
-    plan = RoundPlan(eps, params, layers)
+    plan = RoundPlan(eps, params)
     msg = aggregate_helper(1, received, plan, gf8)
     for idx, (layer, _) in enumerate(plan.schedules[1]):
         row = layers.row_in_column(1, layer)
@@ -131,13 +130,12 @@ def test_single_edge_entries_are_raw_symbols(gf8):
 def test_message_count_matches_brute_force_recount(gf8):
     # every erasure matrix of the smallest system, recounted via aggregation
     params = SchemeParams(p=6, n_e=2, n_h=3, s=1, nu=1)
-    layers = enumerate_layers(3, 2)
     code = make_generator(gf8, 1, 1)
     rng = np.random.default_rng(5)
     grads = [random_gradient(rng, gf8, 6) for _ in range(2)]
-    arrays = [encode_client(g, params, code, layers, owner=i) for i, g in enumerate(grads)]
+    arrays = [encode_client(g, params, code) for g in grads]
     for eps in enumerate_all(2, 3, 1):
-        plan = RoundPlan(eps, params, layers)
+        plan = RoundPlan(eps, params)
         for j in range(3):
             received = {i: arrays[i].column(j) for i in range(2) if not eps[i, j]}
             msg = aggregate_helper(j, received, plan, gf8)
@@ -146,18 +144,17 @@ def test_message_count_matches_brute_force_recount(gf8):
 
 def test_double_count_identity_random(gf8):
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
-    layers = enumerate_layers(6, 4)
     rng = np.random.default_rng(0)
     for _ in range(50):
         eps = sample_uniform(7, 6, 2, rng)
-        plan = RoundPlan(eps, params, layers)
+        plan = RoundPlan(eps, params)
         total = sum(len(schedule) for schedule in plan.schedules)
         assert total == params.nu * sum(lp.beta for lp in plan.layer_plans)
 
 
 def test_each_group_is_emitted_by_exactly_nu_helpers(gf8):
-    params, layers, _, eps = seven_edge_setup(gf8)
-    plan = RoundPlan(eps, params, layers)
+    params, _, eps = seven_edge_setup(gf8)
+    plan = RoundPlan(eps, params)
     emitted: dict[tuple[int, int], int] = {}
     for schedule in plan.schedules:
         for pair in schedule:
@@ -168,11 +165,11 @@ def test_each_group_is_emitted_by_exactly_nu_helpers(gf8):
 
 
 def test_availability_invariant(gf8):
-    params, layers, _, _ = seven_edge_setup(gf8)
+    params, _, _ = seven_edge_setup(gf8)
     rng = np.random.default_rng(8)
     for _ in range(25):
         eps = sample_uniform(7, 6, 2, rng)
-        for plan in RoundPlan(eps, params, layers).layer_plans:
+        for plan in RoundPlan(eps, params).layer_plans:
             for cover, group in zip(plan.images, plan.groups):
                 for j in plan.helpers:
                     if j not in cover:
@@ -180,13 +177,13 @@ def test_availability_invariant(gf8):
 
 
 def test_aggregate_detects_missing_column(gf8):
-    params, layers, code, eps = seven_edge_setup(gf8)
+    params, code, eps = seven_edge_setup(gf8)
     g = np.zeros(params.p, dtype=np.uint8)
-    arrays = [encode_client(g, params, code, layers, owner=i) for i in range(7)]
+    arrays = [encode_client(g, params, code) for _ in range(7)]
     received = {i: arrays[i].column(0) for i in range(7) if not eps[i, 0]}
     received.pop(3)  # edge 3's link to helper 0 survived but the column is gone
     with pytest.raises(ProtocolError):
-        aggregate_helper(0, received, RoundPlan(eps, params, layers), gf8)
+        aggregate_helper(0, received, RoundPlan(eps, params), gf8)
 
 
 def test_wire_format_round_trip_and_layout(gf8):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from layeragg.client import (
+    LayerMap,
     SchemeParams,
     encode_client,
-    enumerate_layers,
     format_layer_grid,
     load_gradient,
     partition_gradient,
@@ -64,25 +64,25 @@ def test_parameter_validation(kwargs):
 
 
 def test_layer_map_pairs_in_lexicographic_order():
-    layers = enumerate_layers(4, 2)
+    layers = LayerMap(4, 2)
     assert list(layers) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert list(enumerate_layers(4, 4)) == [(0, 1, 2, 3)]
-    assert enumerate_layers(6, 4)[0] == (0, 1, 2, 3)
+    assert list(LayerMap(4, 4)) == [(0, 1, 2, 3)]
+    assert LayerMap(6, 4)[0] == (0, 1, 2, 3)
 
 
 def test_layer_map_column_counts():
     for n_h in (4, 5, 6):
         for k in range(1, n_h + 1):
-            layers = enumerate_layers(n_h, k)
+            layers = LayerMap(n_h, k)
             b = comb(n_h - 1, k - 1)
             for j in range(n_h):
                 assert len(layers.column_slots(j)) == b
     with pytest.raises(ConfigurationError):
-        enumerate_layers(4, 5)
+        LayerMap(4, 5)
 
 
 def test_layer_map_row_lookup():
-    layers = enumerate_layers(4, 3)
+    layers = LayerMap(4, 3)
     # helper 0 appears in layers 0,1,2 at rows 0,1,2 of its column
     assert layers.column_layers(0) == (0, 1, 2)
     assert layers.row_in_column(0, 1) == 1
@@ -119,9 +119,8 @@ def test_single_layer_when_nu_is_max(gf8):
 
 def test_encode_client_zero_gradient(gf8):
     params = SchemeParams(p=24, n_e=1, n_h=4, s=1, nu=2)
-    layers = enumerate_layers(4, 3)
     code = make_generator(gf8, 2, 1)
-    arr = encode_client(np.zeros(24, dtype=np.uint8), params, code, layers)
+    arr = encode_client(np.zeros(24, dtype=np.uint8), params, code)
     assert not arr.fragments.any()
 
 
@@ -129,12 +128,11 @@ def test_encode_client_grid_matches_four_helper_layout(gf8):
     # n_h=4, s=1, nu=2: layers (0,1,2),(0,1,3),(0,2,3),(1,2,3); layer 2 holds
     # (g0, _, g1, p0) so helper 0 sees g0, helper 2 sees g1, helper 3 parity.
     params = SchemeParams(p=24, n_e=1, n_h=4, s=1, nu=2)
-    layers = enumerate_layers(4, 3)
     code = make_generator(gf8, 2, 1)
     g = np.arange(24, dtype=np.uint8)
-    arr = encode_client(g, params, code, layers)
+    arr = encode_client(g, params, code)
     blocks = partition_gradient(g, params, gf8)
-    assert layers[2] == (0, 2, 3)
+    assert params.layer_map[2] == (0, 2, 3)
     from layeragg.mds import encode as mds_encode
 
     for layer in range(4):
@@ -146,18 +144,16 @@ def test_encode_client_grid_matches_four_helper_layout(gf8):
 
 def test_encode_client_nu_one_has_six_pair_layers(gf8):
     params = SchemeParams(p=12, n_e=1, n_h=4, s=1, nu=1)
-    layers = enumerate_layers(4, 2)
     code = make_generator(gf8, 1, 1)
-    arr = encode_client(np.arange(12, dtype=np.uint8), params, code, layers)
+    arr = encode_client(np.arange(12, dtype=np.uint8), params, code)
     assert arr.fragments.shape == (6, 2, 2)
     assert params.b == 3
 
 
 def test_columns_have_b_symbols_and_match_grid(gf8):
     params = SchemeParams(p=24, n_e=1, n_h=4, s=1, nu=2)
-    layers = enumerate_layers(4, 3)
     code = make_generator(gf8, 2, 1)
-    arr = encode_client(np.arange(24, dtype=np.uint8), params, code, layers)
+    arr = encode_client(np.arange(24, dtype=np.uint8), params, code)
     total = 0
     for j in range(4):
         col = arr.column(j)
@@ -165,8 +161,8 @@ def test_columns_have_b_symbols_and_match_grid(gf8):
         total += col.shape[0]
     assert total == params.layers * (params.nu + params.s)
     # first column rows are layers 0,1,2 at slot 0
-    assert arr.column_layers(0) == (0, 1, 2)
-    for row, layer in enumerate(arr.column_layers(0)):
+    assert params.layer_map.column_layers(0) == (0, 1, 2)
+    for row, layer in enumerate(params.layer_map.column_layers(0)):
         assert np.array_equal(arr.column(0)[row], arr.fragments[layer, 0])
 
 
@@ -174,11 +170,10 @@ def test_per_layer_any_nu_subset_decodes(gf8):
     from itertools import combinations
 
     params = SchemeParams(p=30, n_e=1, n_h=5, s=2, nu=2)
-    layers = enumerate_layers(5, 4)
     code = make_generator(gf8, 2, 2)
     rng = np.random.default_rng(0)
     g = random_gradient(rng, gf8, 30)
-    arr = encode_client(g, params, code, layers)
+    arr = encode_client(g, params, code)
     blocks = partition_gradient(g, params, gf8)
     for layer in range(params.layers):
         for slots in combinations(range(4), 2):
@@ -188,38 +183,25 @@ def test_per_layer_any_nu_subset_decodes(gf8):
 
 def test_encoding_is_linear_in_the_gradient(gf8):
     params = SchemeParams(p=24, n_e=1, n_h=4, s=1, nu=2)
-    layers = enumerate_layers(4, 3)
     code = make_generator(gf8, 2, 1)
     rng = np.random.default_rng(9)
     ga = random_gradient(rng, gf8, 24)
     gb = random_gradient(rng, gf8, 24)
-    fa = encode_client(ga, params, code, layers).fragments
-    fb = encode_client(gb, params, code, layers).fragments
-    fsum = encode_client(ga ^ gb, params, code, layers).fragments
+    fa = encode_client(ga, params, code).fragments
+    fb = encode_client(gb, params, code).fragments
+    fsum = encode_client(ga ^ gb, params, code).fragments
     assert np.array_equal(fa ^ fb, fsum)
 
 
 def test_encode_client_rejects_mismatched_pieces(gf8):
     params = SchemeParams(p=24, n_e=1, n_h=4, s=1, nu=2)
     with pytest.raises(ValueError):
-        encode_client(
-            np.zeros(24, dtype=np.uint8),
-            params,
-            make_generator(gf8, 2, 2),
-            enumerate_layers(4, 3),
-        )
-    with pytest.raises(ValueError):
-        encode_client(
-            np.zeros(24, dtype=np.uint8),
-            params,
-            make_generator(gf8, 2, 1),
-            enumerate_layers(5, 3),
-        )
+        encode_client(np.zeros(24, dtype=np.uint8), params, make_generator(gf8, 2, 2))
 
 
 def test_format_layer_grid_shows_fragment_labels():
     params = SchemeParams(p=24, n_e=1, n_h=4, s=1, nu=2)
-    grid = format_layer_grid(params, enumerate_layers(4, 3))
+    grid = format_layer_grid(params)
     lines = grid.splitlines()
     assert len(lines) == 5
     assert "g0" in lines[1] and "p0" in lines[1]

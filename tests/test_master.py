@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from layeragg.aggregate import AggregatedMessage, RoundPlan, aggregate_helper
-from layeragg.client import SchemeParams, encode_client, enumerate_layers, random_gradient
+from layeragg.client import SchemeParams, encode_client, random_gradient
 from layeragg.erasure import (
     enumerate_all,
     from_erased_sets,
@@ -35,12 +35,8 @@ def gf8():
 
 def full_round(gf8, params, eps, gradients):
     plan = RoundPlan(eps, params)
-    layers = plan.layers
     code = make_generator(gf8, params.nu, params.s)
-    arrays = [
-        encode_client(gradients[i], params, code, layers, owner=i)
-        for i in range(params.n_e)
-    ]
+    arrays = [encode_client(gradients[i], params, code) for i in range(params.n_e)]
     messages = []
     for j in range(params.n_h):
         received = {
@@ -117,6 +113,21 @@ def test_decode_rejects_truncated_message(gf8):
         decode_global([messages[0], wide] + messages[2:], plan, code)
 
 
+def test_decode_names_a_message_in_the_wrong_slot(gf8):
+    # helpers 2 and 5 emit the same number of entries here, so only the
+    # sender field tells the swap apart from a valid round
+    params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
+    rng = np.random.default_rng(3)
+    grads = np.stack([random_gradient(rng, gf8, 120) for _ in range(7)])
+    eps = sample_uniform(7, 6, 2, rng)
+    _, messages, plan, code = full_round(gf8, params, eps, grads)
+    assert len(messages[2]) == len(messages[5])
+    swapped = list(messages)
+    swapped[2], swapped[5] = messages[5], messages[2]
+    with pytest.raises(ProtocolError, match="slot 2 holds the message of helper 5"):
+        decode_global(swapped, plan, code)
+
+
 def _with_schedule(plan, j, schedule):
     tampered = copy.copy(plan)
     tampered.schedules = plan.schedules[:j] + (tuple(schedule),) + plan.schedules[j + 1 :]
@@ -151,11 +162,10 @@ def test_cost_realized_identity_and_closed_form():
     # both counting routes agree for arbitrary matrices, and c_eh is closed form
     rng = np.random.default_rng(7)
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
-    layers = enumerate_layers(6, 4)
 
     for _ in range(20):
         eps = sample_uniform(7, 6, 2, rng)
-        plan = RoundPlan(eps, params, layers)
+        plan = RoundPlan(eps, params)
         report = cost_realized(plan)
         assert report.c_eh == Fraction(4, 2)
         m_total = sum(len(schedule) for schedule in plan.schedules)
@@ -186,18 +196,16 @@ def test_cost_report_padding_variants():
 def test_cost_report_optional_sections():
     params = SchemeParams(p=3, n_e=2, n_h=3, s=1, nu=1)
     eps = np.zeros((2, 3), dtype=np.uint8)
-    report = cost_realized(
-        RoundPlan(eps, params), worst="theorem", average="exhaustive"
-    )
-    assert report.c_hm_worst.value == Fraction(2)
+    worst = cost_worst_case(params, mode="theorem")
+    assert worst.value == Fraction(2)
     # hand-enumerated: the three equal-pattern matrices cost 1 each, the six
     # distinct-pattern ones cost 4/3, 4/3, 5/3, 5/3, 2, 2; mean 13/9
-    assert report.c_hm_avg.value == Fraction(13, 9)
-    d = report.to_dict()
-    assert d["c_hm_worst"]["value"]["num"] == 2
-    assert d["c_hm_avg"]["value"] == {"num": 13, "den": 9, "float": 13 / 9}
-    plain = cost_realized(RoundPlan(eps, params))
-    assert plain.c_hm_worst is None and "c_hm_worst" not in plain.to_dict()
+    average = cost_average(params, mode="exhaustive")
+    assert average.value == Fraction(13, 9)
+    assert worst.to_dict()["value"]["num"] == 2
+    assert average.to_dict()["value"] == {"num": 13, "den": 9, "float": 13 / 9}
+    plain = cost_realized(RoundPlan(eps, params)).to_dict()
+    assert "c_hm_worst" not in plain and "c_hm_avg" not in plain
 
 
 def test_worst_case_theorem_tight_when_edges_cover(gf8):

@@ -1,9 +1,11 @@
-"""Property tests: the decoded sum equals the XOR of the edge gradients.
+"""Property tests: the decoded sum equals the XOR of the edge gradients,
+and the symbols on both links match the closed-form counts.
 
 Fields, shapes, padding and lax erasure matrices are drawn; the
 helper-to-master hop goes through the wire format.
 """
 
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -21,14 +23,14 @@ from layeragg.aggregate import (  # noqa: E402
 from layeragg.client import SchemeParams, encode_client  # noqa: E402
 from layeragg.erasure import from_erased_sets, validate  # noqa: E402
 from layeragg.gf import GF  # noqa: E402
-from layeragg.master import decode_global  # noqa: E402
+from layeragg.master import cost_realized, decode_global  # noqa: E402
 from layeragg.mds import make_generator  # noqa: E402
 
 
 @st.composite
 def rounds(draw):
     m = draw(st.sampled_from([4, 8, 16]))
-    n_h = draw(st.integers(2, 6))
+    n_h = draw(st.integers(2, 8))
     s = draw(st.integers(1, n_h - 1))
     nu = draw(st.integers(1, n_h - s))
     lam = comb(n_h, nu + s) * nu
@@ -59,10 +61,16 @@ def test_decode_equals_xor_sum_over_the_wire(case):
     )
     plan = RoundPlan(eps, params)
     code = make_generator(fld, params.nu, params.s)
-    arrays = [
-        encode_client(grads[i], params, code, plan.layers, owner=i)
-        for i in range(params.n_e)
-    ]
+    arrays = [encode_client(grads[i], params, code) for i in range(params.n_e)]
+    for arr in arrays:
+        sent = sum(arr.column(j).size for j in range(params.n_h))
+        assert sent == params.n_h * params.b * params.d
+
+    emitters = Counter(pair for schedule in plan.schedules for pair in schedule)
+    groups = [(lp.layer, a) for lp in plan.layer_plans for a in range(lp.beta)]
+    assert sorted(emitters) == groups
+    assert set(emitters.values()) == {params.nu}
+
     messages = []
     for j in range(params.n_h):
         received = {i: arrays[i].column(j) for i in range(params.n_e) if not eps[i, j]}
@@ -70,5 +78,8 @@ def test_decode_equals_xor_sum_over_the_wire(case):
         messages.append(
             message_from_bytes(j, payload, fld, len(plan.schedules[j]), params.d)
         )
+    beta_total = sum(lp.beta for lp in plan.layer_plans)
+    hm_symbols = sum(msg.entries.size for msg in messages)
+    assert hm_symbols == cost_realized(plan).hm_symbols == params.nu * params.d * beta_total
     decoded = decode_global(messages, plan, code)
     assert np.array_equal(decoded, np.bitwise_xor.reduce(grads, axis=0))

@@ -187,6 +187,21 @@ def test_rounds_count_in_erasure_spec_wins():
     assert len(run_scenario(scenario, rounds=1)) == 4
 
 
+@pytest.mark.parametrize(
+    "erasures,rounds,needle",
+    [
+        ({"kind": "uniform"}, 0, "^rounds must"),
+        ({"kind": "uniform"}, 1.5, "^rounds must"),
+        ({"kind": "uniform", "rounds": -1}, 1, "erasures.rounds"),
+        ({"kind": "uniform", "rounds": "x"}, 1, "erasures.rounds"),
+    ],
+)
+def test_run_scenario_rejects_a_bad_round_count(erasures, rounds, needle):
+    scenario = Scenario(p=24, n_e=2, n_h=4, s=1, nu=2, erasures=erasures)
+    with pytest.raises(ConfigurationError, match=needle):
+        run_scenario(scenario, rounds=rounds)
+
+
 def test_exhaustive_scenario_runs_every_matrix():
     scenario = Scenario(
         p=6, n_e=2, n_h=3, s=1, nu=1, erasures={"kind": "exhaustive"}, seed=1
