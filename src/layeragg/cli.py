@@ -38,10 +38,17 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None)
 
 
+def _non_negative(value, source: str) -> int:
+    """value as a non-negative integer, else a ConfigurationError naming source."""
+    if not str(value).strip().isdecimal():
+        raise ConfigurationError(f"{source} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _default_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("LAYERAGG_SEED", "0"))
+        return _non_negative(args.seed, "--seed")
+    return _non_negative(os.environ.get("LAYERAGG_SEED", "0"), "LAYERAGG_SEED")
 
 
 def _emit(args, text: str) -> None:
@@ -56,6 +63,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_encode(args) -> int:
+    _non_negative(args.edge_index, "--edge-index")
     params = SchemeParams(p=args.p, n_e=max(args.n_e, 1), n_h=args.n_h, s=args.s, nu=args.nu)
     fld = GF(m=args.field_bits)
     code = mds.make_generator(fld, params.nu, params.s)
@@ -93,7 +101,7 @@ def _scenario_from_args(args) -> sim.Scenario:
     if args.scenario is not None:
         scenario = sim.load_scenario(args.scenario)
         if args.seed is not None:
-            scenario.seed = args.seed
+            scenario.seed = _non_negative(args.seed, "--seed")
         return scenario
     for name in ("p", "n_e", "n_h", "s", "nu"):
         if getattr(args, name) is None:

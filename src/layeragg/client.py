@@ -214,11 +214,11 @@ def random_gradient(rng: np.random.Generator, field: GF, p: int) -> np.ndarray:
     return rng.integers(0, field.order, size=p, dtype=field.dtype)
 
 
-def load_gradient(path: str | Path, field: GF, p: int | None = None) -> np.ndarray:
+def load_gradient(path: str | Path, field: GF, p: int) -> np.ndarray:
     """Read a gradient from a JSON integer array or a raw little-endian file.
 
     Raw files carry one element per ceil(m/8) bytes; values are reduced
-    into the field by truncation to m bits.
+    into the field by truncation to m bits. The file must hold p symbols.
     """
     path = Path(path)
     if path.suffix == ".json":
@@ -234,6 +234,6 @@ def load_gradient(path: str | Path, field: GF, p: int | None = None) -> np.ndarr
                 f"{path}: length {len(raw)} is not a multiple of {width} bytes"
             )
         g = field.reduce(np.frombuffer(raw, dtype=f"<u{width}").astype(np.int64))
-    if p is not None and len(g) != p:
+    if len(g) != p:
         raise ConfigurationError(f"{path}: got {len(g)} symbols, expected p={p}")
     return g

@@ -1,9 +1,9 @@
 """Erasure matrices: validation, sampling, the adversarial pattern, enumeration.
 
 An erasure matrix is an (n_e, n_h) uint8 array with eps[i, j] = 1 when
-the link from edge i to helper j failed. Strict mode means exactly s
-failures per row (the set Omega(s) used for cost analysis); lax mode
-means at most s (what the scheme must tolerate).
+the link from edge i to helper j failed. Strict means exactly s failures
+per row (the set Omega(s) used for cost analysis); lax means at most s
+(what the scheme must tolerate, and what validate checks).
 """
 
 from __future__ import annotations
@@ -19,20 +19,17 @@ from .errors import CapExceededError
 ENUMERATION_CAP = 10**6
 
 
-def first_violation(eps: np.ndarray, s: int, strict: bool = False) -> int | None:
-    """Index of the first row whose weight breaks the budget, or None."""
-    weights = np.asarray(eps).sum(axis=1)
-    bad = (weights != s) if strict else (weights > s)
-    idx = np.flatnonzero(bad)
-    return int(idx[0]) if idx.size else None
-
-
-def validate(eps: np.ndarray, s: int, strict: bool = False) -> None:
-    row = first_violation(eps, s, strict)
-    if row is not None:
-        weight = int(np.asarray(eps)[row].sum())
-        want = f"exactly {s}" if strict else f"at most {s}"
-        raise ValueError(f"row {row} has weight {weight}, expected {want}")
+def validate(eps: np.ndarray, s: int) -> None:
+    """Reject the first row with an entry other than 0 or 1, or a weight above s."""
+    eps = np.asarray(eps)
+    nonbinary = ((eps != 0) & (eps != 1)).any(axis=1)
+    weights = eps.sum(axis=1)
+    bad = np.flatnonzero(nonbinary | (weights > s))
+    if bad.size:
+        row = int(bad[0])
+        if nonbinary[row]:
+            raise ValueError(f"row {row} has entries other than 0 and 1: {eps[row].tolist()}")
+        raise ValueError(f"row {row} has weight {int(weights[row])}, expected at most {s}")
 
 
 def from_erased_sets(rows, n_h: int) -> np.ndarray:
@@ -78,14 +75,13 @@ def omega_size(n_e: int, n_h: int, s: int) -> int:
     return comb(n_h, s) ** n_e
 
 
-def enumerate_all(
-    n_e: int, n_h: int, s: int, cap: int = ENUMERATION_CAP
-) -> Iterator[np.ndarray]:
+def enumerate_all(n_e: int, n_h: int, s: int) -> Iterator[np.ndarray]:
     """Yield every strict erasure matrix exactly once, refusing above the cap."""
     total = omega_size(n_e, n_h, s)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise CapExceededError(
-            f"Omega(s) has {total} matrices, above the cap of {cap}", estimate=total
+            f"Omega(s) has {total} matrices, above the cap of {ENUMERATION_CAP}",
+            estimate=total,
         )
     subsets = list(combinations(range(n_h), s))
     for choice in product(range(len(subsets)), repeat=n_e):

@@ -2,9 +2,16 @@
 
 Elements are integers in [0, 2^m - 1], read as polynomials over GF(2)
 modulo a fixed irreducible polynomial. Addition is XOR. Scalar
-multiplication goes through antilog/log tables; array products go
-through byte-split product tables derived from them (see _kernels).
-Both are built once per (m, poly) per process, on first use.
+multiplication goes through antilog/log tables, built once per
+(m, poly) per process, on first use.
+
+Array products use byte-split product tables. Multiplying by a fixed
+coefficient c is linear over GF(2), so it splits over the bytes of the
+other operand: c*y = XOR_t c*(y_t << 8t), with y_t byte t of y. One
+table of c*(x << 8t) per byte position turns c*y into a single gather
+for m <= 8, and two gathers and an XOR for m = 16 (the split-table
+multiply of Plank, Greenan and Miller, FAST 2013). The log/antilog
+tables serve only to build those product tables, once per coefficient.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from numbers import Integral
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigurationError
 
 # Bit i of the polynomial is the coefficient of x^i (bit m included).
@@ -25,7 +31,7 @@ DEFAULT_POLY = {
 }
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
@@ -85,6 +91,13 @@ def _byte_tables(m: int, poly: int, c: int) -> np.ndarray:
     return table
 
 
+def _byte_indices(row: np.ndarray) -> list[np.ndarray]:
+    """Byte t of every symbol of row, as gather indices, for t < itemsize."""
+    if row.itemsize == 1:
+        return [row.astype(np.intp)]
+    return [((row >> (8 * t)) & 0xFF).astype(np.intp) for t in range(row.itemsize)]
+
+
 class GF:
     """A binary extension field GF(2^m).
 
@@ -102,14 +115,14 @@ class GF:
     """
 
     def __init__(self, m: int = 8, poly: int | None = None):
-        if not _is_integer(m) or m not in DEFAULT_POLY:
+        if not is_integer(m) or m not in DEFAULT_POLY:
             raise ConfigurationError(
                 f"unsupported field degree m={m!r}; expected one of {sorted(DEFAULT_POLY)}"
             )
         m = int(m)
         if poly is None:
             poly = DEFAULT_POLY[m]
-        if not _is_integer(poly):
+        if not is_integer(poly):
             raise ConfigurationError(f"field polynomial must be an integer, got {poly!r}")
         poly = int(poly)
         if poly >> m != 1:
@@ -125,9 +138,6 @@ class GF:
 
     # -- scalar element arithmetic -------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -137,13 +147,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return int(self.exp[(self.order - 1) - self.log[a]])
-
-    def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) * e) % (self.order - 1)])
 
     def gen_pow(self, e: int) -> int:
         """generator**e, the e-th point of the standard evaluation sequence."""
@@ -157,7 +160,23 @@ class GF:
         b = np.asarray(b, dtype=self.dtype)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ValueError(f"incompatible shapes {a.shape} x {b.shape}")
-        return _kernels.gf_matmul(a, b, self.byte_tables)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
+        for kk, row in enumerate(b):
+            indices = None
+            for i, c in enumerate(a[:, kk].tolist()):
+                if c == 0:
+                    continue
+                if c == 1:
+                    out[i] ^= row
+                    continue
+                if indices is None:
+                    indices = _byte_indices(row)
+                table = self.byte_tables(c)
+                prod = table[0].take(indices[0])
+                for t in range(1, len(indices)):
+                    prod ^= table[t].take(indices[t])
+                out[i] ^= prod
+        return out
 
     def byte_tables(self, c: int) -> np.ndarray:
         """Read-only product tables of coefficient c: T[t][x] = c*(x << 8t).
@@ -172,7 +191,11 @@ class GF:
 
     def xor_sum(self, rows: np.ndarray) -> np.ndarray:
         """Field sum (XOR) of the rows of a (rows, d) array."""
-        return _kernels.xor_reduce(np.asarray(rows, dtype=self.dtype))
+        rows = np.asarray(rows, dtype=self.dtype)
+        out = np.zeros(rows.shape[1], dtype=self.dtype)
+        if rows.shape[0]:
+            np.bitwise_xor.reduce(np.ascontiguousarray(rows), axis=0, out=out)
+        return out
 
     def reduce(self, values) -> np.ndarray:
         """Map arbitrary integers into the field by truncating to m bits."""

@@ -195,9 +195,7 @@ def cost_realized(plan: RoundPlan) -> CostReport:
     )
 
 
-def cost_worst_case(
-    params: SchemeParams, mode: str = "theorem", cap: int | None = None
-) -> WorstCaseCost:
+def cost_worst_case(params: SchemeParams, mode: str = "theorem") -> WorstCaseCost:
     """max over Omega(s) of the realized helper-to-master cost.
 
     theorem mode is closed-form: C(nu+s, s) when n_e >= C(n_h, s) (tight,
@@ -223,10 +221,9 @@ def cost_worst_case(
             value=bound, tight=star == bound, lower_bound=star, mode=mode
         )
     if mode == "brute_force":
-        kwargs = {} if cap is None else {"cap": cap}
         best = max(
             cost_realized(RoundPlan(eps, params)).c_hm_realized
-            for eps in enumerate_all(params.n_e, params.n_h, params.s, **kwargs)
+            for eps in enumerate_all(params.n_e, params.n_h, params.s)
         )
         return WorstCaseCost(value=best, tight=True, lower_bound=best, mode=mode)
     raise ValueError(f"unknown mode {mode!r}; use theorem or brute_force")
@@ -237,13 +234,11 @@ def cost_average(
     mode: str = "exhaustive",
     trials: int = 1000,
     seed=0,
-    cap: int | None = None,
 ) -> AverageCost:
     """Mean realized cost over Omega(s): exact enumeration or Monte Carlo."""
     if mode == "exhaustive":
-        kwargs = {} if cap is None else {"cap": cap}
         total = Fraction(0)
-        for eps in enumerate_all(params.n_e, params.n_h, params.s, **kwargs):
+        for eps in enumerate_all(params.n_e, params.n_h, params.s):
             total += cost_realized(RoundPlan(eps, params)).c_hm_realized
         count = omega_size(params.n_e, params.n_h, params.s)
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)

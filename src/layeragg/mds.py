@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, CorruptionError, InsufficientDataError
 from .gf import GF
 
+MINOR_CAP = 20000
+
 
 @dataclass(frozen=True)
 class MdsCode:
@@ -85,16 +87,16 @@ def make_generator(field: GF, nu: int, s: int) -> MdsCode:
     return MdsCode(field=field, nu=nu, s=s, generator=gen)
 
 
-def singular_minors(code: MdsCode, cap: int = 20000) -> list[tuple[int, ...]]:
+def singular_minors(code: MdsCode) -> list[tuple[int, ...]]:
     """Column nu-subsets whose square submatrix is singular; empty means MDS.
 
-    Exhaustive when C(nu+s, nu) <= cap, a seeded random sample otherwise.
+    Exhaustive when C(nu+s, nu) <= MINOR_CAP, else a seeded sample of that many.
     """
-    if comb(code.n, code.nu) > cap:
+    if comb(code.n, code.nu) > MINOR_CAP:
         rng = np.random.default_rng(0)
         subsets = [
             tuple(sorted(rng.choice(code.n, size=code.nu, replace=False).tolist()))
-            for _ in range(cap)
+            for _ in range(MINOR_CAP)
         ]
     else:
         subsets = list(combinations(range(code.n), code.nu))

@@ -28,10 +28,12 @@ from .client import (
     random_gradient,
 )
 from .errors import ConfigurationError, ProtocolError
-from .gf import GF
+from .gf import GF, is_integer
 
 _GRADIENT_STREAM = 0
 _ERASURE_STREAM = 1
+# verify_scheme decodes each layer from at most this many nu-subsets of slots
+DECODABILITY_SUBSETS = 256
 
 
 class StageFailure(RuntimeError):
@@ -93,13 +95,13 @@ class Scenario:
         for name in ("p", "n_e", "n_h", "s", "nu"):
             if name not in data:
                 raise ConfigurationError(f"scenario field '{name}' is missing")
-            if not _is_int(data[name]):
+            if not is_integer(data[name]):
                 raise ConfigurationError(f"scenario field '{name}' must be an integer")
         if "seed" in data:
             _check_seed(data["seed"], "seed")
-        if "field_bits" in data and not _is_int(data["field_bits"]):
+        if "field_bits" in data and not is_integer(data["field_bits"]):
             raise ConfigurationError("scenario field 'field_bits' must be an integer")
-        if data.get("field_poly") is not None and not _is_int(data["field_poly"]):
+        if data.get("field_poly") is not None and not is_integer(data["field_poly"]):
             raise ConfigurationError(
                 "scenario field 'field_poly' must be an integer or null"
             )
@@ -124,18 +126,14 @@ class Scenario:
         return scenario
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # bool subclasses int
-
-
 def _check_rounds(value, name: str) -> int:
-    if not _is_int(value) or value < 1:
+    if not is_integer(value) or value < 1:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
 def _check_seed(value, name: str) -> None:
-    if not _is_int(value) or value < 0:
+    if not is_integer(value) or value < 0:
         raise ConfigurationError(f"scenario field '{name}' must be a non-negative integer")
 
 
@@ -216,7 +214,7 @@ def run_round(
 
     if eps is None:
         eps = stage("setup", _round_erasure, scenario, round_index)
-    stage("validate", erasure.validate, eps, params.s, strict=False)
+    stage("validate", erasure.validate, eps, params.s)
     if eps.shape != (params.n_e, params.n_h):
         raise StageFailure(
             "validate", ValueError(f"erasure matrix shape {eps.shape} mismatch")
@@ -374,6 +372,8 @@ def sweep_nu(
     adversarial pattern and record the measured helper-to-master cost."""
     if nu_range is None:
         nu_range = range(1, n_h - s + 1)
+    if not nu_range:
+        raise ConfigurationError(f"nu range {nu_range!r} is empty; n_h-s = {n_h - s}")
     rows = []
     for nu in nu_range:
         if not 1 <= nu <= n_h - s:
@@ -437,25 +437,25 @@ class VerificationReport:
 
 
 def _check_layer_decodability(
-    code: mds.MdsCode, params: SchemeParams, rng, subset_cap: int = 256
+    code: mds.MdsCode, params: SchemeParams, rng, tag: str
 ) -> CheckResult:
     d = 4
     message = rng.integers(0, code.field.order, size=(params.nu, d), dtype=code.field.dtype)
     codeword = mds.encode(code, message)
     n = params.nu + params.s
     subsets = list(combinations(range(n), params.nu))
-    if len(subsets) > subset_cap:
-        picked = rng.choice(len(subsets), size=subset_cap, replace=False)
+    if len(subsets) > DECODABILITY_SUBSETS:
+        picked = rng.choice(len(subsets), size=DECODABILITY_SUBSETS, replace=False)
         subsets = [subsets[int(k)] for k in picked]
     for subset in subsets:
         got = mds.decode_from(code, list(subset), codeword[list(subset)])
         if not np.array_equal(got, message):
             return CheckResult(
-                "layer_decodability",
+                tag + "layer_decodability",
                 False,
                 f"slots {subset} fail to recover the message",
             )
-    return CheckResult("layer_decodability", True)
+    return CheckResult(tag + "layer_decodability", True)
 
 
 def verify_scheme(
@@ -474,6 +474,8 @@ def verify_scheme(
     identity between per-helper and per-layer emission counts, and
     end-to-end decoding against the direct gradient sum.
     """
+    if not is_integer(trials) or trials < 1:
+        raise ConfigurationError(f"trials must be a positive integer, got {trials!r}")
     nus = range(1, n_h - s + 1) if nu is None else [nu]
     fld = GF(m=field_bits)
     checks: list[CheckResult] = []
@@ -491,7 +493,7 @@ def verify_scheme(
                 None if not bad else f"singular column sets: {bad[:5]}",
             )
         )
-        checks.append(_rename(_check_layer_decodability(code, params, rng), tag))
+        checks.append(_check_layer_decodability(code, params, rng, tag))
 
         avail = CheckResult(tag + "availability", True)
         double = CheckResult(tag + "double_count", True)
@@ -531,7 +533,3 @@ def verify_scheme(
                 break
         checks.append(e2e)
     return VerificationReport(checks=checks)
-
-
-def _rename(check: CheckResult, tag: str) -> CheckResult:
-    return CheckResult(tag + check.name, check.passed, check.detail)

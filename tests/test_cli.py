@@ -2,10 +2,15 @@
 
 import json
 
+import pytest
 
 from layeragg.cli import main
 
 SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
+ENCODE = ["encode", "--p", "24", "--n-h", "4", "--s", "1", "--nu", "2"]
+SIMULATE = ["simulate", "--p", "24", "--n-e", "2", "--n-h", "4", "--s", "1", "--nu", "2"]
+SWEEP_MEASURE = ["sweep", "--n-e", "5", "--n-h", "4", "--s", "1", "--measure"]
+VERIFY = ["verify", "--n-e", "5", "--n-h", "4", "--s", "1", "--trials", "1"]
 
 
 def test_encode_prints_four_layer_grid(capsys):
@@ -183,3 +188,54 @@ def test_verify_brute_force_over_cap_refuses(capsys):
     )
     assert rc == 3
     assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (SIMULATE + ["--seed", "-1"], "--seed"),
+        (SWEEP_MEASURE + ["--seed", "-1"], "--seed"),
+        (ENCODE + ["--seed", "-1"], "--seed"),
+        (VERIFY + ["--seed", "-1"], "--seed"),
+        (ENCODE + ["--edge-index", "-1"], "--edge-index"),
+        (ENCODE + ["--gradient", "zero", "--edge-index", "-1"], "--edge-index"),
+    ],
+)
+def test_negative_seed_or_edge_index_exits_2_naming_the_flag(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be a non-negative integer, got -1" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_overriding_a_scenario_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"p": 24, "n_e": 2, "n_h": 4, "s": 1, "nu": 2}))
+    assert main(["simulate", "--scenario", str(path), "--seed", "-1"]) == 2
+    assert "error: --seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+@pytest.mark.parametrize("argv", [ENCODE, SIMULATE, SWEEP_MEASURE, VERIFY])
+def test_bad_seed_in_environment_exits_2_naming_it(argv, value, monkeypatch, capsys):
+    monkeypatch.setenv("LAYERAGG_SEED", value)
+    assert main(argv) == 2
+    assert f"error: LAYERAGG_SEED must be a non-negative integer, got {value!r}" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(trials, capsys):
+    assert main(["verify", "--n-e", "5", "--n-h", "4", "--s", "1", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "error: trials must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_rejects_empty_nu_range(capsys):
+    assert main(["sweep", "--n-e", "5", "--n-h", "4", "--s", "1",
+                 "--nu-min", "3", "--nu-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "is empty" in captured.err
+    assert captured.out == ""

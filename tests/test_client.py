@@ -210,7 +210,7 @@ def test_format_layer_grid_shows_fragment_labels():
 def test_load_gradient_json_and_raw(tmp_path, gf8):
     jpath = tmp_path / "g.json"
     jpath.write_text(json.dumps([0, 1, 255, 256, 300]))
-    g = load_gradient(jpath, gf8)
+    g = load_gradient(jpath, gf8, p=5)
     assert np.array_equal(g, np.array([0, 1, 255, 0, 44], dtype=np.uint8))
 
     rpath = tmp_path / "g.bin"
@@ -224,15 +224,15 @@ def test_load_gradient_json_and_raw(tmp_path, gf8):
     f16 = GF(16)
     r16 = tmp_path / "g16.bin"
     r16.write_bytes((0x0201).to_bytes(2, "little") + (0xFFFF).to_bytes(2, "little"))
-    g3 = load_gradient(r16, f16)
+    g3 = load_gradient(r16, f16, p=2)
     assert np.array_equal(g3, np.array([0x0201, 0xFFFF], dtype=np.uint16))
     with pytest.raises(ConfigurationError):
-        load_gradient(rpath, f16)  # 3 bytes is not a multiple of 2
+        load_gradient(rpath, f16, p=2)  # 3 bytes is not a multiple of 2
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"not": "a list"}')
     with pytest.raises(ConfigurationError):
-        load_gradient(bad, gf8)
+        load_gradient(bad, gf8, p=1)
 
 
 def test_random_gradient_deterministic(gf8):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from layeragg.erasure import (
+    ENUMERATION_CAP,
     enumerate_all,
     erased_sets,
-    first_violation,
     from_erased_sets,
     omega_size,
     sample_uniform,
@@ -24,13 +24,10 @@ SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
 def test_validate_lax_and_strict():
     zero = np.zeros((3, 4), dtype=np.uint8)
     validate(zero, s=1)  # lax ok
-    assert first_violation(zero, s=1) is None
-    assert first_violation(zero, s=1, strict=True) == 0
-    with pytest.raises(ValueError, match="row 0"):
-        validate(zero, s=1, strict=True)
 
     eps = from_erased_sets(SEVEN_EDGE_ROWS, 6)
-    validate(eps, s=2, strict=True)  # every row has weight exactly 2
+    validate(eps, s=2)
+    assert (eps.sum(axis=1) == 2).all()  # every row has weight exactly 2
 
     heavy = zero.copy()
     heavy[1, :2] = 1
@@ -64,7 +61,7 @@ def test_sample_uniform_column_frequency():
 
 def test_worst_case_has_every_pattern_when_edges_suffice():
     eps = worst_case_pattern(50, 10, 2)
-    validate(eps, s=2, strict=True)
+    assert (eps.sum(axis=1) == 2).all()
     seen = {tuple(np.flatnonzero(row)) for row in eps}
     assert seen == set(combinations(range(10), 2))
     assert len(seen) == 45
@@ -73,7 +70,7 @@ def test_worst_case_has_every_pattern_when_edges_suffice():
 def test_worst_case_prefix_when_edges_scarce():
     eps = worst_case_pattern(2, 3, 1)
     assert erased_sets(eps) == [[0], [1]]
-    validate(eps, s=1, strict=True)
+    assert (eps.sum(axis=1) == 1).all()
 
 
 def test_worst_case_cycles_over_surplus_rows():
@@ -86,7 +83,7 @@ def test_enumerate_all_counts():
     assert len(nine) == 9 == omega_size(2, 3, 1)
     assert len({e.tobytes() for e in nine}) == 9
     for eps in nine:
-        validate(eps, s=1, strict=True)
+        assert (eps.sum(axis=1) == 1).all()
 
     six = list(enumerate_all(1, 4, 2))
     assert len(six) == 6 == comb(4, 2)
@@ -96,8 +93,23 @@ def test_enumerate_all_refuses_above_cap():
     with pytest.raises(CapExceededError) as info:
         list(enumerate_all(7, 6, 2))
     assert info.value.estimate == 15**7
-    # explicit generous cap lets it through
-    assert omega_size(2, 4, 1) == 16
-    assert len(list(enumerate_all(2, 4, 1, cap=16))) == 16
+    # the boundary, at the real cap: the generator checks it before the
+    # first matrix, so next() enumerates nothing
+    assert omega_size(6, 10, 1) == ENUMERATION_CAP
+    assert next(enumerate_all(6, 10, 1)).shape == (6, 10)
+    assert omega_size(7, 10, 1) > ENUMERATION_CAP
     with pytest.raises(CapExceededError):
-        list(enumerate_all(2, 4, 1, cap=15))
+        next(enumerate_all(7, 10, 1))
+
+
+@pytest.mark.parametrize(
+    "entries, row",
+    [
+        ([[0, 0, 0, 0], [-1, -1, -1, 0]], 1),  # weight -3 passes a bare weight check
+        ([[2, 0, 0, 0]], 0),
+        ([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 255]], 2),
+    ],
+)
+def test_validate_rejects_entries_other_than_zero_and_one(entries, row):
+    with pytest.raises(ValueError, match=f"row {row} has entries other than 0 and 1"):
+        validate(np.array(entries), s=1)

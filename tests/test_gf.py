@@ -24,12 +24,6 @@ def gf8():
     return GF(8)
 
 
-def test_add_is_xor(gf8):
-    assert gf8.add(0x53, 0) == 0x53
-    assert gf8.add(0x53, 0x53) == 0
-    assert gf8.add(0x53, 0xCA) == 0x99
-
-
 def test_mul_identity_and_annihilator(gf8):
     for x in (1, 2, 0x53, 0xFF):
         assert gf8.mul(x, 1) == x
@@ -55,7 +49,6 @@ def test_inverse_exhaustive(gf8):
 
 
 def test_multiplicative_group_order(gf8):
-    assert gf8.pow(gf8.generator, 255) == 1
     # generator order is exactly 2^8 - 1: the antilog trail never repeats early
     assert len(set(gf8.exp[:255].tolist())) == 255
 
@@ -65,14 +58,11 @@ def test_axioms_exhaustive_gf16():
     elems = range(16)
     for a in elems:
         for b in elems:
-            assert fld.add(a, b) == fld.add(b, a)
             assert fld.mul(a, b) == fld.mul(b, a)
             assert fld.mul(a, b) == slow_mul(a, b, 4, DEFAULT_POLY[4])
             for c in elems:
                 assert fld.mul(fld.mul(a, b), c) == fld.mul(a, fld.mul(b, c))
-                assert fld.mul(a, fld.add(b, c)) == fld.add(
-                    fld.mul(a, b), fld.mul(a, c)
-                )
+                assert fld.mul(a, b ^ c) == fld.mul(a, b) ^ fld.mul(a, c)
     for a in range(1, 16):
         assert fld.mul(a, fld.inv(a)) == 1
 
@@ -82,31 +72,20 @@ def test_axioms_randomized_gf256(gf8):
     triples = rng.integers(0, 256, size=(10_000, 3))
     for a, b, c in triples.tolist():
         assert gf8.mul(gf8.mul(a, b), c) == gf8.mul(a, gf8.mul(b, c))
-        assert gf8.mul(a, gf8.add(b, c)) == gf8.add(gf8.mul(a, b), gf8.mul(a, c))
+        assert gf8.mul(a, b ^ c) == gf8.mul(a, b) ^ gf8.mul(a, c)
 
 
 def test_gf65536_basics():
     fld = GF(16)
     assert fld.dtype == np.uint16
     assert fld.element_bytes == 2
-    assert fld.pow(fld.generator, fld.order - 1) == 1
+    assert len(set(fld.exp[: fld.order - 1].tolist())) == fld.order - 1
     rng = np.random.default_rng(5)
     for _ in range(200):
         a = int(rng.integers(1, fld.order))
         assert fld.mul(a, fld.inv(a)) == 1
         b = int(rng.integers(fld.order))
         assert fld.mul(a, b) == slow_mul(a, b, 16, DEFAULT_POLY[16])
-
-
-def test_pow_edge_cases(gf8):
-    assert gf8.pow(0, 0) == 1
-    assert gf8.pow(0, 5) == 0
-    assert gf8.pow(7, 0) == 1
-    a = 0x1D
-    acc = 1
-    for e in range(1, 6):
-        acc = gf8.mul(acc, a)
-        assert gf8.pow(a, e) == acc
 
 
 def test_constructor_rejects_bad_parameters():

@@ -182,6 +182,24 @@ def test_cost_endpoints_ten_helpers():
     assert cost_realized(RoundPlan(eps, amc)).c_eh == Fraction(10, 8)  # n_h / (n_h - s)
 
 
+@pytest.mark.parametrize("n_h", range(2, 9))
+def test_cost_endpoints_are_arc_and_amc(n_h):
+    """nu = 1 costs what repetition (ARC) costs and nu = n_h - s what one
+    MDS codeword (AMC) costs, on both links, with every s-subset erased."""
+    for s in range(1, n_h):
+        n_e = comb(n_h, s)
+        eps = worst_case_pattern(n_e, n_h, s)
+        endpoints = {1: (Fraction(s + 1), s + 1), n_h - s: (Fraction(n_h, n_h - s), comb(n_h, s))}
+        for nu, (c_eh, c_hm) in endpoints.items():
+            params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu)
+            assert params.p == params.p_padded  # no padding
+            report = cost_realized(RoundPlan(eps, params))
+            assert report.c_eh == c_eh, (n_h, s, nu)
+            assert report.c_hm_realized == c_hm, (n_h, s, nu)
+            worst = cost_worst_case(params)
+            assert worst.tight and worst.value == c_hm == worst.lower_bound, (n_h, s, nu)
+
+
 def test_cost_report_padding_variants():
     params = SchemeParams(p=100, n_e=2, n_h=4, s=1, nu=2)  # padded to 104
     eps = np.zeros((2, 4), dtype=np.uint8)
@@ -234,7 +252,7 @@ def test_worst_case_brute_force_small():
 def test_worst_case_brute_force_respects_cap():
     params = SchemeParams(p=30, n_e=7, n_h=6, s=2, nu=2)
     with pytest.raises(CapExceededError):
-        cost_worst_case(params, mode="brute_force", cap=100)
+        cost_worst_case(params, mode="brute_force")
 
 
 def test_average_single_edge_is_one():

@@ -55,7 +55,7 @@ def test_decode_equals_xor_sum_over_the_wire(case):
     m, params, rows, seed = case
     fld = GF(m)
     eps = from_erased_sets(rows, params.n_h)
-    validate(eps, params.s, strict=False)
+    validate(eps, params.s)
     grads = np.random.default_rng(seed).integers(
         0, fld.order, size=(params.n_e, params.p), dtype=fld.dtype
     )

@@ -179,6 +179,14 @@ def test_invalid_matrix_fails_in_validate_stage():
         run_round(scenario)
     assert info.value.stage == "validate"
 
+
+def test_nonbinary_matrix_fails_in_validate_stage():
+    # row weight -3 <= s, so a weight check alone let it through to the decode
+    eps = np.array([[-1, -1, -1, 0], [0, 0, 0, 0]])
+    with pytest.raises(StageFailure, match="row 0 has entries other than 0 and 1") as info:
+        run_round(Scenario(p=24, n_e=2, n_h=4, s=1, nu=2), eps=eps)
+    assert info.value.stage == "validate"
+
 def test_rounds_count_in_erasure_spec_wins():
     scenario = Scenario(
         p=24, n_e=2, n_h=4, s=1, nu=2,
@@ -260,6 +268,8 @@ def test_sweep_measured_column():
 def test_sweep_rejects_bad_range():
     with pytest.raises(ConfigurationError):
         sweep_nu(5, 4, 1, nu_range=range(1, 5))
+    with pytest.raises(ConfigurationError, match="is empty"):
+        sweep_nu(5, 4, 1, nu_range=range(3, 3))
 
 def test_sweep_serializations():
     table = sweep_nu(50, 10, 2)
@@ -282,3 +292,9 @@ def test_verify_scheme_default_parameters_pass():
     data = report.to_dict()
     assert data["passed"] is True
     assert all(c["passed"] for c in data["checks"])
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_scheme_rejects_nonpositive_trials(trials):
+    with pytest.raises(ConfigurationError, match="trials must be a positive integer"):
+        verify_scheme(n_e=5, n_h=4, s=1, trials=trials)
