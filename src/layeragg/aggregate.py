@@ -13,7 +13,9 @@ that plan once per matrix for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from itertools import chain
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -82,14 +84,41 @@ def plan_layer(
     )
 
 
+class HelperIndex(NamedTuple):
+    """Where helper j's received symbols go in its fold buffer.
+
+    The buffer holds one (r, n) block of symbol rows per distinct group
+    size r, row-major: row t of a block holds the t-th edge of each of its
+    n entries, so one XOR down the block folds all n.
+
+    entries  the helper's message length m_j
+    rows     buffer rows, the summed size of its groups
+    edges    per edge it reads: (edge, layer of the first entry that
+             reads it, buffer positions, rows of the edge's column),
+             ordered by that first entry, then by edge
+    blocks   per group size: (entry ids, buffer offset, r, n)
+    """
+
+    entries: int
+    rows: int
+    edges: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[np.ndarray, int, int, int], ...]
+
+
 class RoundPlan:
     """The aggregation plan of one erasure matrix, built once and shared by
     every helper, the master and the cost accounting.
 
-    layer_plans  one LayerAggregationPlan per layer, in layer order
-    schedules    per helper, the ordered (layer, image index) pairs it
-                 emits: layers ascending, image index ascending, only
-                 where the helper sits outside the cover
+    layer_plans      one LayerAggregationPlan per layer, in layer order
+    schedules        per helper, the ordered (layer, image index) pairs it
+                     emits: layers ascending, image index ascending, only
+                     where the helper sits outside the cover
+    helper_index     per helper, the HelperIndex of its fold
+    decode_patterns  per emitter-slot pattern, the groups the master
+                     decodes with one solve
+
+    The index tables are built on first use, so callers that only count
+    never pay for them.
     """
 
     def __init__(self, eps: np.ndarray, params: SchemeParams):
@@ -102,12 +131,123 @@ class RoundPlan:
         schedules = []
         for j in range(params.n_h):
             schedule = []
-            for layer, _ in params.layer_map.column_slots(j):
+            for layer in params.layer_map.column_index(j)[0].tolist():
                 for a, cover in enumerate(self.layer_plans[layer].images):
                     if j not in cover:
                         schedule.append((layer, a))
             schedules.append(tuple(schedule))
         self.schedules = tuple(schedules)
+
+    @cached_property
+    def _emitters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every group of the round, numbered layer-major so that numbers
+        order like (layer, image index) pairs: its layer, the first number
+        of each layer, and a (groups, nu+s) array of its layer's helpers,
+        with -1 in the slots of its cover (the helpers that do not emit it).
+        """
+        params = self.params
+        betas = [lp.beta for lp in self.layer_plans]
+        layer = np.repeat(np.arange(params.layers), betas)
+        covers = [cover for lp in self.layer_plans for cover in lp.images]
+        lens = np.fromiter(map(len, covers), dtype=np.intp, count=len(covers))
+        in_cover = np.zeros((len(covers), params.n_h), dtype=bool)
+        in_cover[
+            np.repeat(np.arange(len(covers)), lens),
+            np.fromiter(chain.from_iterable(covers), dtype=np.intp, count=lens.sum()),
+        ] = True
+        helpers = np.array(params.layer_map.subsets, dtype=np.intp)[layer]
+        emitters = np.where(np.take_along_axis(in_cover, helpers, axis=1), -1, helpers)
+        return layer, np.cumsum(betas) - betas, emitters
+
+    @cached_property
+    def helper_index(self) -> tuple[HelperIndex, ...]:
+        """One HelperIndex per helper."""
+        params = self.params
+        layer, _, emitters = self._emitters
+        groups = [g for lp in self.layer_plans for g in lp.groups]
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+        members = np.fromiter(
+            chain.from_iterable(groups), dtype=np.intp, count=params.layers * params.n_e
+        )
+        # per (layer, edge): the edge's group, and its place t inside it
+        member_group = np.repeat(np.arange(len(groups)), sizes)
+        group_of = np.empty((params.layers, params.n_e), dtype=np.intp)
+        place = np.empty_like(group_of)
+        group_of[layer[member_group], members] = member_group
+        place[layer[member_group], members] = (
+            np.arange(len(members)) - (np.cumsum(sizes) - sizes)[member_group]
+        )
+        index = []
+        for j in range(params.n_h):
+            # j's entries are the groups it emits, in schedule order
+            emitted = (emitters == j).any(axis=1)
+            entry_of = np.where(emitted, np.cumsum(emitted) - 1, -1)
+            r = sizes[emitted]
+            m = len(r)
+            # entries by size, schedule order within a size: one block each
+            by_size = np.argsort(r, kind="stable")
+            count = np.bincount(r)
+            block_r = np.flatnonzero(count)
+            block_n = count[block_r]
+            block_first = np.cumsum(block_n) - block_n
+            block_offset = np.cumsum(block_r * block_n) - block_r * block_n
+            block = np.empty(m, dtype=np.intp)
+            block[by_size] = np.repeat(np.arange(len(block_r)), block_n)
+            rank = np.empty(m, dtype=np.intp)
+            rank[by_size] = np.arange(m) - np.repeat(block_first, block_n)
+
+            # the entry each (edge, row of j's column) feeds, edge-major
+            layers = params.layer_map.column_index(j)[0]
+            reads = entry_of[group_of[layers]].T
+            edge, row = np.nonzero(reads >= 0)
+            entry = reads[edge, row]
+            b = block[entry]
+            pos = block_offset[b] + place[layers[row], edge] * block_n[b] + rank[entry]
+            starts = np.flatnonzero(np.diff(edge, prepend=-1))
+            bounds = np.append(starts, len(edge)).tolist()
+            first_layer = layers[row[starts]].tolist()
+            # edges in the order a walk of the schedule first reads them, so
+            # a missing one is reported at its first entry
+            edges = tuple(
+                (int(edge[bounds[k]]), first_layer[k],
+                 pos[bounds[k] : bounds[k + 1]], row[bounds[k] : bounds[k + 1]])
+                for k in np.lexsort((edge[starts], entry[starts])).tolist()
+            )
+            blocks = tuple(
+                (by_size[first : first + n], offset, size, n)
+                for first, offset, size, n in zip(
+                    block_first.tolist(), block_offset.tolist(),
+                    block_r.tolist(), block_n.tolist(),
+                )
+            )
+            index.append(HelperIndex(m, len(edge), edges, blocks))
+        return tuple(index)
+
+    @cached_property
+    def decode_patterns(
+        self,
+    ) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Emitter-slot pattern -> (layer ids, image ids, (nu, groups) emitters),
+        patterns in order of first appearance.
+
+        Images inside a layer are distinct, so a pattern holds at most one
+        group per layer.
+        """
+        layer, first_group, emitters = self._emitters
+        emits = emitters >= 0
+        code = emits @ (1 << np.arange(emits.shape[1]))
+        _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
+        by_pattern = np.argsort(pattern, kind="stable")
+        bounds = np.append(0, np.cumsum(np.bincount(pattern))).tolist()
+        patterns = {}
+        for p in np.argsort(first).tolist():
+            groups = by_pattern[bounds[p] : bounds[p + 1]]
+            slots = np.flatnonzero(emits[groups[0]])
+            layers = layer[groups]
+            patterns[tuple(slots.tolist())] = (
+                layers, groups - first_group[layers], emitters[groups][:, slots].T
+            )
+        return patterns
 
 
 @dataclass(frozen=True)
@@ -128,26 +268,25 @@ def aggregate_helper(
 
     received maps edge index -> that edge's (b, d) column, present only
     for surviving links. Every group sum only touches edges whose link
-    to j survived; a gap means the erasure bookkeeping is broken.
+    to j survived; a gap means the erasure bookkeeping is broken. The
+    symbols are copied once into a buffer laid out by plan.helper_index,
+    and each block of equal-size groups is folded with one xor_sum.
     """
-    eps, layers = plan.eps, plan.params.layer_map
-    entries = []
-    for layer, a in plan.schedules[j]:
-        row = layers.row_in_column(j, layer)
-        rows = []
-        for i in plan.layer_plans[layer].groups[a]:
-            if eps[i, j] or i not in received:
-                raise ProtocolError(
-                    f"helper {j} needs the layer-{layer} symbol of edge {i} "
-                    f"but that link is erased"
-                )
-            rows.append(received[i][row])
-        entries.append(field.xor_sum(np.stack(rows)))
-    if entries:
-        stacked = np.stack(entries)
-    else:
-        stacked = np.zeros((0, plan.params.d), dtype=field.dtype)
-    return AggregatedMessage(helper=j, entries=stacked)
+    index = plan.helper_index[j]
+    d = plan.params.d
+    buffer = np.empty((index.rows, d), dtype=field.dtype)
+    for i, layer, pos, rows in index.edges:
+        if plan.eps[i, j] or i not in received:
+            raise ProtocolError(
+                f"helper {j} needs the layer-{layer} symbol of edge {i} "
+                f"but that link is erased"
+            )
+        buffer[pos] = received[i][rows]
+    entries = np.empty((index.entries, d), dtype=field.dtype)
+    for ids, offset, r, n in index.blocks:
+        block = buffer[offset : offset + r * n].reshape(r, n * d)
+        entries[ids] = field.xor_sum(block).reshape(n, d)
+    return AggregatedMessage(helper=j, entries=entries)
 
 
 def message_to_bytes(message: AggregatedMessage, field: GF) -> bytes:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .gf import GF
+from .gf import GF, is_integer
 from .mds import MdsCode, encode
 
 
@@ -96,9 +96,9 @@ class SchemeParams:
 class LayerMap:
     """The (nu+s)-subsets of [0, n_h) in lexicographic order, with column indexes.
 
-    subset l is stored ascending; column_slots(j) lists the (layer, slot)
-    pairs whose cell lands in helper j's column, in increasing layer order,
-    and column_index(j) holds the same pairs as two index arrays.
+    subset l is stored ascending; column_index(j) holds the (layer, slot)
+    pairs whose cell lands in helper j's column, in increasing layer
+    order, as two index arrays.
     """
 
     def __init__(self, n_h: int, k: int):
@@ -109,12 +109,10 @@ class LayerMap:
         for layer, subset in enumerate(self.subsets):
             for slot, h in enumerate(subset):
                 cols[h].append((layer, slot))
-        self._cols = tuple(tuple(c) for c in cols)
         # every column has b cells; read-only, since the maps are shared
         index = np.array(cols, dtype=np.intp).transpose(2, 0, 1).copy()
         index.setflags(write=False)
         self._col_layers, self._col_slots = index
-        self._row_of = tuple({layer: row for row, (layer, _) in enumerate(c)} for c in cols)
 
     def __getitem__(self, layer: int) -> tuple[int, ...]:
         return self.subsets[layer]
@@ -122,19 +120,12 @@ class LayerMap:
     def __iter__(self):
         return iter(self.subsets)
 
-    def column_slots(self, j: int) -> tuple[tuple[int, int], ...]:
-        return self._cols[j]
-
     def column_index(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(layers, slots) arrays of helper j's column, for one gather."""
         return self._col_layers[j], self._col_slots[j]
 
     def column_layers(self, j: int) -> tuple[int, ...]:
-        return tuple(layer for layer, _ in self._cols[j])
-
-    def row_in_column(self, j: int, layer: int) -> int:
-        """Row of the compacted column of helper j that carries this layer."""
-        return self._row_of[j][layer]
+        return tuple(self._col_layers[j].tolist())
 
 
 @lru_cache(maxsize=64)
@@ -218,14 +209,25 @@ def load_gradient(path: str | Path, field: GF, p: int) -> np.ndarray:
     """Read a gradient from a JSON integer array or a raw little-endian file.
 
     Raw files carry one element per ceil(m/8) bytes; values are reduced
-    into the field by truncation to m bits. The file must hold p symbols.
+    into the field by truncation to m bits. The file must hold p symbols,
+    and a JSON entry that is not an integer (a float, a bool, a string, a
+    nested list) is rejected, naming its index.
     """
     path = Path(path)
     if path.suffix == ".json":
-        values = json.loads(path.read_text())
+        try:
+            values = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(values, list):
             raise ConfigurationError(f"{path}: expected a JSON array of integers")
-        g = field.reduce(np.asarray(values, dtype=np.int64))
+        for k, value in enumerate(values):
+            if not is_integer(value):
+                raise ConfigurationError(
+                    f"{path}: entry {k} is {value!r}, expected an integer"
+                )
+        # masked as Python integers, so values past 64 bits truncate too
+        g = np.array([value & (field.order - 1) for value in values], dtype=field.dtype)
     else:
         raw = path.read_bytes()
         width = field.element_bytes

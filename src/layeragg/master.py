@@ -2,10 +2,11 @@
 
 The master re-derives every helper's emission order from the erasure
 matrix, so the aggregated messages need no tags: entry positions are
-looked up per (layer, group), the nu entries of a group are MDS-decoded
-at the coordinates of the emitting helpers (one solve per coordinate
-pattern, shared by every group with that pattern), group messages are
-summed into per-layer totals, and the partition layout is inverted.
+read from a (helper, layer, group) table, the nu entries of a group are
+MDS-decoded at the coordinates of the emitting helpers (one solve per
+coordinate pattern, shared by every group with that pattern), group
+messages are summed into per-layer totals, and the partition layout is
+inverted.
 
 Costs are exact rationals. The primary c_eh / c_hm_realized fields are
 normalized by the padded gradient length, which makes the closed forms
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -115,7 +117,11 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     params = plan.params
     if len(messages) != params.n_h:
         raise ProtocolError(f"need {params.n_h} helper messages, got {len(messages)}")
-    lookup: list[dict[tuple[int, int], int]] = []
+    # position of each (layer, group) entry in the concatenated messages,
+    # per helper; re-derived from the schedules on every call
+    width = params.alpha
+    position = np.full((params.n_h, params.layers * width), -1, dtype=np.intp)
+    start = 0
     for j, schedule in enumerate(plan.schedules):
         msg: AggregatedMessage = messages[j]
         if msg.helper != j:
@@ -129,40 +135,38 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
             raise ProtocolError(
                 f"helper {j} sent {len(msg)} entries, schedule has {len(schedule)}"
             )
-        for before, (layer, a) in zip(schedule, schedule[1:]):
-            if (layer, a) <= before:
-                raise ProtocolError(
-                    f"schedule of helper {j} lists layer {layer}, group {a} "
-                    f"after layer {before[0]}, group {before[1]}"
-                )
-        lookup.append({pair: idx for idx, pair in enumerate(schedule)})
-
-    # Images inside a layer are distinct, so an emitter-slot pattern holds
-    # at most one group per layer.
-    patterns: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for lp in plan.layer_plans:
-        for a, cover in enumerate(lp.images):
-            slots = tuple(k for k, h in enumerate(lp.helpers) if h not in cover)
-            patterns.setdefault(slots, []).append((lp.layer, a))
+        pairs = np.fromiter(
+            chain.from_iterable(schedule), dtype=np.intp, count=2 * len(schedule)
+        ).reshape(-1, 2)
+        keys = pairs[:, 0] * width + pairs[:, 1]
+        back = np.flatnonzero(np.diff(keys) <= 0)
+        if back.size:
+            (layer, a), before = schedule[back[0] + 1], schedule[back[0]]
+            raise ProtocolError(
+                f"schedule of helper {j} lists layer {layer}, group {a} "
+                f"after layer {before[0]}, group {before[1]}"
+            )
+        position[j, keys] = np.arange(start, start + len(schedule))
+        start += len(schedule)
 
     field = code.field
+    stacked = np.concatenate([m.entries for m in messages]).astype(
+        field.dtype, copy=False
+    )
     layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
-    for slots, pairs in patterns.items():
-        rows = np.empty((params.nu, len(pairs), params.d), dtype=field.dtype)
-        for g, (layer, a) in enumerate(pairs):
-            helpers = plan.layer_plans[layer].helpers
-            for r, k in enumerate(slots):
-                h = helpers[k]
-                idx = lookup[h].get((layer, a))
-                if idx is None:
-                    raise ProtocolError(
-                        f"missing entry for layer {layer}, group {a}, helper {h}"
-                    )
-                rows[r, g] = messages[h].entries[idx]
+    for slots, (layers, images, emitters) in plan.decode_patterns.items():
+        rows = position[emitters, layers * width + images]
+        missing = np.argwhere(rows.T < 0)
+        if missing.size:
+            g, r = missing[0]
+            raise ProtocolError(
+                f"missing entry for layer {layers[g]}, group {images[g]}, "
+                f"helper {emitters[r, g]}"
+            )
         solver = invert_matrix(field, code.generator[:, list(slots)].T)
-        decoded = field.matmul(solver, rows.reshape(params.nu, -1))
-        layer_sums[[layer for layer, _ in pairs]] ^= decoded.reshape(
-            params.nu, len(pairs), params.d
+        decoded = field.matmul(solver, stacked[rows].reshape(params.nu, -1))
+        layer_sums[layers] ^= decoded.reshape(
+            params.nu, len(layers), params.d
         ).transpose(1, 0, 2)
     return reassemble_gradient(layer_sums, params)
 

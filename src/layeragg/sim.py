@@ -13,6 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -161,17 +162,17 @@ def _stream_rng(seed: int, stream: int, round_index: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence([seed, stream, round_index]))
 
 
-def _round_gradients(scenario: Scenario, field: GF, round_index: int) -> np.ndarray:
+def _round_gradients(
+    scenario: Scenario, field: GF, round_index: int
+) -> list[np.ndarray]:
+    """One length-p gradient per edge (the zero and file kinds share one)."""
     spec = scenario.gradients
     if spec["kind"] == "zero":
-        return np.zeros((scenario.n_e, scenario.p), dtype=field.dtype)
+        return [np.zeros(scenario.p, dtype=field.dtype)] * scenario.n_e
     if spec["kind"] == "file":
-        g = load_gradient(spec["path"], field, p=scenario.p)
-        return np.tile(g, (scenario.n_e, 1))
+        return [load_gradient(spec["path"], field, p=scenario.p)] * scenario.n_e
     rng = _stream_rng(spec.get("seed", scenario.seed), _GRADIENT_STREAM, round_index)
-    return np.stack(
-        [random_gradient(rng, field, scenario.p) for _ in range(scenario.n_e)]
-    )
+    return [random_gradient(rng, field, scenario.p) for _ in range(scenario.n_e)]
 
 
 def _round_erasure(scenario: Scenario, round_index: int) -> np.ndarray:
@@ -200,7 +201,11 @@ def run_round(
     scenario: Scenario, round_index: int = 0, eps: np.ndarray | None = None
 ) -> RoundResult:
     """One full pipeline pass; counts real symbols and checks them against
-    the closed forms before comparing the decode with the direct sum."""
+    the closed forms before comparing the decode with the direct sum.
+
+    eps, when given, is any array-like (n_e, n_h) 0/1 matrix; it is checked
+    in the validate stage instead of the scenario's own erasures.
+    """
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -214,35 +219,41 @@ def run_round(
 
     if eps is None:
         eps = stage("setup", _round_erasure, scenario, round_index)
-    stage("validate", erasure.validate, eps, params.s)
-    if eps.shape != (params.n_e, params.n_h):
-        raise StageFailure(
-            "validate", ValueError(f"erasure matrix shape {eps.shape} mismatch")
-        )
+
+    def check_matrix(eps):
+        eps = np.asarray(eps)
+        erasure.validate(eps, params.s)
+        if eps.shape != (params.n_e, params.n_h):
+            raise ValueError(f"erasure matrix shape {eps.shape} mismatch")
+        return eps
+
+    eps = stage("validate", check_matrix, eps)
 
     plan = stage("plan", aggregate.RoundPlan, eps, params)
     gradients = stage("gradients", _round_gradients, scenario, fld, round_index)
-    reference = np.bitwise_xor.reduce(gradients, axis=0)
+    reference = reduce(np.bitwise_xor, gradients)
 
-    # Each stage's inputs are dropped once consumed, so the decode's
-    # temporaries do not stack on the gradients, codewords and inbox.
+    # Each input is dropped once consumed, so the gradients, codewords,
+    # inbox and decode temporaries of a round are never all held at once.
     def encode_all():
-        return [encode_client(gradients[i], params, code) for i in range(params.n_e)]
+        arrays = []
+        for i in range(params.n_e):
+            g, gradients[i] = gradients[i], None
+            arrays.append(encode_client(g, params, code))
+        return arrays
 
     arrays: list[CodewordArray] = stage("encode", encode_all)
-    del gradients
 
     def deliver():
-        inbox = []
+        inbox = [{} for _ in range(params.n_h)]
         sent = 0
-        for j in range(params.n_h):
-            box = {}
-            for i in range(params.n_e):
-                col = arrays[i].column(j)
+        for i in range(params.n_e):
+            array, arrays[i] = arrays[i], None
+            for j in range(params.n_h):
+                col = array.column(j)
                 sent += col.size
                 if not eps[i, j]:
-                    box[i] = col
-            inbox.append(box)
+                    inbox[j][i] = col
         return inbox, sent
 
     inbox, sent_total = stage("deliver", deliver)
@@ -250,10 +261,11 @@ def run_round(
     eh_per_edge = sent_total // params.n_e
 
     def aggregate_all():
-        return [
-            aggregate.aggregate_helper(j, inbox[j], plan, fld)
-            for j in range(params.n_h)
-        ]
+        messages = []
+        for j in range(params.n_h):
+            box, inbox[j] = inbox[j], None
+            messages.append(aggregate.aggregate_helper(j, box, plan, fld))
+        return messages
 
     messages = stage("aggregate", aggregate_all)
     del inbox

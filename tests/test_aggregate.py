@@ -5,7 +5,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from layeragg import aggregate
 from layeragg.aggregate import (
+    AggregatedMessage,
     RoundPlan,
     aggregate_helper,
     lexmin_cover,
@@ -18,6 +20,7 @@ from layeragg.erasure import enumerate_all, from_erased_sets, sample_uniform
 from layeragg.errors import ProtocolError
 from layeragg.gf import GF
 from layeragg.mds import make_generator
+from layeragg.sim import Scenario, run_round
 
 SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
 
@@ -123,7 +126,7 @@ def test_single_edge_entries_are_raw_symbols(gf8):
     plan = RoundPlan(eps, params)
     msg = aggregate_helper(1, received, plan, gf8)
     for idx, (layer, _) in enumerate(plan.schedules[1]):
-        row = layers.row_in_column(1, layer)
+        row = layers.column_layers(1).index(layer)
         assert np.array_equal(msg.entries[idx], arr.column(1)[row])
 
 
@@ -202,3 +205,129 @@ def test_wire_format_round_trip_and_layout(gf8):
 
     with pytest.raises(ProtocolError):
         message_from_bytes(3, payload, gf8, count=3, d=2)
+
+
+def reference_aggregate(j, received, plan, field):
+    """The per-entry fold: one xor_sum per emitted entry, in schedule order."""
+    eps, layers = plan.eps, plan.params.layer_map
+    row_of = {layer: row for row, layer in enumerate(layers.column_layers(j))}
+    entries = []
+    for layer, a in plan.schedules[j]:
+        rows = []
+        for i in plan.layer_plans[layer].groups[a]:
+            if eps[i, j] or i not in received:
+                raise ProtocolError(
+                    f"helper {j} needs the layer-{layer} symbol of edge {i} "
+                    f"but that link is erased"
+                )
+            rows.append(received[i][row_of[layer]])
+        entries.append(field.xor_sum(np.stack(rows)))
+    if entries:
+        stacked = np.stack(entries)
+    else:
+        stacked = np.zeros((0, plan.params.d), dtype=field.dtype)
+    return AggregatedMessage(helper=j, entries=stacked)
+
+
+def lax_matrix(n_e, n_h, s, rng):
+    eps = np.zeros((n_e, n_h), dtype=np.uint8)
+    for i in range(n_e):
+        eps[i, rng.choice(n_h, size=rng.integers(0, s + 1), replace=False)] = 1
+    return eps
+
+
+def assert_fold_matches_reference(params, eps, field, rng):
+    code = make_generator(field, params.nu, params.s)
+    arrays = [
+        encode_client(random_gradient(rng, field, params.p), params, code)
+        for _ in range(params.n_e)
+    ]
+    plan = RoundPlan(eps, params)
+    for j in range(params.n_h):
+        received = {i: arrays[i].column(j) for i in range(params.n_e) if not eps[i, j]}
+        got = aggregate_helper(j, received, plan, field).entries
+        want = reference_aggregate(j, received, plan, field).entries
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (j, eps.tolist())
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_fold_equals_per_entry_reference_on_random_matrices(m):
+    field = GF(m)
+    rng = np.random.default_rng(m)
+    for n_e, n_h, s, nu in [(7, 6, 2, 2), (9, 5, 2, 1), (12, 5, 1, 3), (1, 4, 1, 2)]:
+        params = SchemeParams(p=97, n_e=n_e, n_h=n_h, s=s, nu=nu)
+        for _ in range(4):
+            assert_fold_matches_reference(params, sample_uniform(n_e, n_h, s, rng), field, rng)
+            assert_fold_matches_reference(params, lax_matrix(n_e, n_h, s, rng), field, rng)
+
+
+def test_fold_equals_per_entry_reference_on_every_small_matrix(gf8):
+    rng = np.random.default_rng(9)
+    for s, nu in [(1, 2), (2, 1)]:
+        params = SchemeParams(p=30, n_e=3, n_h=4, s=s, nu=nu)
+        for eps in enumerate_all(3, 4, s):
+            assert_fold_matches_reference(params, eps, gf8, rng)
+
+
+def test_fold_of_a_helper_with_an_empty_schedule(gf8):
+    # the only edge erases helper 0, so every cover holds it
+    params = SchemeParams(p=12, n_e=1, n_h=4, s=1, nu=2)
+    eps = np.array([[1, 0, 0, 0]], dtype=np.uint8)
+    assert RoundPlan(eps, params).schedules[0] == ()
+    assert_fold_matches_reference(params, eps, gf8, np.random.default_rng(2))
+    msg = aggregate_helper(0, {}, RoundPlan(eps, params), gf8)
+    assert msg.entries.shape == (0, params.d)
+
+
+def test_fold_calls_xor_sum_once_per_group_size(monkeypatch):
+    # roundbench's tracer counts each xor_sum call from one positional
+    # (rows, d) array, so the fold must keep that call shape
+    calls = []
+    helper = []
+    xor_sum, aggregate_helper_ = GF.xor_sum, aggregate.aggregate_helper
+
+    def recording(self, *args, **kwargs):
+        calls.append((helper[-1], args, kwargs))
+        return xor_sum(self, *args, **kwargs)
+
+    def tagged(j, *args):
+        helper.append(j)
+        return aggregate_helper_(j, *args)
+
+    monkeypatch.setattr(GF, "xor_sum", recording)
+    monkeypatch.setattr(aggregate, "aggregate_helper", tagged)
+    scenario = Scenario(p=600, n_e=16, n_h=6, s=2, nu=2, seed=5)
+    result = run_round(scenario)
+    assert result.passed
+    params = scenario.params()
+    plan = RoundPlan(result.eps, params)
+    for _, args, kwargs in calls:
+        assert kwargs == {} and len(args) == 1 and np.ndim(args[0]) == 2
+    for j, schedule in enumerate(plan.schedules):
+        sizes = [len(plan.layer_plans[layer].groups[a]) for layer, a in schedule]
+        shapes = [np.shape(args[0]) for h, args, _ in calls if h == j]
+        assert len(shapes) == len(set(sizes))
+        assert sum((r - 1) * cols for r, cols in shapes) == sum(
+            (r - 1) * params.d for r in sizes
+        )
+    assert len(calls) < sum(len(schedule) for schedule in plan.schedules)
+
+
+def test_fold_names_the_same_missing_symbol_as_the_reference(gf8):
+    params = SchemeParams(p=120, n_e=9, n_h=6, s=2, nu=2)
+    code = make_generator(gf8, 2, 2)
+    rng = np.random.default_rng(11)
+    arrays = [encode_client(random_gradient(rng, gf8, 120), params, code) for _ in range(9)]
+    for _ in range(20):
+        eps = sample_uniform(9, 6, 2, rng)
+        plan = RoundPlan(eps, params)
+        for j in range(6):
+            received = {i: arrays[i].column(j) for i in range(9) if not eps[i, j]}
+            for i in rng.choice(sorted(received), size=2, replace=False):
+                del received[i]
+            with pytest.raises(ProtocolError) as want:
+                reference_aggregate(j, received, plan, gf8)
+            with pytest.raises(ProtocolError) as got:
+                aggregate_helper(j, received, plan, gf8)
+            assert str(got.value) == str(want.value)

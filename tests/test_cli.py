@@ -239,3 +239,16 @@ def test_sweep_rejects_empty_nu_range(capsys):
     captured = capsys.readouterr()
     assert "is empty" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "values, needle", [([1.7, 2, 3], "entry 0 is 1.7"), ([1, "a", 3], "entry 1 is 'a'")]
+)
+def test_encode_rejects_non_integer_gradient_entries(tmp_path, values, needle, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(values))
+    argv = ["encode", "--p", "3", "--n-h", "3", "--s", "1", "--nu", "1"]
+    assert main(argv + ["--gradient", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {path}: {needle}, expected an integer" in captured.err
+    assert captured.out == ""

@@ -1,6 +1,7 @@
 """Layered encoding tests: parameters, placement grid, columns, ingestion."""
 
 import json
+import re
 from math import comb
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_layer_map_column_counts():
             layers = LayerMap(n_h, k)
             b = comb(n_h - 1, k - 1)
             for j in range(n_h):
-                assert len(layers.column_slots(j)) == b
+                assert all(len(a) == b for a in layers.column_index(j))
     with pytest.raises(ConfigurationError):
         LayerMap(4, 5)
 
@@ -85,9 +86,9 @@ def test_layer_map_row_lookup():
     layers = LayerMap(4, 3)
     # helper 0 appears in layers 0,1,2 at rows 0,1,2 of its column
     assert layers.column_layers(0) == (0, 1, 2)
-    assert layers.row_in_column(0, 1) == 1
-    with pytest.raises(KeyError):
-        layers.row_in_column(0, 3)  # layer 3 = (1,2,3) skips helper 0
+    assert layers.column_layers(0).index(1) == 1
+    with pytest.raises(ValueError):
+        layers.column_layers(0).index(3)  # layer 3 = (1,2,3) skips helper 0
 
 
 def test_partition_round_trip_exact(gf8):
@@ -240,3 +241,30 @@ def test_random_gradient_deterministic(gf8):
     b = random_gradient(np.random.default_rng(5), gf8, 10)
     assert np.array_equal(a, b)
     assert a.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        ("[1.7, 2, 3]", "entry 0 is 1.7"),
+        ("[1, true, 3]", "entry 1 is True"),
+        ('[1, 2, "a"]', "entry 2 is 'a'"),
+        ("[1, [2], 3]", "entry 1 is [2]"),
+        ("[1, null, 3]", "entry 1 is None"),
+        ("[1, 2", "invalid JSON"),
+    ],
+)
+def test_load_gradient_rejects_non_integer_json(tmp_path, gf8, text, needle):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=re.escape(needle)) as info:
+        load_gradient(path, gf8, p=3)
+    assert str(path) in str(info.value)
+
+
+def test_load_gradient_truncates_integers_past_64_bits(tmp_path, gf8):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([2**70 + 5, -1, 0]))
+    g = load_gradient(path, gf8, p=3)
+    assert g.dtype == gf8.dtype
+    assert g.tolist() == [5, 255, 0]

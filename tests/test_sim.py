@@ -117,6 +117,21 @@ def test_zero_gradients_decode_to_zero():
     assert result.passed
     assert not result.decoded.any()
 
+def test_file_gradient_is_every_edge_gradient(tmp_path):
+    # three edges send the same gradient, so the sum is that gradient
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(list(range(24))))
+    scenario = Scenario(
+        p=24, n_e=3, n_h=4, s=1, nu=2, gradients={"kind": "file", "path": str(path)}
+    )
+    result = run_round(scenario)
+    assert result.passed
+    assert result.decoded.tolist() == list(range(24))
+    path.write_text("[1.5]")
+    with pytest.raises(StageFailure, match="entry 0 is 1.5") as info:
+        run_round(scenario)
+    assert info.value.stage == "gradients"
+
 def test_round_counts_match_closed_forms():
     scenario = Scenario(p=120, n_e=7, n_h=6, s=2, nu=2, seed=3)
     result = run_round(scenario)
@@ -186,6 +201,28 @@ def test_nonbinary_matrix_fails_in_validate_stage():
     with pytest.raises(StageFailure, match="row 0 has entries other than 0 and 1") as info:
         run_round(Scenario(p=24, n_e=2, n_h=4, s=1, nu=2), eps=eps)
     assert info.value.stage == "validate"
+
+def test_round_takes_a_list_of_lists_as_its_erasure_matrix():
+    scenario = Scenario(p=24, n_e=2, n_h=4, s=1, nu=2)
+    result = run_round(scenario, eps=[[0, 0, 0, 0], [0, 1, 0, 0]])
+    assert result.passed
+    assert result.eps.shape == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "eps, needle",
+    [
+        ([[0, 0, 0], [0, 1, 0]], r"shape \(2, 3\) mismatch"),
+        (np.zeros((3, 4), dtype=np.uint8), r"shape \(3, 4\) mismatch"),
+        ([[0, 0, 0, 0], [0, 1, 0]], "inhomogeneous"),
+        ([0, 0, 0, 0], "axis 1"),
+    ],
+)
+def test_malformed_matrix_fails_in_validate_stage(eps, needle):
+    with pytest.raises(StageFailure, match=needle) as info:
+        run_round(Scenario(p=24, n_e=2, n_h=4, s=1, nu=2), eps=eps)
+    assert info.value.stage == "validate"
+
 
 def test_rounds_count_in_erasure_spec_wins():
     scenario = Scenario(
