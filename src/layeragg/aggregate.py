@@ -13,7 +13,7 @@ that plan once per matrix for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Mapping, NamedTuple
 
@@ -58,29 +58,85 @@ def lexmin_cover(helpers: tuple[int, ...], trapped, s: int) -> tuple[int, ...]:
     return tuple(sorted(trapped | set(fill)))
 
 
+class _CoverTable(dict):
+    """Footprint bitmask over a layer's k slots -> the slots of its lexmin
+    s-cover, or None for a footprint of more than s slots.
+
+    Entries are filled on first lookup, so the table holds only the
+    footprints seen rather than all 2^k masks; masks with the same cover
+    share one tuple. weights turns a (n_e, k) 0/1 matrix into masks.
+    """
+
+    def __init__(self, k: int, s: int):
+        self.k, self.s = k, s
+        # int64 holds the bits of 64 slots; wider layers use Python integers
+        self.weights = 1 << np.arange(k, dtype=np.int64 if k <= 64 else object)
+        self._covers: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def __missing__(self, mask: int) -> tuple[int, ...] | None:
+        footprint = [t for t in range(self.k) if mask >> t & 1]
+        if len(footprint) > self.s:
+            return None
+        cover = lexmin_cover(tuple(range(self.k)), footprint, self.s)
+        cover = self[mask] = self._covers.setdefault(cover, cover)
+        return cover
+
+
+@lru_cache(maxsize=None)
+def _cover_table(k: int, s: int) -> _CoverTable:
+    """The cover table of every layer with k = nu+s slots, one per (k, s)."""
+    return _CoverTable(k, s)
+
+
 def plan_layer(
     layer: int, helpers: tuple[int, ...], eps: np.ndarray, s: int
 ) -> LayerAggregationPlan:
-    """Build the aggregation plan for one layer from the erasure matrix."""
-    by_key: dict[tuple[int, ...], list[int]] = {}
-    for i in range(eps.shape[0]):
-        key = tuple(j for j in helpers if eps[i, j])
-        by_key.setdefault(key, []).append(i)
+    """Build the aggregation plan for one layer from the erasure matrix.
+
+    helpers must be sorted ascending. Each edge's erasures inside the layer
+    become a bitmask over the layer's slots (any nonzero entry counts as
+    erased); edges with equal masks form a class, whose cover is read from
+    the table shared by every layer of this shape. Raises ValueError for an
+    edge that erases more than s of the layer's helpers.
+    """
+    table = _cover_table(len(helpers), s)
+    masks = (eps[:, helpers] != 0) @ table.weights
+    by_mask: dict[int, list[int]] = {}
+    for i, mask in enumerate(masks.tolist()):
+        by_mask.setdefault(mask, []).append(i)
     # insertion order == order of each class's smallest member
-    classes = tuple(tuple(edges) for edges in by_key.values())
-    phi = tuple(lexmin_cover(helpers, key, s) for key in by_key)
-    images = tuple(sorted(set(phi)))
-    grouped: dict[tuple[int, ...], list[int]] = {im: [] for im in images}
-    for cover, edges in zip(phi, classes):
-        grouped[cover].extend(edges)
-    groups = tuple(tuple(sorted(grouped[im])) for im in images)
+    classes = tuple(map(tuple, by_mask.values()))
+    to_helpers: dict[tuple[int, ...], tuple[int, ...]] = {}
+    parts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    phi = []
+    for mask, edges in zip(by_mask, classes):
+        slots = table[mask]
+        if slots is None:
+            footprint = [helpers[t] for t in range(len(helpers)) if mask >> t & 1]
+            raise ValueError(
+                f"layer {layer}: edge {edges[0]} erases helpers {footprint} "
+                f"of {tuple(helpers)}, more than s={s}"
+            )
+        cover = to_helpers.get(slots)
+        if cover is None:
+            cover = to_helpers[slots] = tuple([helpers[t] for t in slots])
+            parts[slots] = [edges]
+        else:
+            parts[slots].append(edges)
+        phi.append(cover)
+    # helpers ascend, so covers sort like their slot tuples
+    order = sorted(to_helpers)
     return LayerAggregationPlan(
         layer=layer,
         helpers=tuple(helpers),
         classes=classes,
-        phi=phi,
-        images=images,
-        groups=groups,
+        phi=tuple(phi),
+        images=tuple([to_helpers[slots] for slots in order]),
+        # a cover of one class reuses that class's tuple as its group
+        groups=tuple([
+            group[0] if len(group) == 1 else tuple(sorted(chain.from_iterable(group)))
+            for group in map(parts.__getitem__, order)
+        ]),
     )
 
 
@@ -128,15 +184,16 @@ class RoundPlan:
             plan_layer(layer, subset, eps, params.s)
             for layer, subset in enumerate(params.layer_map)
         )
-        schedules = []
-        for j in range(params.n_h):
-            schedule = []
-            for layer in params.layer_map.column_index(j)[0].tolist():
-                for a, cover in enumerate(self.layer_plans[layer].images):
+        # layers ascending, then image index ascending: each helper's
+        # schedule comes out in emission order
+        schedules: list[list[tuple[int, int]]] = [[] for _ in range(params.n_h)]
+        for lp in self.layer_plans:
+            for a, cover in enumerate(lp.images):
+                pair = (lp.layer, a)
+                for j in lp.helpers:
                     if j not in cover:
-                        schedule.append((layer, a))
-            schedules.append(tuple(schedule))
-        self.schedules = tuple(schedules)
+                        schedules[j].append(pair)
+        self.schedules = tuple(map(tuple, schedules))
 
     @cached_property
     def _emitters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -162,15 +162,25 @@ def _stream_rng(seed: int, stream: int, round_index: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence([seed, stream, round_index]))
 
 
+def _file_gradient(scenario: Scenario) -> np.ndarray | None:
+    """The file kind's gradient, read and checked; None for the other kinds."""
+    spec = scenario.gradients
+    if spec["kind"] != "file":
+        return None
+    return load_gradient(spec["path"], scenario.field(), p=scenario.p)
+
+
 def _round_gradients(
-    scenario: Scenario, field: GF, round_index: int
+    scenario: Scenario, field: GF, round_index: int, loaded: np.ndarray | None
 ) -> list[np.ndarray]:
     """One length-p gradient per edge (the zero and file kinds share one)."""
     spec = scenario.gradients
     if spec["kind"] == "zero":
         return [np.zeros(scenario.p, dtype=field.dtype)] * scenario.n_e
     if spec["kind"] == "file":
-        return [load_gradient(spec["path"], field, p=scenario.p)] * scenario.n_e
+        if loaded is None:
+            loaded = _file_gradient(scenario)
+        return [loaded] * scenario.n_e
     rng = _stream_rng(spec.get("seed", scenario.seed), _GRADIENT_STREAM, round_index)
     return [random_gradient(rng, field, scenario.p) for _ in range(scenario.n_e)]
 
@@ -198,13 +208,18 @@ class RoundResult:
 
 
 def run_round(
-    scenario: Scenario, round_index: int = 0, eps: np.ndarray | None = None
+    scenario: Scenario,
+    round_index: int = 0,
+    eps: np.ndarray | None = None,
+    gradient: np.ndarray | None = None,
 ) -> RoundResult:
     """One full pipeline pass; counts real symbols and checks them against
     the closed forms before comparing the decode with the direct sum.
 
     eps, when given, is any array-like (n_e, n_h) 0/1 matrix; it is checked
-    in the validate stage instead of the scenario's own erasures.
+    in the validate stage instead of the scenario's own erasures. gradient,
+    when given, is the file kind's gradient already read; otherwise the
+    gradients stage reads the file.
     """
 
     def stage(name, fn, *args, **kwargs):
@@ -230,7 +245,7 @@ def run_round(
     eps = stage("validate", check_matrix, eps)
 
     plan = stage("plan", aggregate.RoundPlan, eps, params)
-    gradients = stage("gradients", _round_gradients, scenario, fld, round_index)
+    gradients = stage("gradients", _round_gradients, scenario, fld, round_index, gradient)
     reference = reduce(np.bitwise_xor, gradients)
 
     # Each input is dropped once consumed, so the gradients, codewords,
@@ -298,20 +313,24 @@ def run_round(
 def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
     """Run the requested number of rounds (or every matrix when exhaustive).
 
-    A rounds count inside the erasure spec overrides the argument.
+    A rounds count inside the erasure spec overrides the argument. A
+    gradient file is read once, before round 0, so a bad or missing file
+    raises ConfigurationError or FileNotFoundError rather than failing a
+    round.
     """
     _check_rounds(rounds, "rounds")
     rounds = _check_rounds(
         scenario.erasures.get("rounds", rounds), "scenario field 'erasures.rounds'"
     )
+    gradient = _file_gradient(scenario)
     if scenario.erasures["kind"] == "exhaustive":
         results = []
         for idx, eps in enumerate(
             erasure.enumerate_all(scenario.n_e, scenario.n_h, scenario.s)
         ):
-            results.append(run_round(scenario, round_index=idx, eps=eps))
+            results.append(run_round(scenario, round_index=idx, eps=eps, gradient=gradient))
         return results
-    return [run_round(scenario, round_index=r) for r in range(rounds)]
+    return [run_round(scenario, round_index=r, gradient=gradient) for r in range(rounds)]
 
 
 # -- tradeoff sweep ----------------------------------------------------------

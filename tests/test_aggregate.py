@@ -1,10 +1,16 @@
 """Aggregation plan and helper emission tests, pinned to the seven-edge example."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_plan import reference_plan_layer, reference_schedules
 
+import layeragg
 from layeragg import aggregate
 from layeragg.aggregate import (
     AggregatedMessage,
@@ -57,6 +63,65 @@ def test_plan_matches_seven_edge_example(gf8):
     assert plan.beta == 3
     assert plan.images == ((0, 1), (0, 3), (2, 3))
     assert plan.groups == ((0, 1, 5, 6), (2,), (3, 4))
+
+
+def test_seven_edge_plans_equal_the_reference(gf8):
+    params, _, eps = seven_edge_setup(gf8)
+    plan = RoundPlan(eps, params)
+    for layer, helpers in enumerate(params.layer_map):
+        assert plan.layer_plans[layer] == reference_plan_layer(layer, helpers, eps, params.s)
+    assert plan.schedules == reference_schedules(params, plan.layer_plans)
+
+
+def test_plan_rejects_a_footprint_heavier_than_s():
+    # edge 0 erases three of layer 0's helpers {0, 1, 2, 3}, and s = 2
+    eps = np.array([[1, 1, 1, 0], [0, 0, 0, 0]], dtype=np.uint8)
+    params = SchemeParams(p=24, n_e=2, n_h=4, s=2, nu=2)
+    with pytest.raises(ValueError, match=r"layer 0: edge 0 erases helpers \[0, 1, 2\]"):
+        RoundPlan(eps, params)
+    # a heavy footprint behind lighter edges names its own edge
+    eps = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"layer 2: edge 2 erases helpers \[0, 1\] of \(0, 1, 3\), more than s=1"):
+        plan_layer(2, (0, 1, 3), eps, 1)
+
+
+def test_plan_counts_any_nonzero_entry_as_erased():
+    # a stray 2 is one erasure of its own helper, not a carry into the next slot
+    eps = np.array([[2, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8)
+    plan = plan_layer(0, (0, 1, 2), eps, 1)
+    assert plan == reference_plan_layer(0, (0, 1, 2), eps, 1)
+    assert plan.phi == ((0,), (1,))
+
+
+@pytest.mark.parametrize("k", [63, 64, 66])
+def test_plan_of_a_layer_wider_than_a_machine_word(k):
+    eps = np.zeros((4, k), dtype=np.uint8)
+    eps[0, k - 1] = eps[1, k - 2] = eps[2, 0] = 1
+    helpers = tuple(range(k))
+    plan = plan_layer(0, helpers, eps, 1)
+    assert plan == reference_plan_layer(0, helpers, eps, 1)
+    assert plan.images == ((0,), (k - 2,), (k - 1,))
+
+
+def test_cover_table_is_shared_per_shape_and_not_built_at_import():
+    src = str(Path(layeragg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import numpy as np, layeragg; "
+        "from layeragg import aggregate as a; "
+        "from layeragg.client import SchemeParams; "
+        "print(a._cover_table.cache_info().currsize); "
+        # 15 and then 5 layers, all with nu+s = 4 and s = 2
+        "a.RoundPlan(np.zeros((3, 6), np.uint8), SchemeParams(p=40, n_e=3, n_h=6, s=2, nu=2)); "
+        "a.RoundPlan(np.zeros((3, 5), np.uint8), SchemeParams(p=40, n_e=3, n_h=5, s=2, nu=2)); "
+        "info = a._cover_table.cache_info(); "
+        "print(info.currsize, info.misses, info.hits, len(a._cover_table(4, 2)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    # one table for all 20 layers, holding only the footprint it was asked for
+    assert out.stdout.split() == ["0", "1", "1", "19", "1"]
 
 
 def test_plan_collapses_without_relevant_erasures():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from layeragg import sim
 from layeragg.cli import main
 
 SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
@@ -252,3 +253,46 @@ def test_encode_rejects_non_integer_gradient_entries(tmp_path, values, needle, c
     captured = capsys.readouterr()
     assert f"error: {path}: {needle}, expected an integer" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("content", ["[1.5, 2, 3]", None])
+def test_bad_gradient_file_exits_2_from_simulate_and_encode(tmp_path, content, capsys):
+    gradient = tmp_path / "g.json"
+    if content is not None:
+        gradient.write_text(content)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "p": 3, "n_e": 2, "n_h": 3, "s": 1, "nu": 1,
+        "gradients": {"kind": "file", "path": str(gradient)},
+    }))
+    assert main(["simulate", "--scenario", str(scenario), "--rounds", "3"]) == 2
+    simulate = capsys.readouterr()
+    assert main(["encode", "--p", "3", "--n-h", "3", "--s", "1", "--nu", "1",
+                 "--gradient", str(gradient)]) == 2
+    encode = capsys.readouterr()
+    assert simulate.out == encode.out == ""
+    assert str(gradient) in simulate.err
+    assert simulate.err == encode.err
+    if content is not None:
+        assert "entry 0 is 1.5, expected an integer" in simulate.err
+
+
+def test_simulate_reads_a_gradient_file_once(tmp_path, monkeypatch, capsys):
+    gradient = tmp_path / "g.json"
+    gradient.write_text("[1, 2, 3]")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "p": 3, "n_e": 2, "n_h": 3, "s": 1, "nu": 1,
+        "gradients": {"kind": "file", "path": str(gradient)},
+    }))
+    reads = []
+    load_gradient = sim.load_gradient
+
+    def counting(*args, **kwargs):
+        reads.append(args)
+        return load_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "load_gradient", counting)
+    assert main(["simulate", "--scenario", str(scenario), "--rounds", "3"]) == 0
+    assert capsys.readouterr().out.count("pass") == 3
+    assert len(reads) == 1

@@ -2,6 +2,7 @@
 
 import copy
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -272,3 +273,101 @@ def test_average_exhaustive_vs_monte_carlo():
         cost_average(params, mode="monte_carlo", trials=0)
     with pytest.raises(ValueError):
         cost_average(params, mode="nope")
+
+
+# Exact worst-case C_HM from brute force wherever the theorem reports
+# tight=False, over the sweep below: (n_h, s, nu, n_e) -> max over Omega(s).
+# In 17 entries the exact value is the bound min(n_e, alpha), attained by a
+# matrix other than the adversarial pattern; the 11 entries below the bound
+# are where a sharper bound would hold.
+NON_TIGHT_WORST_CASE = {
+    (3, 1, 1, 2): Fraction(2),
+    (4, 1, 1, 2): Fraction(11, 6),
+    (4, 1, 1, 3): Fraction(2),
+    (4, 1, 2, 2): Fraction(2),
+    (4, 1, 2, 3): Fraction(3),
+    (4, 2, 1, 2): Fraction(2),
+    (4, 2, 1, 3): Fraction(3),
+    (5, 1, 1, 2): Fraction(17, 10),
+    (5, 1, 1, 3): Fraction(19, 10),
+    (5, 1, 2, 2): Fraction(19, 10),
+    (5, 1, 2, 3): Fraction(27, 10),
+    (5, 1, 3, 2): Fraction(2),
+    (5, 1, 3, 3): Fraction(3),
+    (5, 2, 1, 2): Fraction(2),
+    (5, 2, 2, 2): Fraction(2),
+    (5, 3, 1, 2): Fraction(2),
+    (6, 1, 1, 2): Fraction(8, 5),
+    (6, 1, 1, 3): Fraction(9, 5),
+    (6, 1, 2, 2): Fraction(9, 5),
+    (6, 1, 2, 3): Fraction(49, 20),
+    (6, 1, 3, 2): Fraction(29, 15),
+    (6, 1, 3, 3): Fraction(14, 5),
+    (6, 1, 4, 2): Fraction(2),
+    (6, 1, 4, 3): Fraction(3),
+    (6, 2, 1, 2): Fraction(2),
+    (6, 2, 2, 2): Fraction(2),
+    (6, 2, 3, 2): Fraction(2),
+    (6, 4, 1, 2): Fraction(2),
+}
+SWEEP_OMEGA_CAP = 256
+
+
+def counted_betas(row_masks, n_h, k, s):
+    """beta_l of every layer, counted without layeragg's planner.
+
+    Row masks hold each edge's erased helpers as bits. A layer's cover of
+    a footprint is that footprint filled up to s bits with the layer's
+    smallest free helpers; beta_l counts the distinct covers.
+    """
+    betas = []
+    for layer in combinations(range(n_h), k):
+        in_layer = sum(1 << h for h in layer)
+        covers = set()
+        for footprint in {m & in_layer for m in row_masks}:
+            cover = footprint
+            for h in layer:
+                if bin(cover).count("1") == s:
+                    break
+                cover |= 1 << h
+            covers.add(cover)
+        betas.append(len(covers))
+    return betas
+
+
+def test_costs_match_an_independent_count_on_every_small_system():
+    non_tight = {}
+    for n_h in range(2, 7):
+        for s in range(1, n_h):
+            rows = [sum(1 << h for h in erased) for erased in combinations(range(n_h), s)]
+            for nu in range(1, n_h - s + 1):
+                for n_e in range(1, 9):
+                    if len(rows) ** n_e > SWEEP_OMEGA_CAP:
+                        break
+                    params = SchemeParams(
+                        p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu
+                    )
+                    total = worst = 0
+                    for choice in product(rows, repeat=n_e):
+                        betas = counted_betas(choice, n_h, nu + s, s)
+                        eps = np.array(
+                            [[m >> h & 1 for h in range(n_h)] for m in choice], dtype=np.uint8
+                        )
+                        plan = RoundPlan(eps, params)
+                        assert [lp.beta for lp in plan.layer_plans] == betas, choice
+                        total += sum(betas)
+                        worst = max(worst, sum(betas))
+                    # C_HM(eps) = nu*d*sum(beta) / (d*L*nu) = sum(beta) / L
+                    key = (n_h, s, nu, n_e)
+                    count = len(rows) ** n_e
+                    assert cost_average(params).value == Fraction(total, params.layers * count), key
+                    exact = cost_worst_case(params, "brute_force").value
+                    assert exact == Fraction(worst, params.layers), key
+                    assert exact <= min(n_e, params.alpha), key
+                    theorem = cost_worst_case(params)
+                    assert theorem.lower_bound <= exact, key
+                    if theorem.tight:
+                        assert exact == theorem.value, key
+                    else:
+                        non_tight[key] = exact
+    assert non_tight == NON_TIGHT_WORST_CASE

@@ -25,6 +25,7 @@ from layeragg.erasure import from_erased_sets, validate  # noqa: E402
 from layeragg.gf import GF  # noqa: E402
 from layeragg.master import cost_realized, decode_global  # noqa: E402
 from layeragg.mds import make_generator  # noqa: E402
+from reference_plan import reference_plan_layer, reference_schedules  # noqa: E402
 
 
 @st.composite
@@ -83,3 +84,36 @@ def test_decode_equals_xor_sum_over_the_wire(case):
     assert hm_symbols == cost_realized(plan).hm_symbols == params.nu * params.d * beta_total
     decoded = decode_global(messages, plan, code)
     assert np.array_equal(decoded, np.bitwise_xor.reduce(grads, axis=0))
+
+
+@st.composite
+def erasure_matrices(draw):
+    n_h = draw(st.integers(2, 7))
+    s = draw(st.integers(1, n_h - 1))
+    nu = draw(st.integers(1, n_h - s))
+    n_e = draw(st.integers(1, 8))
+    strict = draw(st.booleans())
+    rows = draw(
+        st.lists(
+            st.lists(
+                st.integers(0, n_h - 1), min_size=s if strict else 0, max_size=s, unique=True
+            ),
+            min_size=n_e,
+            max_size=n_e,
+        )
+    )
+    params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu)
+    return params, from_erased_sets(rows, n_h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(erasure_matrices())
+def test_plan_and_schedules_equal_the_reference(case):
+    params, eps = case
+    plan = RoundPlan(eps, params)
+    for layer, helpers in enumerate(params.layer_map):
+        got = plan.layer_plans[layer]
+        want = reference_plan_layer(layer, helpers, eps, params.s)
+        for name in ("layer", "helpers", "classes", "phi", "images", "groups"):
+            assert getattr(got, name) == getattr(want, name), (name, layer)
+    assert plan.schedules == reference_schedules(params, plan.layer_plans)
