@@ -292,7 +292,9 @@ class RoundPlan:
         """
         layer, first_group, emitters = self._emitters
         emits = emitters >= 0
-        code = emits @ (1 << np.arange(emits.shape[1]))
+        # the cover table's slot weights: Python integers past 64 slots, so
+        # no two patterns share a code
+        code = emits @ _cover_table(emits.shape[1], self.params.s).weights
         _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
         by_pattern = np.argsort(pattern, kind="stable")
         bounds = np.append(0, np.cumsum(np.bincount(pattern))).tolist()

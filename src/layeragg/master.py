@@ -62,7 +62,14 @@ class CostReport:
 
 @dataclass(frozen=True)
 class WorstCaseCost:
-    """Worst-case helper-to-master cost; tight means some matrix achieves value."""
+    """Worst-case helper-to-master cost.
+
+    value bounds the cost of every matrix in Omega(s). lower_bound is the
+    cost of a matrix that the mode evaluated, and tight means that matrix
+    attains the bound (lower_bound == value). In theorem mode that matrix
+    is the adversarial pattern, so tight=False leaves open whether some
+    other matrix attains value; brute_force mode is always tight.
+    """
 
     value: Fraction
     tight: bool
@@ -202,10 +209,12 @@ def cost_realized(plan: RoundPlan) -> CostReport:
 def cost_worst_case(params: SchemeParams, mode: str = "theorem") -> WorstCaseCost:
     """max over Omega(s) of the realized helper-to-master cost.
 
-    theorem mode is closed-form: C(nu+s, s) when n_e >= C(n_h, s) (tight,
-    adversarial pattern attains it); otherwise the bound min(n_e, alpha),
-    reported with the adversarial pattern's cost as an achieved lower
-    bound and tight only when both agree. brute_force enumerates Omega(s).
+    theorem mode is closed-form: C(nu+s, s) when n_e >= C(n_h, s), which
+    the adversarial pattern attains (tight); otherwise the bound
+    min(n_e, alpha), with the adversarial pattern's cost as lower_bound,
+    and tight only when the adversarial pattern attains the bound. Another
+    matrix may attain it when tight is False. brute_force enumerates
+    Omega(s) and returns the exact maximum.
     """
     if mode == "theorem":
         bound = Fraction(min(params.n_e, params.alpha))

@@ -103,6 +103,19 @@ def test_plan_of_a_layer_wider_than_a_machine_word(k):
     assert plan.images == ((0,), (k - 2,), (k - 1,))
 
 
+@pytest.mark.parametrize("k", [63, 64, 66])
+def test_round_of_a_layer_wider_than_a_machine_word(k):
+    """Emitter patterns that differ only in slots past 64 decode apart."""
+    eps = np.zeros((3, k), dtype=np.uint8)
+    eps[0, k - 1] = eps[1, k - 2] = eps[2, 0] = 1
+    scenario = Scenario(p=200, n_e=3, n_h=k, s=1, nu=k - 1, seed=1)
+    assert run_round(scenario, eps=eps).passed
+    plan = RoundPlan(eps, scenario.params())
+    assert list(plan.decode_patterns) == [
+        tuple(range(1, k)), tuple(range(k - 2)) + (k - 1,), tuple(range(k - 1)),
+    ]
+
+
 def test_cover_table_is_shared_per_shape_and_not_built_at_import():
     src = str(Path(layeragg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

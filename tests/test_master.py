@@ -276,10 +276,11 @@ def test_average_exhaustive_vs_monte_carlo():
 
 
 # Exact worst-case C_HM from brute force wherever the theorem reports
-# tight=False, over the sweep below: (n_h, s, nu, n_e) -> max over Omega(s).
-# In 17 entries the exact value is the bound min(n_e, alpha), attained by a
-# matrix other than the adversarial pattern; the 11 entries below the bound
-# are where a sharper bound would hold.
+# tight=False (the adversarial pattern misses the bound), over the sweep
+# below: (n_h, s, nu, n_e) -> max over Omega(s). In 17 entries the exact
+# value is the bound min(n_e, alpha), attained by a matrix other than the
+# adversarial pattern; the 11 entries below the bound are where a sharper
+# bound would hold.
 NON_TIGHT_WORST_CASE = {
     (3, 1, 1, 2): Fraction(2),
     (4, 1, 1, 2): Fraction(11, 6),
@@ -366,6 +367,7 @@ def test_costs_match_an_independent_count_on_every_small_system():
                     assert exact <= min(n_e, params.alpha), key
                     theorem = cost_worst_case(params)
                     assert theorem.lower_bound <= exact, key
+                    assert theorem.tight == (theorem.lower_bound == theorem.value), key
                     if theorem.tight:
                         assert exact == theorem.value, key
                     else:
