@@ -168,16 +168,23 @@ class RoundPlan:
     layer_plans      one LayerAggregationPlan per layer, in layer order
     schedules        per helper, the ordered (layer, image index) pairs it
                      emits: layers ascending, image index ascending, only
-                     where the helper sits outside the cover
+                     where the helper sits outside the cover; the one
+                     place the emission order is decided
     helper_index     per helper, the HelperIndex of its fold
-    decode_patterns  per emitter-slot pattern, the groups the master
-                     decodes with one solve
+    decode_patterns  per emitter-slot pattern, the layers and message rows
+                     the master decodes with one solve
 
-    The index tables are built on first use, so callers that only count
-    never pay for them.
+    Both index tables read their entry rows from one table built off
+    schedules. All three are built on first use, so callers that only
+    count never pay for them. eps must have shape (n_e, n_h).
     """
 
     def __init__(self, eps: np.ndarray, params: SchemeParams):
+        if np.shape(eps) != (params.n_e, params.n_h):
+            raise ValueError(
+                f"erasure matrix has shape {np.shape(eps)}, expected "
+                f"(n_e, n_h) = ({params.n_e}, {params.n_h})"
+            )
         self.eps = eps
         self.params = params
         self.layer_plans = tuple(
@@ -196,31 +203,38 @@ class RoundPlan:
         self.schedules = tuple(map(tuple, schedules))
 
     @cached_property
-    def _emitters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _message_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every group of the round, numbered layer-major so that numbers
-        order like (layer, image index) pairs: its layer, the first number
-        of each layer, and a (groups, nu+s) array of its layer's helpers,
-        with -1 in the slots of its cover (the helpers that do not emit it).
+        order like (layer, image index) pairs: its layer, and two
+        (groups, nu+s) arrays over its layer's helper slots, -1 in the slots
+        of its cover: the helper that emits it, and the row of that entry in
+        the messages concatenated in helper order. Read off schedules, the
+        one place the emission order is decided.
         """
         params = self.params
         betas = [lp.beta for lp in self.layer_plans]
         layer = np.repeat(np.arange(params.layers), betas)
-        covers = [cover for lp in self.layer_plans for cover in lp.images]
-        lens = np.fromiter(map(len, covers), dtype=np.intp, count=len(covers))
-        in_cover = np.zeros((len(covers), params.n_h), dtype=bool)
-        in_cover[
-            np.repeat(np.arange(len(covers)), lens),
-            np.fromiter(chain.from_iterable(covers), dtype=np.intp, count=lens.sum()),
-        ] = True
-        helpers = np.array(params.layer_map.subsets, dtype=np.intp)[layer]
-        emitters = np.where(np.take_along_axis(in_cover, helpers, axis=1), -1, helpers)
-        return layer, np.cumsum(betas) - betas, emitters
+        lens = [len(schedule) for schedule in self.schedules]
+        entry_layer, entry_image = np.fromiter(
+            chain.from_iterable(chain.from_iterable(self.schedules)),
+            dtype=np.intp, count=2 * sum(lens),
+        ).reshape(-1, 2).T
+        k = params.nu + params.s
+        subsets = np.array(params.layer_map.subsets, dtype=np.intp)
+        slot_of = np.empty((params.layers, params.n_h), dtype=np.intp)
+        slot_of[np.arange(params.layers)[:, None], subsets] = np.arange(k)
+        rows = np.full((len(layer), k), -1, dtype=np.intp)
+        rows[
+            (np.cumsum(betas) - betas)[entry_layer] + entry_image,
+            slot_of[entry_layer, np.repeat(np.arange(params.n_h), lens)],
+        ] = np.arange(len(entry_layer))
+        return layer, np.where(rows >= 0, subsets[layer], -1), rows
 
     @cached_property
     def helper_index(self) -> tuple[HelperIndex, ...]:
         """One HelperIndex per helper."""
         params = self.params
-        layer, _, emitters = self._emitters
+        layer, emitters, message_rows = self._message_rows
         groups = [g for lp in self.layer_plans for g in lp.groups]
         sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
         members = np.fromiter(
@@ -235,12 +249,16 @@ class RoundPlan:
             np.arange(len(members)) - (np.cumsum(sizes) - sizes)[member_group]
         )
         index = []
+        start = 0
         for j in range(params.n_h):
-            # j's entries are the groups it emits, in schedule order
-            emitted = (emitters == j).any(axis=1)
-            entry_of = np.where(emitted, np.cumsum(emitted) - 1, -1)
-            r = sizes[emitted]
-            m = len(r)
+            # j's entries are the groups it emits, numbered by their rows
+            g, slot = np.nonzero(emitters == j)
+            m = len(g)
+            entry_of = np.full(len(groups), -1, dtype=np.intp)
+            entry_of[g] = message_rows[g, slot] - start
+            start += m
+            r = np.empty(m, dtype=np.intp)
+            r[entry_of[g]] = sizes[g]
             # entries by size, schedule order within a size: one block each
             by_size = np.argsort(r, kind="stable")
             count = np.bincount(r)
@@ -281,17 +299,17 @@ class RoundPlan:
         return tuple(index)
 
     @cached_property
-    def decode_patterns(
-        self,
-    ) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Emitter-slot pattern -> (layer ids, image ids, (nu, groups) emitters),
+    def decode_patterns(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+        """Emitter-slot pattern -> (layer ids, (nu, groups) message rows),
         patterns in order of first appearance.
 
-        Images inside a layer are distinct, so a pattern holds at most one
-        group per layer.
+        Column g of the rows holds the nu entries of the pattern's g-th
+        group, emitter slots ascending, as rows of the messages concatenated
+        in helper order. Images inside a layer are distinct, so a pattern
+        holds at most one group per layer.
         """
-        layer, first_group, emitters = self._emitters
-        emits = emitters >= 0
+        layer, _, rows = self._message_rows
+        emits = rows >= 0
         # the cover table's slot weights: Python integers past 64 slots, so
         # no two patterns share a code
         code = emits @ _cover_table(emits.shape[1], self.params.s).weights
@@ -302,10 +320,7 @@ class RoundPlan:
         for p in np.argsort(first).tolist():
             groups = by_pattern[bounds[p] : bounds[p + 1]]
             slots = np.flatnonzero(emits[groups[0]])
-            layers = layer[groups]
-            patterns[tuple(slots.tolist())] = (
-                layers, groups - first_group[layers], emitters[groups][:, slots].T
-            )
+            patterns[tuple(slots.tolist())] = (layer[groups], rows[groups][:, slots].T)
         return patterns
 
 
@@ -326,13 +341,21 @@ def aggregate_helper(
     """Run the aggregation strategy at helper j, in the order of its schedule.
 
     received maps edge index -> that edge's (b, d) column, present only
-    for surviving links. Every group sum only touches edges whose link
-    to j survived; a gap means the erasure bookkeeping is broken. The
-    symbols are copied once into a buffer laid out by plan.helper_index,
-    and each block of equal-size groups is folded with one xor_sum.
+    for surviving links; a column of another shape raises ProtocolError.
+    Every group sum only touches edges whose link to j survived; a gap
+    means the erasure bookkeeping is broken. The symbols are copied once
+    into a buffer laid out by plan.helper_index, and each block of
+    equal-size groups is folded with one xor_sum.
     """
+    params = plan.params
+    for i, column in received.items():
+        if np.shape(column) != (params.b, params.d):
+            raise ProtocolError(
+                f"helper {j} got a column of shape {np.shape(column)} from edge {i}, "
+                f"expected ({params.b}, {params.d})"
+            )
     index = plan.helper_index[j]
-    d = plan.params.d
+    d = params.d
     buffer = np.empty((index.rows, d), dtype=field.dtype)
     for i, layer, pos, rows in index.edges:
         if plan.eps[i, j] or i not in received:

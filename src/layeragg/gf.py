@@ -19,8 +19,8 @@ its coefficients c_i = a[lo+i, k], each in its own lane of
 symbol byte, column block), and row i of the output is the XOR of the
 word's gathers shifted right by 8*element_bytes*i bits. Columns go in
 blocks of BLOCK symbols, so that a block's gather indices and words stay
-in L2. The log/antilog tables serve only to build the product tables,
-once per coefficient and once per word of coefficients.
+in L2. The log/antilog tables serve only to build the packed tables,
+once per word of coefficients.
 """
 
 from __future__ import annotations
@@ -87,19 +87,6 @@ def _log_exp_tables(m: int, poly: int) -> tuple[int, np.ndarray, np.ndarray]:
     )
 
 
-@lru_cache(maxsize=4096)
-def _byte_tables(m: int, poly: int, c: int) -> np.ndarray:
-    """Product tables T[t][x] = c*(x << 8t) of a nonzero coefficient c."""
-    _, exp, log = _log_exp_tables(m, poly)
-    nbytes = (m + 7) // 8
-    x = np.arange(1, min(1 << m, 256))
-    table = np.zeros((nbytes, x.size + 1), dtype=exp.dtype)
-    for t in range(nbytes):
-        table[t, 1:] = exp[log[c] + log[x << (8 * t)]]
-    table.setflags(write=False)
-    return table
-
-
 # Columns of b per block of GF.matmul. A block's gather indices (8 bytes
 # per symbol) and its words (at most 8 bytes per symbol) then take at most
 # 512 KiB per array, so they stay in L2 and the kernel's scratch memory
@@ -113,17 +100,23 @@ def _word_tables(m: int, poly: int, coefs: tuple[int, ...]) -> np.ndarray:
     """Packed product tables of one word of coefficients, read-only.
 
     W[t][x] = XOR_i (c_i*(x << 8t)) << (8*element_bytes*i), stored in the
-    narrowest of uint8/16/32/64 that holds len(coefs) elements. Shape as
-    _byte_tables. At most 1024 are kept, so the cache holds at most
-    1024 * 2 * 256 * 8 B = 4 MiB (element_bytes <= 2, entries <= 8 B).
+    narrowest of uint8/16/32/64 that holds len(coefs) elements. Shape
+    (element_bytes, 256), or (1, 2^m) when m < 8, so that a symbol outside
+    the field fails the gather instead of reading a product. At most 1024
+    are kept, so the cache holds at most 1024 * 2 * 256 * 8 B = 4 MiB
+    (element_bytes <= 2, entries <= 8 B).
     """
+    _, exp, log = _log_exp_tables(m, poly)
     nbytes = (m + 7) // 8
     width = 8 * nbytes
     dtype = np.min_scalar_type((1 << (width * len(coefs))) - 1)
-    table = np.zeros((nbytes, min(1 << m, 256)), dtype=dtype)
-    for i, c in enumerate(coefs):
-        if c:
-            table |= _byte_tables(m, poly, c).astype(dtype) << (width * i)
+    x = np.arange(1, min(1 << m, 256))
+    table = np.zeros((nbytes, x.size + 1), dtype=dtype)
+    for t in range(nbytes):
+        log_x = log[x << (8 * t)]
+        for i, c in enumerate(coefs):
+            if c:
+                table[t, 1:] |= exp[log[c] + log_x].astype(dtype) << (width * i)
     table.setflags(write=False)
     return table
 
@@ -247,17 +240,6 @@ class GF:
                     out_row[cols] = word
                     word >>= width
         return out
-
-    def byte_tables(self, c: int) -> np.ndarray:
-        """Read-only product tables of coefficient c: T[t][x] = c*(x << 8t).
-
-        Shape (element_bytes, 256), or (1, 2^m) when m < 8, so that a
-        symbol outside the field fails the gather instead of reading a
-        product. Built once per coefficient per field.
-        """
-        if not 1 <= c < self.order:
-            raise ValueError(f"coefficient {c} is not a nonzero element of {self!r}")
-        return _byte_tables(self.m, self.poly, int(c))
 
     def xor_sum(self, rows: np.ndarray) -> np.ndarray:
         """Field sum (XOR) of the rows of a (rows, d) array."""

@@ -1,12 +1,13 @@
 """Master-side reconstruction of the gradient sum and exact cost accounting.
 
-The master re-derives every helper's emission order from the erasure
-matrix, so the aggregated messages need no tags: entry positions are
-read from a (helper, layer, group) table, the nu entries of a group are
-MDS-decoded at the coordinates of the emitting helpers (one solve per
-coordinate pattern, shared by every group with that pattern), group
-messages are summed into per-layer totals, and the partition layout is
-inverted.
+The master derives every helper's emission order from the erasure
+matrix, through the same RoundPlan the helpers use, so the aggregated
+messages need no tags. The plan's decode_patterns hold, per emitter-slot
+pattern, the rows of the concatenated messages that carry each group's
+nu entries; the master gathers those rows once per pattern and
+MDS-decodes them at the coordinates of the emitting helpers (one solve
+per pattern, shared by every group with that pattern), sums the group
+messages into per-layer totals, and inverts the partition layout.
 
 Costs are exact rationals. The primary c_eh / c_hm_realized fields are
 normalized by the padded gradient length, which makes the closed forms
@@ -18,15 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb
 
 import numpy as np
 
-from .aggregate import AggregatedMessage, RoundPlan
+from .aggregate import RoundPlan
 from .client import SchemeParams, reassemble_gradient
 from .erasure import enumerate_all, omega_size, sample_uniform, worst_case_pattern
 from .errors import ProtocolError
+from .gf import is_integer
 from .mds import MdsCode, invert_matrix
 
 
@@ -116,21 +117,16 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     emitters. Groups that share those slots share one solve: their rows
     are gathered side by side and decoded with one field matmul.
 
-    Each group has exactly nu emitters, so there is no redundancy: a
-    message whose shape, count or sender is wrong raises ProtocolError,
-    but a corrupted symbol *value* cannot be detected and decodes into a
-    wrong sum.
+    The rows to gather come from plan.decode_patterns. A message whose
+    sender slot, symbol width or length (against its schedule) is wrong
+    raises ProtocolError. Each group has exactly nu emitters, so there is
+    no redundancy: a corrupted symbol *value* cannot be detected and
+    decodes into a wrong sum.
     """
     params = plan.params
     if len(messages) != params.n_h:
         raise ProtocolError(f"need {params.n_h} helper messages, got {len(messages)}")
-    # position of each (layer, group) entry in the concatenated messages,
-    # per helper; re-derived from the schedules on every call
-    width = params.alpha
-    position = np.full((params.n_h, params.layers * width), -1, dtype=np.intp)
-    start = 0
-    for j, schedule in enumerate(plan.schedules):
-        msg: AggregatedMessage = messages[j]
+    for j, (msg, schedule) in enumerate(zip(messages, plan.schedules)):
         if msg.helper != j:
             raise ProtocolError(f"slot {j} holds the message of helper {msg.helper}")
         if msg.entries.ndim != 2 or msg.entries.shape[1] != params.d:
@@ -142,34 +138,13 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
             raise ProtocolError(
                 f"helper {j} sent {len(msg)} entries, schedule has {len(schedule)}"
             )
-        pairs = np.fromiter(
-            chain.from_iterable(schedule), dtype=np.intp, count=2 * len(schedule)
-        ).reshape(-1, 2)
-        keys = pairs[:, 0] * width + pairs[:, 1]
-        back = np.flatnonzero(np.diff(keys) <= 0)
-        if back.size:
-            (layer, a), before = schedule[back[0] + 1], schedule[back[0]]
-            raise ProtocolError(
-                f"schedule of helper {j} lists layer {layer}, group {a} "
-                f"after layer {before[0]}, group {before[1]}"
-            )
-        position[j, keys] = np.arange(start, start + len(schedule))
-        start += len(schedule)
 
     field = code.field
     stacked = np.concatenate([m.entries for m in messages]).astype(
         field.dtype, copy=False
     )
     layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
-    for slots, (layers, images, emitters) in plan.decode_patterns.items():
-        rows = position[emitters, layers * width + images]
-        missing = np.argwhere(rows.T < 0)
-        if missing.size:
-            g, r = missing[0]
-            raise ProtocolError(
-                f"missing entry for layer {layers[g]}, group {images[g]}, "
-                f"helper {emitters[r, g]}"
-            )
+    for slots, (layers, rows) in plan.decode_patterns.items():
         solver = invert_matrix(field, code.generator[:, list(slots)].T)
         decoded = field.matmul(solver, stacked[rows].reshape(params.nu, -1))
         layer_sums[layers] ^= decoded.reshape(
@@ -256,8 +231,8 @@ def cost_average(
         count = omega_size(params.n_e, params.n_h, params.s)
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)
     if mode == "monte_carlo":
-        if trials < 1:
-            raise ValueError(f"trials must be positive, got {trials}")
+        if not is_integer(trials) or trials < 1:
+            raise ValueError(f"trials must be a positive integer, got {trials!r}")
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         samples = np.empty(trials)
         for t in range(trials):

@@ -1,6 +1,7 @@
 """Aggregation plan and helper emission tests, pinned to the seven-edge example."""
 
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -265,6 +266,29 @@ def test_aggregate_detects_missing_column(gf8):
     received.pop(3)  # edge 3's link to helper 0 survived but the column is gone
     with pytest.raises(ProtocolError):
         aggregate_helper(0, received, RoundPlan(eps, params), gf8)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [lambda b, d: (b, 1), lambda b, d: (b,), lambda b, d: (b + 3, d), lambda b, d: (b, d, 1)],
+    ids=["one-symbol", "flat", "three-rows-long", "three-axes"],
+)
+def test_aggregate_rejects_a_column_of_the_wrong_shape(gf8, shape):
+    params, code, eps = seven_edge_setup(gf8)
+    g = np.zeros(params.p, dtype=np.uint8)
+    received = {i: encode_client(g, params, code).column(0) for i in range(7) if not eps[i, 0]}
+    bad = shape(params.b, params.d)
+    received[3] = np.zeros(bad, dtype=np.uint8)
+    message = f"helper 0 got a column of shape {bad} from edge 3, expected ({params.b}, {params.d})"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        aggregate_helper(0, received, RoundPlan(eps, params), gf8)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5), (2, 3), (8,)])
+def test_round_plan_rejects_a_matrix_of_the_wrong_shape(shape):
+    params = SchemeParams(p=24, n_e=2, n_h=4, s=1, nu=2)
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (n_e, n_h) = (2, 4)")):
+        RoundPlan(np.zeros(shape, dtype=np.uint8), params)
 
 
 def test_wire_format_round_trip_and_layout(gf8):

@@ -109,23 +109,6 @@ def test_packed_words_over_blocks_match_logexp(m, n, k, d, zero, seed):
     assert np.array_equal(got, logexp_matmul(a, b, fld.log, fld.exp))
 
 
-@pytest.mark.parametrize("m", [4, 8, 16])
-def test_byte_tables_hold_products(m):
-    fld = GF(m)
-    c = fld.gen_pow(5)
-    table = fld.byte_tables(c)
-    assert table.shape == (fld.element_bytes, min(fld.order, 256))
-    assert not table.flags.writeable
-    for t in range(fld.element_bytes):
-        for x in range(table.shape[1]):
-            assert table[t, x] == fld.mul(c, x << (8 * t))
-    assert fld.byte_tables(c) is table  # built once per coefficient
-    with pytest.raises(ValueError):
-        fld.byte_tables(0)
-    with pytest.raises(ValueError):
-        fld.byte_tables(fld.order)
-
-
 def test_symbol_outside_small_field_fails_the_gather():
     fld = GF(4)
     with pytest.raises(IndexError):
@@ -159,7 +142,6 @@ def test_word_tables_hold_packed_products(m):
 
 def test_tables_are_shared_per_field_and_not_built_at_import():
     assert GF(16).exp is GF(16).exp
-    assert GF(16).byte_tables(7) is GF(16).byte_tables(7)
     fld = GF(16)
     word = gf._word_tables(fld.m, fld.poly, (7, 0, 1, 9))
     assert gf._word_tables(16, fld.poly, (7, 0, 1, 9)) is word
@@ -170,12 +152,12 @@ def test_tables_are_shared_per_field_and_not_built_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import layeragg; import layeragg.gf as g; print(*(f.cache_info().currsize "
-        "for f in (g._log_exp_tables, g._byte_tables, g._word_tables)))"
+        "for f in (g._log_exp_tables, g._word_tables)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_xor_reduce_empty_and_single():

@@ -1,6 +1,6 @@
 """Master decode and cost accounting tests; oracle is direct gradient summation."""
 
-import copy
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -129,36 +129,6 @@ def test_decode_names_a_message_in_the_wrong_slot(gf8):
         decode_global(swapped, plan, code)
 
 
-def _with_schedule(plan, j, schedule):
-    tampered = copy.copy(plan)
-    tampered.schedules = plan.schedules[:j] + (tuple(schedule),) + plan.schedules[j + 1 :]
-    return tampered
-
-
-def test_decode_names_a_dropped_or_reordered_schedule_entry(gf8):
-    params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
-    eps = from_erased_sets(SEVEN_EDGE_ROWS, 6)
-    rng = np.random.default_rng(8)
-    grads = np.stack([random_gradient(rng, gf8, 120) for _ in range(7)])
-    _, messages, plan, code = full_round(gf8, params, eps, grads)
-    j = 2
-    schedule = list(plan.schedules[j])
-    assert len(schedule) >= 2
-
-    # dropped: the message shrinks with the schedule, so the counts agree
-    (layer, a), kept = schedule[0], schedule[1:]
-    short = AggregatedMessage(helper=j, entries=messages[j].entries[1:])
-    tampered = messages[:j] + [short] + messages[j + 1 :]
-    with pytest.raises(ProtocolError, match=f"layer {layer}, group {a}, helper {j}"):
-        decode_global(tampered, _with_schedule(plan, j, kept), code)
-
-    # reordered: the same entries in another order
-    swapped = [schedule[1], schedule[0]] + schedule[2:]
-    layer, a = schedule[0]
-    with pytest.raises(ProtocolError, match=f"helper {j} lists layer {layer}, group {a}"):
-        decode_global(messages, _with_schedule(plan, j, swapped), code)
-
-
 def test_cost_realized_identity_and_closed_form():
     # both counting routes agree for arbitrary matrices, and c_eh is closed form
     rng = np.random.default_rng(7)
@@ -269,10 +239,27 @@ def test_average_exhaustive_vs_monte_carlo():
     assert abs(float(exact.value) - mc.value) <= 3 * mc.stderr
     worst = cost_worst_case(params, mode="brute_force")
     assert float(exact.value) <= float(worst.value)
-    with pytest.raises(ValueError):
-        cost_average(params, mode="monte_carlo", trials=0)
+    for trials in (0, -1, 2.5, "3", True):
+        with pytest.raises(ValueError, match=re.escape(f"got {trials!r}")):
+            cost_average(params, mode="monte_carlo", trials=trials)
+    assert cost_average(params, mode="monte_carlo", trials=np.int64(3)).trials == 3
     with pytest.raises(ValueError):
         cost_average(params, mode="nope")
+
+
+def test_counting_never_builds_the_message_row_table(monkeypatch):
+    def built(plan):
+        pytest.fail("a cost call built the message-row table")
+
+    monkeypatch.setattr(RoundPlan, "_message_rows", property(built))
+    params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
+    cost_average(params, mode="monte_carlo", trials=20, seed=1)
+    cost_average(SchemeParams(p=6, n_e=2, n_h=4, s=1, nu=2), mode="exhaustive")
+    cost_worst_case(params)
+    # the probe fires on the first read of an index table
+    plan = RoundPlan(np.zeros((7, 6), dtype=np.uint8), params)
+    with pytest.raises(pytest.fail.Exception):
+        plan.decode_patterns
 
 
 # Exact worst-case C_HM from brute force wherever the theorem reports

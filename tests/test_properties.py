@@ -116,4 +116,18 @@ def test_plan_and_schedules_equal_the_reference(case):
         want = reference_plan_layer(layer, helpers, eps, params.s)
         for name in ("layer", "helpers", "classes", "phi", "images", "groups"):
             assert getattr(got, name) == getattr(want, name), (name, layer)
-    assert plan.schedules == reference_schedules(params, plan.layer_plans)
+    schedules = reference_schedules(params, plan.layer_plans)
+    assert plan.schedules == schedules
+    # each decode row is the position of its (layer, image) entry in the
+    # concatenated reference schedules, at the emitter of its slot
+    entries = [(j, layer, a) for j, schedule in enumerate(schedules) for layer, a in schedule]
+    seen = []
+    for slots, (layers, rows) in plan.decode_patterns.items():
+        assert rows.shape == (params.nu, len(layers))
+        for layer, column in zip(layers.tolist(), rows.T.tolist()):
+            helpers = params.layer_map[layer]
+            got = [entries[r] for r in column]
+            assert [(j, lay) for j, lay, _ in got] == [(helpers[t], layer) for t in slots]
+            assert len({a for *_, a in got}) == 1
+            seen += column
+    assert sorted(seen) == list(range(len(entries)))

@@ -1,5 +1,6 @@
 """Source checks on the package: no invariant depends on `assert`, which
-`python -O` strips, and no import needs a package it does not declare."""
+`python -O` strips, no import needs a package it does not declare, and
+no module imports a name it does not use."""
 
 import ast
 import importlib.util
@@ -53,3 +54,34 @@ def test_package_imports_only_the_stdlib_and_declared_dependencies():
                 if name.split(".")[0] not in allowed
             ]
     assert not found, f"undeclared imports in the package: {', '.join(found)}"
+
+
+def _exported(tree) -> set[str]:
+    """The names a module lists in a top-level `__all__ = [...]`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_modules_use_every_name_they_import():
+    found = []
+    for path, tree in _sources():
+        kept = _exported(tree) | {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name not in kept
+            ]
+    assert not found, f"unused imports in the package: {', '.join(found)}"
