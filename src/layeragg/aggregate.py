@@ -1,91 +1,162 @@
-"""Helper-side aggregation: per-layer edge classes, group sums, emitted messages.
+"""Helper-side aggregation: per-layer cover ids, group sums, emitted messages.
 
-Within a layer, edges whose erasures hit the layer's helper set in the
-same way are interchangeable; each such class is covered by the
+Within a layer, an edge's footprint is the set of the layer's helpers
+whose links from that edge failed. Each edge is covered by the
 lexicographically smallest s-subset of the layer's helpers that contains
-its erasure footprint. Classes sharing a cover are merged into one
-group, and every helper outside the cover emits that group's symbol sum.
-Helpers and the master derive identical plans from the erasure matrix
-alone, so the wire format needs no per-entry metadata; RoundPlan builds
-that plan once per matrix for all of them.
+its footprint; edges sharing a cover form one group, and every helper
+outside the cover emits that group's symbol sum. Covers are numbered in
+lexicographic order, so a layer's plan is one cover id per edge and a
+round's plan is one (n_e, L) array of them, from which everything else
+is derived with array operations. Helpers and the master derive
+identical plans from the erasure matrix alone, so the wire format needs
+no per-entry metadata; RoundPlan builds that plan once per matrix for
+all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from math import comb
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .client import SchemeParams
-from .errors import ProtocolError
+from .errors import ConfigurationError, ProtocolError
 from .gf import GF
 
-
-@dataclass(frozen=True)
-class LayerAggregationPlan:
-    """Who aggregates what for one layer, for a fixed erasure matrix.
-
-    classes     partition of the edges, ordered by smallest member
-    phi         per-class cover subset (parallel to classes)
-    images      the distinct covers, in lexicographic order
-    groups      merged edge set per image (parallel to images)
-    """
-
-    layer: int
-    helpers: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    phi: tuple[tuple[int, ...], ...]
-    images: tuple[tuple[int, ...], ...]
-    groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def beta(self) -> int:
-        return len(self.images)
+# Layers of at most this many slots read cover ids from one table over
+# all 2^k footprint masks and cover slots from one over all C(k, s) ids;
+# wider layers run the arithmetic that fills those tables on each lookup.
+# On a 2-vCPU x86 host a lookup of 50 footprints takes ~3 us from the
+# table and ~40 us by rank at every k; building the table takes ~3.5 ms
+# and 1.7 MiB of transient memory at k = 12, and doubles with each slot
+# beyond (54 ms and 36 MiB at k = 16), so up to 12 slots it is repaid
+# within ~100 lookups, less than half of one 210-layer plan. Its ids fit
+# int16 (C(12, 6) = 924), which makes stable sorts of them radix sorts.
+TABLE_SLOTS = 12
 
 
-def lexmin_cover(helpers: tuple[int, ...], trapped, s: int) -> tuple[int, ...]:
-    """Lexicographically smallest s-subset of helpers containing trapped.
+class _Covers:
+    """The s-subsets of a layer's k slots, numbered in lexicographic order.
 
-    helpers must be sorted ascending; filling the free slots with the
-    smallest remaining helpers is exactly the lexicographic minimum.
-    """
-    trapped = set(trapped)
-    free = s - len(trapped)
-    fill = [h for h in helpers if h not in trapped][:free]
-    return tuple(sorted(trapped | set(fill)))
-
-
-class _CoverTable(dict):
-    """Footprint bitmask over a layer's k slots -> the slots of its lexmin
-    s-cover, or None for a footprint of more than s slots.
-
-    Entries are filled on first lookup, so the table holds only the
-    footprints seen rather than all 2^k masks; masks with the same cover
-    share one tuple. weights turns a (n_e, k) 0/1 matrix into masks.
+    ids() maps (n, k) bool footprints to the id of each one's lexmin
+    cover, the smallest s-subset containing it, or -1 for a footprint of
+    more than s slots. members() maps ids back to (n, k) bool slot rows.
     """
 
     def __init__(self, k: int, s: int):
         self.k, self.s = k, s
-        # int64 holds the bits of 64 slots; wider layers use Python integers
-        self.weights = 1 << np.arange(k, dtype=np.int64 if k <= 64 else object)
-        self._covers: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # below[t, i]: the number of s-subsets that take slot t as member
+        # i+1 after i smaller members, C(k-1-t, s-1-i); 0 once all s are in.
+        # Ids past int64 are Python integers.
+        wide = comb(k, s) > np.iinfo(np.int64).max
+        self._below = np.array(
+            [[comb(k - 1 - t, s - 1 - i) for i in range(s)] + [0] for t in range(k)],
+            dtype=object if wide else np.int64,
+        )
+        self._ids = self._members = None
+        if k <= TABLE_SLOTS:
+            self._weights = 1 << np.arange(k, dtype=np.int64)
+            masks = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+            self._ids = self._rank(masks.astype(bool)).astype(np.int16)
+            self._members = self._unrank(np.arange(comb(k, s)))
 
-    def __missing__(self, mask: int) -> tuple[int, ...] | None:
-        footprint = [t for t in range(self.k) if mask >> t & 1]
-        if len(footprint) > self.s:
-            return None
-        cover = lexmin_cover(tuple(range(self.k)), footprint, self.s)
-        cover = self[mask] = self._covers.setdefault(cover, cover)
-        return cover
+    def _rank(self, footprints: np.ndarray) -> np.ndarray:
+        weight = footprints.sum(axis=1)
+        free = ~footprints
+        # the lexmin cover adds the s - weight smallest free slots
+        cover = footprints | free & (np.cumsum(free, axis=1) <= (self.s - weight)[:, None])
+        # a slot the cover skips, with i < s members before it, passes over
+        # the below[t, i] subsets that take it next
+        taken = np.minimum(np.cumsum(cover, axis=1) - cover, self.s)
+        ids = np.where(cover, 0, self._below[np.arange(self.k), taken]).sum(axis=1)
+        ids[weight > self.s] = -1
+        return ids
+
+    def _unrank(self, ids) -> np.ndarray:
+        rest = np.array(ids, dtype=self._below.dtype)
+        taken = np.zeros(len(rest), dtype=np.intp)
+        member = np.empty((len(rest), self.k), dtype=bool)
+        for t in range(self.k):
+            below = self._below[t, taken]
+            member[:, t] = inside = rest < below
+            rest -= np.where(inside, 0, below)
+            taken += inside
+        return member
+
+    def ids(self, footprints: np.ndarray) -> np.ndarray:
+        if self._ids is None:
+            return self._rank(footprints)
+        return self._ids[footprints.dot(self._weights)]
+
+    def members(self, ids) -> np.ndarray:
+        if self._members is None:
+            return self._unrank(ids)
+        return self._members[ids]
 
 
 @lru_cache(maxsize=None)
-def _cover_table(k: int, s: int) -> _CoverTable:
-    """The cover table of every layer with k = nu+s slots, one per (k, s)."""
-    return _CoverTable(k, s)
+def _cover_table(k: int, s: int) -> _Covers:
+    """The covers of every layer with k = nu+s slots, one per (k, s)."""
+    return _Covers(k, s)
+
+
+@dataclass(frozen=True, eq=False)
+class LayerAggregationPlan:
+    """Who aggregates what for one layer, for a fixed erasure matrix.
+
+    footprints  (n_e, nu+s) bool: which of the layer's helpers each edge erases
+    cover       (n_e,) each edge's cover id, covers numbered in
+                lexicographic order over the layer's slots
+
+    Views read off those two on first use:
+    classes     partition of the edges by footprint, ordered by smallest member
+    phi         per-class cover subset (parallel to classes)
+    images      the distinct covers, in lexicographic order
+    groups      edge set per image (parallel to images)
+    """
+
+    layer: int
+    helpers: tuple[int, ...]
+    s: int
+    footprints: np.ndarray
+    cover: np.ndarray
+
+    @cached_property
+    def _image_ids(self) -> list[int]:
+        return np.unique(self.cover).tolist()
+
+    @property
+    def beta(self) -> int:
+        return len(self._image_ids)
+
+    def _cover_helpers(self, ids) -> tuple[tuple[int, ...], ...]:
+        helpers = np.array(self.helpers)
+        slots = _cover_table(len(self.helpers), self.s).members(ids)
+        return tuple(tuple(helpers[row].tolist()) for row in slots)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        by_footprint: dict[bytes, list[int]] = {}
+        for i, row in enumerate(self.footprints):
+            by_footprint.setdefault(row.tobytes(), []).append(i)
+        return tuple(map(tuple, by_footprint.values()))
+
+    @cached_property
+    def phi(self) -> tuple[tuple[int, ...], ...]:
+        return self._cover_helpers(self.cover[[edges[0] for edges in self.classes]])
+
+    @cached_property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        return self._cover_helpers(self._image_ids)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(np.flatnonzero(self.cover == c).tolist()) for c in self._image_ids
+        )
 
 
 def plan_layer(
@@ -93,51 +164,21 @@ def plan_layer(
 ) -> LayerAggregationPlan:
     """Build the aggregation plan for one layer from the erasure matrix.
 
-    helpers must be sorted ascending. Each edge's erasures inside the layer
-    become a bitmask over the layer's slots (any nonzero entry counts as
-    erased); edges with equal masks form a class, whose cover is read from
-    the table shared by every layer of this shape. Raises ValueError for an
-    edge that erases more than s of the layer's helpers.
+    helpers must be sorted ascending. Each edge's footprint (any nonzero
+    entry counts as erased) is looked up in the cover table shared by
+    every layer of this shape. Raises ConfigurationError for an edge that
+    erases more than s of the layer's helpers.
     """
-    table = _cover_table(len(helpers), s)
-    masks = (eps[:, helpers] != 0) @ table.weights
-    by_mask: dict[int, list[int]] = {}
-    for i, mask in enumerate(masks.tolist()):
-        by_mask.setdefault(mask, []).append(i)
-    # insertion order == order of each class's smallest member
-    classes = tuple(map(tuple, by_mask.values()))
-    to_helpers: dict[tuple[int, ...], tuple[int, ...]] = {}
-    parts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    phi = []
-    for mask, edges in zip(by_mask, classes):
-        slots = table[mask]
-        if slots is None:
-            footprint = [helpers[t] for t in range(len(helpers)) if mask >> t & 1]
-            raise ValueError(
-                f"layer {layer}: edge {edges[0]} erases helpers {footprint} "
-                f"of {tuple(helpers)}, more than s={s}"
-            )
-        cover = to_helpers.get(slots)
-        if cover is None:
-            cover = to_helpers[slots] = tuple([helpers[t] for t in slots])
-            parts[slots] = [edges]
-        else:
-            parts[slots].append(edges)
-        phi.append(cover)
-    # helpers ascend, so covers sort like their slot tuples
-    order = sorted(to_helpers)
-    return LayerAggregationPlan(
-        layer=layer,
-        helpers=tuple(helpers),
-        classes=classes,
-        phi=tuple(phi),
-        images=tuple([to_helpers[slots] for slots in order]),
-        # a cover of one class reuses that class's tuple as its group
-        groups=tuple([
-            group[0] if len(group) == 1 else tuple(sorted(chain.from_iterable(group)))
-            for group in map(parts.__getitem__, order)
-        ]),
-    )
+    footprints = eps.take(helpers, axis=1) != 0
+    cover = _cover_table(len(helpers), s).ids(footprints)
+    if cover.min(initial=0) < 0:
+        edge = int(np.argmax(cover < 0))
+        footprint = [helpers[t] for t in np.flatnonzero(footprints[edge])]
+        raise ConfigurationError(
+            f"layer {layer}: edge {edge} erases helpers {footprint} "
+            f"of {tuple(helpers)}, more than s={s}"
+        )
+    return LayerAggregationPlan(layer, tuple(helpers), s, footprints, cover)
 
 
 class HelperIndex(NamedTuple):
@@ -161,27 +202,56 @@ class HelperIndex(NamedTuple):
     blocks: tuple[tuple[np.ndarray, int, int, int], ...]
 
 
+class RoundGroups(NamedTuple):
+    """Every group of a round, numbered layer-major in image order.
+
+    layer  (groups,) the group's layer
+    cover  (groups,) its cover id
+    size   (groups,) its number of edges
+    """
+
+    layer: np.ndarray
+    cover: np.ndarray
+    size: np.ndarray
+
+
+def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of sorted ids -> the flat start of every run of equal ids in a
+    row, and the run number of every position."""
+    new = np.ones(ranked.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
 class RoundPlan:
     """The aggregation plan of one erasure matrix, built once and shared by
     every helper, the master and the cost accounting.
 
     layer_plans      one LayerAggregationPlan per layer, in layer order
-    schedules        per helper, the ordered (layer, image index) pairs it
-                     emits: layers ascending, image index ascending, only
-                     where the helper sits outside the cover; the one
-                     place the emission order is decided
+    cover            (n_e, L) every edge's cover id in every layer, stacked
+                     from layer_plans; the rest is derived from it
+    groups           the RoundGroups of the round
+    membership       two (L, n_e) arrays: each edge's group in each layer,
+                     and its rank among that group's edges, which ascend
+    beta             (L,) groups per layer
+    emitters         (groups, nu+s) per group and layer slot, the helper
+                     that emits it, -1 in the slots of its cover
+    m_j              (n_h,) each helper's message length
+    schedules        per helper, the (layer, image index) pairs it emits;
+                     a tuple view for checks and tests
     helper_index     per helper, the HelperIndex of its fold
     decode_patterns  per emitter-slot pattern, the layers and message rows
                      the master decodes with one solve
 
-    Both index tables read their entry rows from one table built off
-    schedules. All three are built on first use, so callers that only
-    count never pay for them. eps must have shape (n_e, n_h).
+    A helper emits its groups in group order: layers ascending, image
+    index ascending. All but cover are built on first use, so callers
+    that only count never pay for the index tables. eps must have shape
+    (n_e, n_h).
     """
 
     def __init__(self, eps: np.ndarray, params: SchemeParams):
         if np.shape(eps) != (params.n_e, params.n_h):
-            raise ValueError(
+            raise ConfigurationError(
                 f"erasure matrix has shape {np.shape(eps)}, expected "
                 f"(n_e, n_h) = ({params.n_e}, {params.n_h})"
             )
@@ -191,74 +261,85 @@ class RoundPlan:
             plan_layer(layer, subset, eps, params.s)
             for layer, subset in enumerate(params.layer_map)
         )
-        # layers ascending, then image index ascending: each helper's
-        # schedule comes out in emission order
-        schedules: list[list[tuple[int, int]]] = [[] for _ in range(params.n_h)]
-        for lp in self.layer_plans:
-            for a, cover in enumerate(lp.images):
-                pair = (lp.layer, a)
-                for j in lp.helpers:
-                    if j not in cover:
-                        schedules[j].append(pair)
-        self.schedules = tuple(map(tuple, schedules))
+        self.cover = np.concatenate([lp.cover for lp in self.layer_plans]).reshape(
+            params.layers, params.n_e
+        ).T
 
     @cached_property
-    def _message_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every group of the round, numbered layer-major so that numbers
-        order like (layer, image index) pairs: its layer, and two
-        (groups, nu+s) arrays over its layer's helper slots, -1 in the slots
-        of its cover: the helper that emits it, and the row of that entry in
-        the messages concatenated in helper order. Read off schedules, the
-        one place the emission order is decided.
-        """
+    def groups(self) -> RoundGroups:
+        ranked = np.sort(self.cover.T, axis=1)
+        starts, _ = _runs(ranked)
+        return RoundGroups(
+            layer=starts // self.params.n_e,
+            cover=ranked.ravel()[starts],
+            size=np.diff(starts, append=ranked.size),
+        )
+
+    @cached_property
+    def membership(self) -> tuple[np.ndarray, np.ndarray]:
+        ids = self.cover.T
+        order = np.argsort(ids, axis=1, kind="stable")
+        starts, number = _runs(np.take_along_axis(ids, order, axis=1))
+        layers = np.arange(ids.shape[0])[:, None]
+        group_of = np.empty_like(order)
+        group_of[layers, order] = number.reshape(ids.shape)
+        place = np.empty_like(order)
+        place[layers, order] = (np.arange(ids.size) - starts[number]).reshape(ids.shape)
+        return group_of, place
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return np.bincount(self.groups.layer, minlength=self.params.layers)
+
+    @cached_property
+    def emitters(self) -> np.ndarray:
         params = self.params
-        betas = [lp.beta for lp in self.layer_plans]
-        layer = np.repeat(np.arange(params.layers), betas)
-        lens = [len(schedule) for schedule in self.schedules]
-        entry_layer, entry_image = np.fromiter(
-            chain.from_iterable(chain.from_iterable(self.schedules)),
-            dtype=np.intp, count=2 * sum(lens),
-        ).reshape(-1, 2).T
-        k = params.nu + params.s
-        subsets = np.array(params.layer_map.subsets, dtype=np.intp)
-        slot_of = np.empty((params.layers, params.n_h), dtype=np.intp)
-        slot_of[np.arange(params.layers)[:, None], subsets] = np.arange(k)
-        rows = np.full((len(layer), k), -1, dtype=np.intp)
-        rows[
-            (np.cumsum(betas) - betas)[entry_layer] + entry_image,
-            slot_of[entry_layer, np.repeat(np.arange(params.n_h), lens)],
-        ] = np.arange(len(entry_layer))
-        return layer, np.where(rows >= 0, subsets[layer], -1), rows
+        inside = _cover_table(params.nu + params.s, params.s).members(self.groups.cover)
+        return np.where(inside, -1, params.layer_map.slot_helpers[self.groups.layer])
+
+    @cached_property
+    def m_j(self) -> np.ndarray:
+        return np.bincount(self.emitters.ravel() + 1, minlength=self.params.n_h + 1)[1:]
+
+    @cached_property
+    def _message_rows(self) -> np.ndarray:
+        """(groups, nu+s): the row of each group's entry in the messages
+        concatenated in helper order, at its emitter's slot; -1 in the
+        slots of its cover."""
+        emitters = self.emitters
+        g, slot = np.nonzero(emitters >= 0)
+        # helper ids in the narrowest dtype, so the stable sort is a radix sort
+        helper = emitters[g, slot].astype(np.min_scalar_type(self.params.n_h))
+        by_helper = np.argsort(helper, kind="stable")
+        rows = np.full(emitters.shape, -1, dtype=np.intp)
+        rows[g[by_helper], slot[by_helper]] = np.arange(len(g))
+        return rows
+
+    @cached_property
+    def schedules(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        rows = self._message_rows
+        entries = int(self.m_j.sum())
+        g = np.argsort(rows, axis=None)[rows.size - entries :] // rows.shape[1]
+        layer = self.groups.layer[g]
+        image = g - (np.cumsum(self.beta) - self.beta)[layer]
+        pairs = list(zip(layer.tolist(), image.tolist()))
+        ends = np.cumsum(self.m_j).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
     def helper_index(self) -> tuple[HelperIndex, ...]:
         """One HelperIndex per helper."""
         params = self.params
-        layer, emitters, message_rows = self._message_rows
-        groups = [g for lp in self.layer_plans for g in lp.groups]
-        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-        members = np.fromiter(
-            chain.from_iterable(groups), dtype=np.intp, count=params.layers * params.n_e
-        )
-        # per (layer, edge): the edge's group, and its place t inside it
-        member_group = np.repeat(np.arange(len(groups)), sizes)
-        group_of = np.empty((params.layers, params.n_e), dtype=np.intp)
-        place = np.empty_like(group_of)
-        group_of[layer[member_group], members] = member_group
-        place[layer[member_group], members] = (
-            np.arange(len(members)) - (np.cumsum(sizes) - sizes)[member_group]
-        )
+        groups, emitters = self.groups, self.emitters
+        group_of, place = self.membership
         index = []
-        start = 0
         for j in range(params.n_h):
-            # j's entries are the groups it emits, numbered by their rows
-            g, slot = np.nonzero(emitters == j)
+            # j's entries are the groups it emits, in group order
+            g = np.nonzero(emitters == j)[0]
             m = len(g)
-            entry_of = np.full(len(groups), -1, dtype=np.intp)
-            entry_of[g] = message_rows[g, slot] - start
-            start += m
-            r = np.empty(m, dtype=np.intp)
-            r[entry_of[g]] = sizes[g]
+            entry_of = np.full(len(groups.layer), -1, dtype=np.intp)
+            entry_of[g] = np.arange(m)
+            r = groups.size[g]
             # entries by size, schedule order within a size: one block each
             by_size = np.argsort(r, kind="stable")
             count = np.bincount(r)
@@ -305,21 +386,21 @@ class RoundPlan:
 
         Column g of the rows holds the nu entries of the pattern's g-th
         group, emitter slots ascending, as rows of the messages concatenated
-        in helper order. Images inside a layer are distinct, so a pattern
-        holds at most one group per layer.
+        in helper order. A group's pattern is the complement of its cover,
+        so groups with one cover id share it; covers inside a layer are
+        distinct, so a pattern holds at most one group per layer.
         """
-        layer, _, rows = self._message_rows
-        emits = rows >= 0
-        # the cover table's slot weights: Python integers past 64 slots, so
-        # no two patterns share a code
-        code = emits @ _cover_table(emits.shape[1], self.params.s).weights
-        _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
+        rows = self._message_rows
+        layer = self.groups.layer
+        _, first, pattern = np.unique(
+            self.groups.cover, return_index=True, return_inverse=True
+        )
         by_pattern = np.argsort(pattern, kind="stable")
         bounds = np.append(0, np.cumsum(np.bincount(pattern))).tolist()
         patterns = {}
         for p in np.argsort(first).tolist():
             groups = by_pattern[bounds[p] : bounds[p + 1]]
-            slots = np.flatnonzero(emits[groups[0]])
+            slots = np.flatnonzero(rows[groups[0]] >= 0)
             patterns[tuple(slots.tolist())] = (layer[groups], rows[groups][:, slots].T)
         return patterns
 

@@ -96,15 +96,17 @@ class SchemeParams:
 class LayerMap:
     """The (nu+s)-subsets of [0, n_h) in lexicographic order, with column indexes.
 
-    subset l is stored ascending; column_index(j) holds the (layer, slot)
-    pairs whose cell lands in helper j's column, in increasing layer
-    order, as two index arrays.
+    subset l is stored ascending, and slot_helpers[l, t] is its t-th
+    helper; column_index(j) holds the (layer, slot) pairs whose cell lands
+    in helper j's column, in increasing layer order, as two index arrays.
     """
 
     def __init__(self, n_h: int, k: int):
         if not 1 <= k <= n_h:
             raise ConfigurationError(f"subset size {k} out of range [1, {n_h}]")
         self.subsets = tuple(combinations(range(n_h), k))
+        self.slot_helpers = np.array(self.subsets, dtype=np.intp)
+        self.slot_helpers.setflags(write=False)
         cols: list[list[tuple[int, int]]] = [[] for _ in range(n_h)]
         for layer, subset in enumerate(self.subsets):
             for slot, h in enumerate(subset):

@@ -14,7 +14,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ConfigurationError
+from .gf import is_integer
 
 ENUMERATION_CAP = 10**6
 
@@ -28,8 +29,8 @@ def validate(eps: np.ndarray, s: int) -> None:
     if bad.size:
         row = int(bad[0])
         if nonbinary[row]:
-            raise ValueError(f"row {row} has entries other than 0 and 1: {eps[row].tolist()}")
-        raise ValueError(f"row {row} has weight {int(weights[row])}, expected at most {s}")
+            raise ConfigurationError(f"row {row} has entries other than 0 and 1: {eps[row].tolist()}")
+        raise ConfigurationError(f"row {row} has weight {int(weights[row])}, expected at most {s}")
 
 
 def from_erased_sets(rows, n_h: int) -> np.ndarray:
@@ -37,8 +38,10 @@ def from_erased_sets(rows, n_h: int) -> np.ndarray:
     eps = np.zeros((len(rows), n_h), dtype=np.uint8)
     for i, erased in enumerate(rows):
         for j in erased:
+            if not is_integer(j):
+                raise ConfigurationError(f"row {i}: helper index {j!r} is not an integer")
             if not 0 <= j < n_h:
-                raise ValueError(f"row {i}: helper index {j} out of range [0, {n_h})")
+                raise ConfigurationError(f"row {i}: helper index {j} out of range [0, {n_h})")
             eps[i, j] = 1
     return eps
 

@@ -118,7 +118,7 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     are gathered side by side and decoded with one field matmul.
 
     The rows to gather come from plan.decode_patterns. A message whose
-    sender slot, symbol width or length (against its schedule) is wrong
+    sender slot, symbol width or length (against the plan's m_j) is wrong
     raises ProtocolError. Each group has exactly nu emitters, so there is
     no redundancy: a corrupted symbol *value* cannot be detected and
     decodes into a wrong sum.
@@ -126,18 +126,16 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     params = plan.params
     if len(messages) != params.n_h:
         raise ProtocolError(f"need {params.n_h} helper messages, got {len(messages)}")
-    for j, (msg, schedule) in enumerate(zip(messages, plan.schedules)):
+    for j, (msg, m_j) in enumerate(zip(messages, plan.m_j.tolist())):
         if msg.helper != j:
             raise ProtocolError(f"slot {j} holds the message of helper {msg.helper}")
         if msg.entries.ndim != 2 or msg.entries.shape[1] != params.d:
             raise ProtocolError(
                 f"helper {j} sent entries of shape {msg.entries.shape}, "
-                f"expected ({len(schedule)}, {params.d})"
+                f"expected ({m_j}, {params.d})"
             )
-        if len(msg) != len(schedule):
-            raise ProtocolError(
-                f"helper {j} sent {len(msg)} entries, schedule has {len(schedule)}"
-            )
+        if len(msg) != m_j:
+            raise ProtocolError(f"helper {j} sent {len(msg)} entries, schedule has {m_j}")
 
     field = code.field
     stacked = np.concatenate([m.entries for m in messages]).astype(
@@ -160,8 +158,8 @@ def cost_realized(plan: RoundPlan) -> CostReport:
     cross-checked against the per-layer identity sum(m_j) = nu * sum(beta).
     """
     params = plan.params
-    m_total = sum(len(schedule) for schedule in plan.schedules)
-    beta_total = sum(lp.beta for lp in plan.layer_plans)
+    m_total = int(plan.m_j.sum())
+    beta_total = int(plan.beta.sum())
     if m_total != params.nu * beta_total:
         raise ProtocolError(
             f"plan double count broken: sum m_j = {m_total} != "

@@ -124,7 +124,25 @@ class Scenario:
             scenario.erasures.get("rounds", 1), "scenario field 'erasures.rounds'"
         )
         scenario.params()  # range checks
+        if scenario.erasures["kind"] == "matrix":
+            _check_rows(scenario.erasures["rows"], scenario)
         return scenario
+
+
+def _check_rows(rows, scenario: Scenario) -> None:
+    """Check a matrix kind's rows: n_e lists of helper indices in
+    [0, n_h), each erasing at most s helpers."""
+    name = "scenario field 'erasures.rows'"
+    if not isinstance(rows, list) or len(rows) != scenario.n_e:
+        got = f"{len(rows)} rows" if isinstance(rows, list) else repr(rows)
+        raise ConfigurationError(f"{name} must be a list of n_e = {scenario.n_e} rows, got {got}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ConfigurationError(f"{name}: row {i} must be a list of helper indices, got {row!r}")
+    try:
+        erasure.validate(erasure.from_erased_sets(rows, scenario.n_h), scenario.s)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
 
 
 def _check_rounds(value, name: str) -> int:
@@ -239,7 +257,7 @@ def run_round(
         eps = np.asarray(eps)
         erasure.validate(eps, params.s)
         if eps.shape != (params.n_e, params.n_h):
-            raise ValueError(f"erasure matrix shape {eps.shape} mismatch")
+            raise ConfigurationError(f"erasure matrix shape {eps.shape} mismatch")
         return eps
 
     eps = stage("validate", check_matrix, eps)
@@ -531,16 +549,20 @@ def verify_scheme(
         for t in range(trials):
             eps = erasure.sample_uniform(n_e, n_h, s, rng)
             plan = aggregate.RoundPlan(eps, params)
-            for j, schedule in enumerate(plan.schedules):
-                for layer, a in schedule:
-                    lp = plan.layer_plans[layer]
-                    if any(eps[i, j] for i in lp.groups[a]):
-                        avail = CheckResult(
-                            tag + "availability",
-                            False,
-                            f"trial {t}: layer {layer} group {lp.images[a]} "
-                            f"uses an erased link to helper {j}",
-                        )
+            # (L, n_e, nu+s): the emitters of each edge's group in each layer
+            group_of = plan.membership[0]
+            emitters = plan.emitters[group_of]
+            erased = (emitters >= 0) & (eps[np.arange(n_e)[:, None], emitters] != 0)
+            if avail.passed and erased.any():
+                layer, i, slot = np.argwhere(erased)[0].tolist()
+                g = group_of[layer, i]
+                images = [image for lp in plan.layer_plans for image in lp.images]
+                avail = CheckResult(
+                    tag + "availability",
+                    False,
+                    f"trial {t}: layer {layer} group {images[g]} "
+                    f"uses an erased link to helper {emitters[layer, i, slot]}",
+                )
             try:
                 master.cost_realized(plan)
             except ProtocolError as exc:

@@ -1,8 +1,37 @@
 """Readable reference planners that the fast ones in layeragg.aggregate are
-diffed against: one tuple key per edge per layer, and a per-helper scan of
-its column's layers for the schedules."""
+diffed against: one tuple key per edge per layer, covers filled by set
+arithmetic, and a per-helper scan of its column's layers for the
+schedules."""
 
-from layeragg.aggregate import LayerAggregationPlan, lexmin_cover
+from typing import NamedTuple
+
+
+class ReferencePlan(NamedTuple):
+    """The six views of one layer's plan, as LayerAggregationPlan exposes them."""
+
+    layer: int
+    helpers: tuple
+    classes: tuple
+    phi: tuple
+    images: tuple
+    groups: tuple
+
+
+def views(plan) -> ReferencePlan:
+    """A LayerAggregationPlan's six views, comparable with a ReferencePlan."""
+    return ReferencePlan(*(getattr(plan, name) for name in ReferencePlan._fields))
+
+
+def lexmin_cover(helpers, trapped, s):
+    """Lexicographically smallest s-subset of helpers containing trapped.
+
+    helpers must be sorted ascending; filling the free slots with the
+    smallest remaining helpers is exactly the lexicographic minimum.
+    """
+    trapped = set(trapped)
+    free = s - len(trapped)
+    fill = [h for h in helpers if h not in trapped][:free]
+    return tuple(sorted(trapped | set(fill)))
 
 
 def reference_plan_layer(layer, helpers, eps, s):
@@ -19,7 +48,7 @@ def reference_plan_layer(layer, helpers, eps, s):
     for cover, edges in zip(phi, classes):
         grouped[cover].extend(edges)
     groups = tuple(tuple(sorted(grouped[im])) for im in images)
-    return LayerAggregationPlan(
+    return ReferencePlan(
         layer=layer,
         helpers=tuple(helpers),
         classes=classes,

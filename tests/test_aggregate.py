@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_plan import reference_plan_layer, reference_schedules
+from reference_plan import lexmin_cover, reference_plan_layer, reference_schedules, views
 
 import layeragg
 from layeragg import aggregate
@@ -17,14 +19,13 @@ from layeragg.aggregate import (
     AggregatedMessage,
     RoundPlan,
     aggregate_helper,
-    lexmin_cover,
     message_from_bytes,
     message_to_bytes,
     plan_layer,
 )
 from layeragg.client import LayerMap, SchemeParams, encode_client, random_gradient
-from layeragg.erasure import enumerate_all, from_erased_sets, sample_uniform
-from layeragg.errors import ProtocolError
+from layeragg.erasure import enumerate_all, from_erased_sets, sample_uniform, validate
+from layeragg.errors import ConfigurationError, ProtocolError
 from layeragg.gf import GF
 from layeragg.mds import make_generator
 from layeragg.sim import Scenario, run_round
@@ -70,7 +71,7 @@ def test_seven_edge_plans_equal_the_reference(gf8):
     params, _, eps = seven_edge_setup(gf8)
     plan = RoundPlan(eps, params)
     for layer, helpers in enumerate(params.layer_map):
-        assert plan.layer_plans[layer] == reference_plan_layer(layer, helpers, eps, params.s)
+        assert views(plan.layer_plans[layer]) == reference_plan_layer(layer, helpers, eps, params.s)
     assert plan.schedules == reference_schedules(params, plan.layer_plans)
 
 
@@ -90,7 +91,7 @@ def test_plan_counts_any_nonzero_entry_as_erased():
     # a stray 2 is one erasure of its own helper, not a carry into the next slot
     eps = np.array([[2, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8)
     plan = plan_layer(0, (0, 1, 2), eps, 1)
-    assert plan == reference_plan_layer(0, (0, 1, 2), eps, 1)
+    assert views(plan) == reference_plan_layer(0, (0, 1, 2), eps, 1)
     assert plan.phi == ((0,), (1,))
 
 
@@ -100,7 +101,7 @@ def test_plan_of_a_layer_wider_than_a_machine_word(k):
     eps[0, k - 1] = eps[1, k - 2] = eps[2, 0] = 1
     helpers = tuple(range(k))
     plan = plan_layer(0, helpers, eps, 1)
-    assert plan == reference_plan_layer(0, helpers, eps, 1)
+    assert views(plan) == reference_plan_layer(0, helpers, eps, 1)
     assert plan.images == ((0,), (k - 2,), (k - 1,))
 
 
@@ -117,6 +118,57 @@ def test_round_of_a_layer_wider_than_a_machine_word(k):
     ]
 
 
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("k", [aggregate.TABLE_SLOTS, aggregate.TABLE_SLOTS + 1])
+def test_plan_on_both_sides_of_the_table_bound(k, s):
+    """Layers up to TABLE_SLOTS read their covers from tables, wider ones
+    rank each footprint; both equal the reference."""
+    rng = np.random.default_rng(k * 10 + s)
+    eps = lax_matrix(40, k, s, rng)
+    eps[:3] = 0
+    eps[0, k - s :] = eps[1, :s] = 1  # the last and the first cover
+    helpers = tuple(range(k))
+    plan = plan_layer(0, helpers, eps, s)
+    assert views(plan) == reference_plan_layer(0, helpers, eps, s)
+    eps[2, : s + 1] = 1
+    with pytest.raises(ConfigurationError, match=rf"layer 0: edge 2 erases helpers \[0, .*more than s={s}"):
+        plan_layer(0, helpers, eps, s)
+
+
+def test_a_layer_with_more_covers_than_int64_ids_plans_and_decodes():
+    """C(68, 34) > 2^63: the cover ids are Python integers."""
+    k, s = 68, 34
+    eps = np.zeros((5, k), dtype=np.uint8)
+    eps[0, k - s :] = eps[1, :s] = 1  # the last and the first cover
+    eps[2, [3, 40, 67]] = eps[3, 66] = 1
+    helpers = tuple(range(k))
+    plan = plan_layer(0, helpers, eps, s)
+    assert views(plan) == reference_plan_layer(0, helpers, eps, s)
+    assert max(plan.cover) == comb(k, s) - 1 > np.iinfo(np.int64).max
+    scenario = Scenario(p=200, n_e=5, n_h=k, s=s, nu=k - s, seed=1)
+    assert run_round(scenario, eps=eps).passed
+    round_plan = RoundPlan(eps, scenario.params())
+    assert round_plan.beta.tolist() == [plan.beta] == [4]
+    assert round_plan.m_j.tolist() == [len(entries) for entries in round_plan.schedules]
+
+
+def test_malformed_erasure_inputs_raise_configuration_error():
+    with pytest.raises(ConfigurationError, match="row 1 has weight 2, expected at most 1"):
+        validate(np.array([[0, 0, 1], [1, 1, 0]]), 1)
+    with pytest.raises(ConfigurationError, match="row 0 has entries other than 0 and 1"):
+        validate(np.array([[2, 0, 0]]), 1)
+    with pytest.raises(ConfigurationError, match=re.escape("row 1: helper index 3 out of range [0, 3)")):
+        from_erased_sets([[0], [3]], 3)
+    # a bool would index the whole row, a float no entry
+    for j in (True, 1.5):
+        with pytest.raises(ConfigurationError, match=f"row 0: helper index {j!r} is not an integer"):
+            from_erased_sets([[j]], 3)
+    with pytest.raises(ConfigurationError, match="more than s=1"):
+        plan_layer(0, (0, 1, 2), np.array([[1, 1, 0]]), 1)
+    with pytest.raises(ConfigurationError, match=re.escape("shape (2, 3), expected (n_e, n_h)")):
+        RoundPlan(np.zeros((2, 3), dtype=np.uint8), SchemeParams(p=24, n_e=2, n_h=4, s=1, nu=2))
+
+
 def test_cover_table_is_shared_per_shape_and_not_built_at_import():
     src = str(Path(layeragg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -129,13 +181,13 @@ def test_cover_table_is_shared_per_shape_and_not_built_at_import():
         "a.RoundPlan(np.zeros((3, 6), np.uint8), SchemeParams(p=40, n_e=3, n_h=6, s=2, nu=2)); "
         "a.RoundPlan(np.zeros((3, 5), np.uint8), SchemeParams(p=40, n_e=3, n_h=5, s=2, nu=2)); "
         "info = a._cover_table.cache_info(); "
-        "print(info.currsize, info.misses, info.hits, len(a._cover_table(4, 2)))"
+        "print(info.currsize, info.misses, info.hits)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    # one table for all 20 layers, holding only the footprint it was asked for
-    assert out.stdout.split() == ["0", "1", "1", "19", "1"]
+    # one table for all 20 layers of both plans
+    assert out.stdout.split() == ["0", "1", "1", "19"]
 
 
 def test_plan_collapses_without_relevant_erasures():
@@ -156,7 +208,11 @@ def test_plan_is_deterministic(gf8):
     _, _, eps = seven_edge_setup(gf8)
     a = plan_layer(0, (0, 1, 2, 3), eps, 2)
     b = plan_layer(0, (0, 1, 2, 3), eps, 2)
-    assert a == b
+    assert np.array_equal(a.cover, b.cover)
+    assert views(a) == views(b)
+    # the views are read off cover once, so the plan does not rebind it
+    with pytest.raises(FrozenInstanceError):
+        a.cover = b.cover[::-1]
 
 
 def test_groups_partition_all_edges(gf8):

@@ -296,3 +296,25 @@ def test_simulate_reads_a_gradient_file_once(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--scenario", str(scenario), "--rounds", "3"]) == 0
     assert capsys.readouterr().out.count("pass") == 3
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize(
+    "rows, needle",
+    [
+        ([[9], [0]], "row 0: helper index 9 out of range [0, 6)"),
+        ([[0, 1], [2]], "row 0 has weight 2, expected at most 1"),
+        ([[0], [1], [2]], "must be a list of n_e = 2 rows, got 3 rows"),
+    ],
+    ids=["index-out-of-range", "row-heavier-than-s", "wrong-row-count"],
+)
+def test_malformed_matrix_rows_in_a_scenario_exit_2_naming_the_row(tmp_path, rows, needle, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "p": 60, "n_e": 2, "n_h": 6, "s": 1, "nu": 2,
+        "erasures": {"kind": "matrix", "rows": rows},
+    }))
+    assert main(["simulate", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "scenario field 'erasures.rows'" in captured.err
+    assert needle in captured.err
+    assert "round 0" not in captured.out

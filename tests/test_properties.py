@@ -131,3 +131,13 @@ def test_plan_and_schedules_equal_the_reference(case):
             assert len({a for *_, a in got}) == 1
             seen += column
     assert sorted(seen) == list(range(len(entries)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(erasure_matrices())
+def test_round_counts_equal_the_layer_plans_and_reference_schedules(case):
+    params, eps = case
+    plan = RoundPlan(eps, params)
+    assert plan.beta.tolist() == [lp.beta for lp in plan.layer_plans]
+    schedules = reference_schedules(params, plan.layer_plans)
+    assert plan.m_j.tolist() == [len(schedule) for schedule in schedules]

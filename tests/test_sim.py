@@ -1,12 +1,15 @@
 """Scenario harness tests: rounds, the nu sweep, and the verifier."""
 
 import json
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from layeragg import aggregate
+from layeragg import aggregate, sim
+from layeragg.client import SchemeParams
 from layeragg.errors import ConfigurationError
 from layeragg.gf import GF
 from layeragg.sim import (
@@ -329,6 +332,32 @@ def test_verify_scheme_default_parameters_pass():
     data = report.to_dict()
     assert data["passed"] is True
     assert all(c["passed"] for c in data["checks"])
+
+
+def test_verify_scheme_reports_a_group_that_reads_an_erased_link(monkeypatch):
+    # a doctored plan groups every layer as if nothing were erased, so the
+    # helpers outside each layer's one cover read erased links
+    seen = []
+    round_plan = aggregate.RoundPlan
+
+    def doctored(eps, params):
+        seen.append(eps)
+        return round_plan(np.zeros_like(eps), params)
+
+    monkeypatch.setattr(aggregate, "RoundPlan", doctored)
+    # the rounds would fail on the same plan; only the plan checks run
+    monkeypatch.setattr(sim, "run_round", lambda scenario, round_index: SimpleNamespace(passed=True))
+    report = verify_scheme(n_e=5, n_h=4, s=1, nu=2, trials=3, seed=0)
+    checks = {c.name: c for c in report.checks}
+    assert [name for name, c in checks.items() if not c.passed] == ["[nu=2] availability"]
+    found = re.fullmatch(
+        r"trial (\d+): layer (\d+) group \((\d+),\) uses an erased link to helper (\d+)",
+        checks["[nu=2] availability"].detail,
+    )
+    t, layer, cover, j = map(int, found.groups())
+    helpers = SchemeParams(p=24, n_e=5, n_h=4, s=1, nu=2).layer_map[layer]
+    assert cover == helpers[0] and j in helpers[1:]
+    assert seen[t][:, j].any()
 
 
 @pytest.mark.parametrize("trials", [0, -3])
