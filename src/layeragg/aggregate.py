@@ -58,7 +58,9 @@ class _Covers:
         )
         self._ids = self._members = None
         if k <= TABLE_SLOTS:
-            self._weights = 1 << np.arange(k, dtype=np.int64)
+            # footprint masks by a float32 dot, which numpy runs as BLAS;
+            # sums of distinct powers of two below 2^12 are exact in it
+            self._weights = (1 << np.arange(k)).astype(np.float32)
             masks = np.arange(1 << k)[:, None] >> np.arange(k) & 1
             self._ids = self._rank(masks.astype(bool)).astype(np.int16)
             self._members = self._unrank(np.arange(comb(k, s)))
@@ -89,12 +91,12 @@ class _Covers:
     def ids(self, footprints: np.ndarray) -> np.ndarray:
         if self._ids is None:
             return self._rank(footprints)
-        return self._ids[footprints.dot(self._weights)]
+        return self._ids[footprints.dot(self._weights).astype(np.intp)]
 
     def members(self, ids) -> np.ndarray:
         if self._members is None:
             return self._unrank(ids)
-        return self._members[ids]
+        return self._members.take(ids, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +168,11 @@ def plan_layer(
 
     helpers must be sorted ascending. Each edge's footprint (any nonzero
     entry counts as erased) is looked up in the cover table shared by
-    every layer of this shape. Raises ConfigurationError for an edge that
-    erases more than s of the layer's helpers.
+    every layer of this shape. An edge's cover id depends on its own row
+    alone, so eps may stack the rows of several matrices, and the ids of
+    each matrix's rows are the ids it would get planned alone; "edge" in
+    an error then counts rows of the stack. Raises ConfigurationError for
+    an edge that erases more than s of the layer's helpers.
     """
     footprints = eps.take(helpers, axis=1) != 0
     cover = _cover_table(len(helpers), s).ids(footprints)
@@ -215,12 +220,58 @@ class RoundGroups(NamedTuple):
     size: np.ndarray
 
 
+def _run_starts(ranked: np.ndarray) -> np.ndarray:
+    """Rows of sorted ids -> a mask of the first position of every run of
+    equal ids in a row."""
+    new = np.ones(ranked.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    return new
+
+
 def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of sorted ids -> the flat start of every run of equal ids in a
     row, and the run number of every position."""
-    new = np.ones(ranked.shape, dtype=bool)
-    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    new = _run_starts(ranked)
     return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+class GroupCounts(NamedTuple):
+    """The group counts of T erasure matrices.
+
+    params  the scheme they were counted for
+    beta    (T, L) groups per layer
+    m_j     (T, n_h) each helper's message length
+
+    GroupCounts(params, beta[t], m_j[t]) holds matrix t's counts alone,
+    which cost_realized reads as it reads a RoundPlan.
+    """
+
+    params: SchemeParams
+    beta: np.ndarray
+    m_j: np.ndarray
+
+
+def count_groups(cover: np.ndarray, params: SchemeParams) -> GroupCounts:
+    """Count the groups of T matrices from their (T, n_e, L) cover ids.
+
+    A layer's groups are its distinct cover ids, so beta_l is the number
+    of runs in the layer's sorted ids. Every group is emitted by the
+    layer's helpers outside its cover: slot t of layer l emits beta_l
+    minus the number of distinct covers holding t, and m_j sums that over
+    the (layer, slot) cells of helper j's column.
+    """
+    trials = cover.shape[0]
+    # a C-order copy: the sort runs on contiguous rows and leaves cover alone
+    ranked = np.array(cover.transpose(0, 2, 1), order="C").reshape(-1, params.n_e)
+    ranked.sort(axis=1)
+    first = np.flatnonzero(_run_starts(ranked))
+    beta = np.bincount(first // params.n_e, minlength=len(ranked))
+    members = _cover_table(params.nu + params.s, params.s).members(ranked.ravel()[first])
+    covered = np.add.reduceat(members, np.cumsum(beta) - beta, axis=0)
+    emitted = (beta[:, None] - covered).reshape(trials, -1)
+    by_helper = np.argsort(params.layer_map.slot_helpers, axis=None, kind="stable")
+    m_j = emitted[:, by_helper].reshape(trials, params.n_h, -1).sum(axis=2)
+    return GroupCounts(params, beta.reshape(trials, -1), m_j)
 
 
 class RoundPlan:
@@ -234,9 +285,11 @@ class RoundPlan:
     membership       two (L, n_e) arrays: each edge's group in each layer,
                      and its rank among that group's edges, which ascend
     beta             (L,) groups per layer
+    m_j              (n_h,) each helper's message length; beta and m_j
+                     are count_groups' one-matrix case, the rule cost
+                     analysis counts many matrices with
     emitters         (groups, nu+s) per group and layer slot, the helper
                      that emits it, -1 in the slots of its cover
-    m_j              (n_h,) each helper's message length
     schedules        per helper, the (layer, image index) pairs it emits;
                      a tuple view for checks and tests
     helper_index     per helper, the HelperIndex of its fold
@@ -288,18 +341,22 @@ class RoundPlan:
         return group_of, place
 
     @cached_property
+    def _counts(self) -> GroupCounts:
+        return count_groups(self.cover[None], self.params)
+
+    @property
     def beta(self) -> np.ndarray:
-        return np.bincount(self.groups.layer, minlength=self.params.layers)
+        return self._counts.beta[0]
+
+    @property
+    def m_j(self) -> np.ndarray:
+        return self._counts.m_j[0]
 
     @cached_property
     def emitters(self) -> np.ndarray:
         params = self.params
         inside = _cover_table(params.nu + params.s, params.s).members(self.groups.cover)
         return np.where(inside, -1, params.layer_map.slot_helpers[self.groups.layer])
-
-    @cached_property
-    def m_j(self) -> np.ndarray:
-        return np.bincount(self.emitters.ravel() + 1, minlength=self.params.n_h + 1)[1:]
 
     @cached_property
     def _message_rows(self) -> np.ndarray:

@@ -78,17 +78,38 @@ def omega_size(n_e: int, n_h: int, s: int) -> int:
     return comb(n_h, s) ** n_e
 
 
-def enumerate_all(n_e: int, n_h: int, s: int) -> Iterator[np.ndarray]:
-    """Yield every strict erasure matrix exactly once, refusing above the cap."""
+def _check_cap(n_e: int, n_h: int, s: int) -> None:
     total = omega_size(n_e, n_h, s)
     if total > ENUMERATION_CAP:
         raise CapExceededError(
             f"Omega(s) has {total} matrices, above the cap of {ENUMERATION_CAP}",
             estimate=total,
         )
+
+
+def enumerate_all(n_e: int, n_h: int, s: int) -> Iterator[np.ndarray]:
+    """Yield every strict erasure matrix exactly once, refusing above the cap."""
+    _check_cap(n_e, n_h, s)
     subsets = list(combinations(range(n_h), s))
     for choice in product(range(len(subsets)), repeat=n_e):
         eps = np.zeros((n_e, n_h), dtype=np.uint8)
         for i, c in enumerate(choice):
             eps[i, subsets[c]] = 1
+        yield eps
+
+
+def enumerate_row_sets(n_e: int, n_h: int, s: int) -> Iterator[np.ndarray]:
+    """Yield one strict matrix per set of min(n_e, C(n_h, s)) distinct rows.
+
+    A set's rows come in lexicographic order, and its first row repeats
+    to fill the matrix's n_e rows. Refuses above the cap on |Omega(s)|,
+    as enumerate_all does.
+    """
+    _check_cap(n_e, n_h, s)
+    subsets = list(combinations(range(n_h), s))
+    k = min(n_e, len(subsets))
+    for chosen in combinations(subsets, k):
+        eps = np.zeros((n_e, n_h), dtype=np.uint8)
+        for i, subset in enumerate(chosen + chosen[:1] * (n_e - k)):
+            eps[i, subset] = 1
         yield eps

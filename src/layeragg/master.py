@@ -13,22 +13,40 @@ Costs are exact rationals. The primary c_eh / c_hm_realized fields are
 normalized by the padded gradient length, which makes the closed forms
 (nu+s)/nu and mean(beta) hold identically; the *_declared variants
 divide by the declared p instead and differ only when padding occurred.
+Cost analysis counts many matrices at a time (aggregate.count_groups),
+and calls cost_realized on each matrix's counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .aggregate import RoundPlan
+from . import aggregate
+from .aggregate import GroupCounts, RoundPlan
 from .client import SchemeParams, reassemble_gradient
-from .erasure import enumerate_all, omega_size, sample_uniform, worst_case_pattern
-from .errors import ProtocolError
+from .erasure import (
+    enumerate_all,
+    enumerate_row_sets,
+    omega_size,
+    sample_uniform,
+    worst_case_pattern,
+)
+from .errors import ConfigurationError, ProtocolError
 from .gf import is_integer
 from .mds import MdsCode, invert_matrix
+
+
+# Cost analysis counts at most this many (edge, layer, slot) cells at a
+# time: 2^20 bounds a chunk's cover ids, footprints and cover members to a
+# few MiB, and holds 16 matrices of the cost_mc shape (50 edges, 210 layers
+# of 6 slots).
+COUNT_CELLS = 1 << 20
 
 
 def _rational_dict(x: Fraction) -> dict:
@@ -151,8 +169,9 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     return reassemble_gradient(layer_sums, params)
 
 
-def cost_realized(plan: RoundPlan) -> CostReport:
-    """Exact costs for one erasure matrix, counted from its round plan.
+def cost_realized(plan: RoundPlan | GroupCounts) -> CostReport:
+    """Exact costs for one erasure matrix, counted from its round plan or
+    from its GroupCounts: anything with params, (L,) beta and (n_h,) m_j.
 
     The helper-to-master count is derived per helper (sum of m_j) and
     cross-checked against the per-layer identity sum(m_j) = nu * sum(beta).
@@ -179,6 +198,30 @@ def cost_realized(plan: RoundPlan) -> CostReport:
     )
 
 
+def _costs(matrices: Iterable[np.ndarray], params: SchemeParams) -> Iterator[CostReport]:
+    """cost_realized of each matrix, in order, planned and counted in chunks.
+
+    Cover ids are row-wise, so one plan_layer call per layer on the
+    stacked rows of a chunk plans every matrix in it. A chunk holds at
+    most COUNT_CELLS (edge, layer, slot) cells, or one matrix, which
+    bounds the memory of a count whatever the number of matrices.
+    """
+    chunk = max(1, COUNT_CELLS // (params.n_e * params.layers * (params.nu + params.s)))
+    matrices = iter(matrices)
+    while batch := list(islice(matrices, chunk)):
+        eps = np.concatenate(batch)
+        cover = np.stack(
+            [
+                aggregate.plan_layer(layer, helpers, eps, params.s).cover
+                for layer, helpers in enumerate(params.layer_map)
+            ],
+            axis=1,
+        )
+        counts = aggregate.count_groups(cover.reshape(len(batch), params.n_e, -1), params)
+        for beta, m_j in zip(counts.beta, counts.m_j):
+            yield cost_realized(GroupCounts(params, beta, m_j))
+
+
 def cost_worst_case(params: SchemeParams, mode: str = "theorem") -> WorstCaseCost:
     """max over Omega(s) of the realized helper-to-master cost.
 
@@ -186,8 +229,18 @@ def cost_worst_case(params: SchemeParams, mode: str = "theorem") -> WorstCaseCos
     the adversarial pattern attains (tight); otherwise the bound
     min(n_e, alpha), with the adversarial pattern's cost as lower_bound,
     and tight only when the adversarial pattern attains the bound. Another
-    matrix may attain it when tight is False. brute_force enumerates
-    Omega(s) and returns the exact maximum.
+    matrix may attain it when tight is False.
+
+    brute_force returns the exact maximum, taken over one matrix per set
+    of k = min(n_e, C(n_h, s)) distinct rows (erasure.enumerate_row_sets).
+    That is exact for two reasons. A layer's groups are the distinct
+    covers of its rows' footprints, so beta_l, and the cost, depend only
+    on the set of distinct rows. Adding a row never removes a cover, so
+    the cost never falls when the set grows. Every matrix of Omega(s) has
+    at most k distinct rows, a set that grows to a set of exactly k rows
+    costing at least as much, and each such set is the row set of some
+    matrix of Omega(s), since k <= n_e. Refuses, as enumerate_all does,
+    when |Omega(s)| is above the enumeration cap.
     """
     if mode == "theorem":
         bound = Fraction(min(params.n_e, params.alpha))
@@ -207,12 +260,10 @@ def cost_worst_case(params: SchemeParams, mode: str = "theorem") -> WorstCaseCos
             value=bound, tight=star == bound, lower_bound=star, mode=mode
         )
     if mode == "brute_force":
-        best = max(
-            cost_realized(RoundPlan(eps, params)).c_hm_realized
-            for eps in enumerate_all(params.n_e, params.n_h, params.s)
-        )
+        matrices = enumerate_row_sets(params.n_e, params.n_h, params.s)
+        best = max(report.c_hm_realized for report in _costs(matrices, params))
         return WorstCaseCost(value=best, tight=True, lower_bound=best, mode=mode)
-    raise ValueError(f"unknown mode {mode!r}; use theorem or brute_force")
+    raise ConfigurationError(f"unknown mode {mode!r}; use theorem or brute_force")
 
 
 def cost_average(
@@ -221,23 +272,34 @@ def cost_average(
     trials: int = 1000,
     seed=0,
 ) -> AverageCost:
-    """Mean realized cost over Omega(s): exact enumeration or Monte Carlo."""
+    """Mean realized cost over Omega(s): exact enumeration or Monte Carlo.
+
+    Monte Carlo draws trials matrices with sample_uniform from seed, a
+    numpy Generator or a non-negative integer, one after another.
+    """
     if mode == "exhaustive":
-        total = Fraction(0)
-        for eps in enumerate_all(params.n_e, params.n_h, params.s):
-            total += cost_realized(RoundPlan(eps, params)).c_hm_realized
+        matrices = enumerate_all(params.n_e, params.n_h, params.s)
+        total = sum((report.c_hm_realized for report in _costs(matrices, params)), Fraction(0))
         count = omega_size(params.n_e, params.n_h, params.s)
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)
     if mode == "monte_carlo":
         if not is_integer(trials) or trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {trials!r}")
+            raise ConfigurationError(f"trials must be a positive integer, got {trials!r}")
+        if not (isinstance(seed, np.random.Generator) or is_integer(seed) and seed >= 0):
+            raise ConfigurationError(
+                f"seed must be a numpy Generator or a non-negative integer, got {seed!r}"
+            )
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        samples = np.empty(trials)
-        for t in range(trials):
-            eps = sample_uniform(params.n_e, params.n_h, params.s, rng)
-            samples[t] = float(cost_realized(RoundPlan(eps, params)).c_hm_realized)
+        matrices = (
+            sample_uniform(params.n_e, params.n_h, params.s, rng) for _ in range(trials)
+        )
+        samples = np.fromiter(
+            (float(report.c_hm_realized) for report in _costs(matrices, params)),
+            dtype=float,
+            count=trials,
+        )
         stderr = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
         return AverageCost(
             value=float(samples.mean()), stderr=stderr, mode=mode, trials=trials
         )
-    raise ValueError(f"unknown mode {mode!r}; use exhaustive or monte_carlo")
+    raise ConfigurationError(f"unknown mode {mode!r}; use exhaustive or monte_carlo")

@@ -9,6 +9,7 @@ import pytest
 from layeragg.erasure import (
     ENUMERATION_CAP,
     enumerate_all,
+    enumerate_row_sets,
     erased_sets,
     from_erased_sets,
     omega_size,
@@ -100,6 +101,21 @@ def test_enumerate_all_refuses_above_cap():
     assert omega_size(7, 10, 1) > ENUMERATION_CAP
     with pytest.raises(CapExceededError):
         next(enumerate_all(7, 10, 1))
+
+
+@pytest.mark.parametrize("n_e, n_h, s", [(1, 3, 1), (2, 4, 2), (3, 3, 1), (5, 3, 2), (4, 5, 1)])
+def test_enumerate_row_sets_yields_each_set_of_distinct_rows_once(n_e, n_h, s):
+    """One strict matrix per set of min(n_e, C(n_h, s)) distinct rows."""
+    k = min(n_e, comb(n_h, s))
+    matrices = list(enumerate_row_sets(n_e, n_h, s))
+    row_sets = {frozenset(map(tuple, erased_sets(eps))) for eps in matrices}
+    assert len(matrices) == len(row_sets) == comb(comb(n_h, s), k)
+    assert {len(rows) for rows in row_sets} == {k}
+    for eps in matrices:
+        assert eps.shape == (n_e, n_h) and (eps.sum(axis=1) == s).all()
+    with pytest.raises(CapExceededError) as info:
+        next(enumerate_row_sets(7, 6, 2))
+    assert info.value.estimate == 15**7
 
 
 @pytest.mark.parametrize(

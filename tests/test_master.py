@@ -16,7 +16,7 @@ from layeragg.erasure import (
     sample_uniform,
     worst_case_pattern,
 )
-from layeragg.errors import CapExceededError, ProtocolError
+from layeragg.errors import CapExceededError, ConfigurationError, ProtocolError
 from layeragg.gf import GF
 from layeragg.master import (
     cost_average,
@@ -245,6 +245,25 @@ def test_average_exhaustive_vs_monte_carlo():
     assert cost_average(params, mode="monte_carlo", trials=np.int64(3)).trials == 3
     with pytest.raises(ValueError):
         cost_average(params, mode="nope")
+
+
+def test_cost_api_faults_raise_configuration_error():
+    params = SchemeParams(p=3, n_e=2, n_h=3, s=1, nu=1)
+    with pytest.raises(ConfigurationError, match="unknown mode 'nope'; use exhaustive or monte_carlo"):
+        cost_average(params, mode="nope")
+    with pytest.raises(ConfigurationError, match="unknown mode 'bogus'; use theorem or brute_force"):
+        cost_worst_case(params, mode="bogus")
+    with pytest.raises(ConfigurationError, match="trials must be a positive integer, got 0"):
+        cost_average(params, mode="monte_carlo", trials=0)
+    # -1 used to leak numpy's own error, and True used to seed as 1
+    for seed in (-1, True, 1.5, None, "3"):
+        message = f"seed must be a numpy Generator or a non-negative integer, got {seed!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            cost_average(params, mode="monte_carlo", trials=2, seed=seed)
+    same = cost_average(params, mode="monte_carlo", trials=5, seed=3)
+    assert cost_average(params, mode="monte_carlo", trials=5, seed=np.int64(3)) == same
+    generator = np.random.default_rng(3)
+    assert cost_average(params, mode="monte_carlo", trials=5, seed=generator) == same
 
 
 def test_counting_never_builds_the_message_row_table(monkeypatch):

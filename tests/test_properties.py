@@ -6,7 +6,9 @@ helper-to-master hop goes through the wire format.
 """
 
 from collections import Counter
+from fractions import Fraction
 from math import comb
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,16 +16,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from layeragg import master  # noqa: E402
 from layeragg.aggregate import (  # noqa: E402
+    TABLE_SLOTS,
+    GroupCounts,
     RoundPlan,
     aggregate_helper,
+    count_groups,
     message_from_bytes,
     message_to_bytes,
+    plan_layer,
 )
 from layeragg.client import SchemeParams, encode_client  # noqa: E402
-from layeragg.erasure import from_erased_sets, validate  # noqa: E402
+from layeragg.erasure import from_erased_sets, sample_uniform, validate  # noqa: E402
 from layeragg.gf import GF  # noqa: E402
-from layeragg.master import cost_realized, decode_global  # noqa: E402
+from layeragg.master import cost_average, cost_realized, decode_global  # noqa: E402
 from layeragg.mds import make_generator  # noqa: E402
 from reference_plan import reference_plan_layer, reference_schedules  # noqa: E402
 
@@ -141,3 +148,90 @@ def test_round_counts_equal_the_layer_plans_and_reference_schedules(case):
     assert plan.beta.tolist() == [lp.beta for lp in plan.layer_plans]
     schedules = reference_schedules(params, plan.layer_plans)
     assert plan.m_j.tolist() == [len(schedule) for schedule in schedules]
+
+
+# (n_h, s, nu) shapes of the batched counter's tests: layers of up to
+# TABLE_SLOTS slots read the cover tables, wider ones rank and unrank,
+# and C(68, 34) covers need Python-integer ids.
+SMALL_SHAPES = st.integers(2, 7).flatmap(
+    lambda n_h: st.integers(1, n_h - 1).flatmap(
+        lambda s: st.tuples(st.just(n_h), st.just(s), st.integers(1, n_h - s))
+    )
+)
+WIDE_SHAPES = st.sampled_from([TABLE_SLOTS + 1, TABLE_SLOTS + 2]).flatmap(
+    lambda k: st.tuples(st.sampled_from([k, k + 1]), st.integers(1, 4)).map(
+        lambda shape: (shape[0], shape[1], k - shape[1])
+    )
+)
+WORD_SHAPES = st.sampled_from([(66, 1, 65), (68, 34, 34)])
+
+
+@st.composite
+def matrix_stacks(draw, shapes):
+    """Params and 1-4 strict or lax matrices of the same shape."""
+    n_h, s, nu = draw(shapes)
+    n_e = draw(st.integers(1, 6))
+    strict = draw(st.booleans())
+    row = st.lists(
+        st.integers(0, n_h - 1), min_size=s if strict else 0, max_size=s, unique=True
+    )
+    matrices = [
+        from_erased_sets(draw(st.lists(row, min_size=n_e, max_size=n_e)), n_h)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu)
+    return params, matrices
+
+
+def check_batched_counts(params, matrices):
+    """Count the matrices together, as cost analysis does: one plan_layer
+    call per layer on their stacked rows, then count_groups. Each matrix's
+    counts equal its own round plan's per-layer images and the reference
+    schedules, and cost the same."""
+    eps = np.concatenate(matrices)
+    cover = np.stack(
+        [plan_layer(layer, h, eps, params.s).cover for layer, h in enumerate(params.layer_map)],
+        axis=1,
+    )
+    counts = count_groups(cover.reshape(len(matrices), params.n_e, -1), params)
+    assert counts.beta.shape == (len(matrices), params.layers)
+    assert counts.m_j.shape == (len(matrices), params.n_h)
+    for one, beta, m_j in zip(matrices, counts.beta, counts.m_j):
+        plan = RoundPlan(one, params)
+        assert beta.tolist() == [lp.beta for lp in plan.layer_plans]
+        schedules = reference_schedules(params, plan.layer_plans)
+        assert m_j.tolist() == [len(schedule) for schedule in schedules]
+        assert cost_realized(GroupCounts(params, beta, m_j)) == cost_realized(plan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_stacks(SMALL_SHAPES))
+def test_batched_counts_equal_per_matrix_plans(case):
+    check_batched_counts(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrix_stacks(WIDE_SHAPES | WORD_SHAPES))
+def test_batched_counts_equal_per_matrix_plans_on_ranked_layers(case):
+    check_batched_counts(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**63), trials=st.integers(1, 12), chunk=st.integers(1, 5))
+def test_monte_carlo_is_bit_identical_to_per_matrix_costs_across_chunks(seed, trials, chunk):
+    """Chunks of `chunk` matrices give the floats that costing each
+    sampled matrix alone gives, so value and stderr are bit-identical."""
+    params = SchemeParams(p=115, n_e=7, n_h=6, s=2, nu=2)  # padded to 120
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(trials):
+        plan = RoundPlan(sample_uniform(params.n_e, params.n_h, params.s, rng), params)
+        beta_total = sum(lp.beta for lp in plan.layer_plans)
+        samples.append(float(Fraction(params.nu * params.d * beta_total, params.p_padded)))
+    samples = np.array(samples)
+    cells = params.n_e * params.layers * (params.nu + params.s)
+    with patch.object(master, "COUNT_CELLS", chunk * cells):
+        got = cost_average(params, "monte_carlo", trials=trials, seed=seed)
+    assert got.value == float(samples.mean())
+    assert got.stderr == (float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0)
+    assert cost_average(params, "monte_carlo", trials=trials, seed=seed) == got
