@@ -22,6 +22,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import erasure
 from .client import SchemeParams
 from .errors import ConfigurationError, ProtocolError
 from .gf import GF
@@ -298,16 +299,19 @@ class RoundPlan:
 
     A helper emits its groups in group order: layers ascending, image
     index ascending. All but cover are built on first use, so callers
-    that only count never pay for the index tables. eps must have shape
-    (n_e, n_h).
+    that only count never pay for the index tables. eps is any array-like
+    (n_e, n_h) matrix of 0/1 entries; any other raises ConfigurationError.
     """
 
     def __init__(self, eps: np.ndarray, params: SchemeParams):
-        if np.shape(eps) != (params.n_e, params.n_h):
+        eps = np.asarray(eps)
+        if eps.shape != (params.n_e, params.n_h):
             raise ConfigurationError(
-                f"erasure matrix has shape {np.shape(eps)}, expected "
+                f"erasure matrix has shape {eps.shape}, expected "
                 f"(n_e, n_h) = ({params.n_e}, {params.n_h})"
             )
+        # entries only: plan_layer reports a row heavier than s, naming a layer
+        erasure.validate(eps, params.n_h)
         self.eps = eps
         self.params = params
         self.layer_plans = tuple(
@@ -479,7 +483,8 @@ def aggregate_helper(
     """Run the aggregation strategy at helper j, in the order of its schedule.
 
     received maps edge index -> that edge's (b, d) column, present only
-    for surviving links; a column of another shape raises ProtocolError.
+    for surviving links; a column of another shape, or of a dtype other
+    than the field's, raises ProtocolError.
     Every group sum only touches edges whose link to j survived; a gap
     means the erasure bookkeeping is broken. The symbols are copied once
     into a buffer laid out by plan.helper_index, and each block of
@@ -491,6 +496,12 @@ def aggregate_helper(
             raise ProtocolError(
                 f"helper {j} got a column of shape {np.shape(column)} from edge {i}, "
                 f"expected ({params.b}, {params.d})"
+            )
+        dtype = getattr(column, "dtype", type(column).__name__)
+        if dtype != field.dtype:
+            raise ProtocolError(
+                f"helper {j} got a column of dtype {dtype} from edge {i}, "
+                f"expected {field.dtype}"
             )
     index = plan.helper_index[j]
     d = params.d

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -22,12 +22,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gf import GF, is_integer
-from .mds import MdsCode, encode
+from .mds import MdsCode, fill_parity
 
 
 @dataclass(frozen=True)
 class SchemeParams:
     """System and code parameters with the derived layered-code quantities.
+
+    The derived quantities are computed once per instance, on first read;
+    equality and hashing use the five fields alone.
 
     p      gradient length in field symbols
     n_e    number of edge nodes
@@ -58,36 +61,36 @@ class SchemeParams:
                 f"nu must lie in [1, n_h-s] = [1, {self.n_h - self.s}], got {self.nu}"
             )
 
-    @property
+    @cached_property
     def layers(self) -> int:
         """L, the number of layers."""
         return comb(self.n_h, self.nu + self.s)
 
-    @property
+    @cached_property
     def lam(self) -> int:
         """lambda = L * nu, the number of gradient subvectors."""
         return self.layers * self.nu
 
-    @property
+    @cached_property
     def d(self) -> int:
         """Subvector length; the gradient is zero-padded when lam does not divide p."""
         return -(-self.p // self.lam)
 
-    @property
+    @cached_property
     def p_padded(self) -> int:
         return self.d * self.lam
 
-    @property
+    @cached_property
     def b(self) -> int:
         """Symbols per helper column (the subpacketization level)."""
         return comb(self.n_h - 1, self.nu + self.s - 1)
 
-    @property
+    @cached_property
     def alpha(self) -> int:
         """Number of s-subsets of a layer's helper set."""
         return comb(self.nu + self.s, self.s)
 
-    @property
+    @cached_property
     def layer_map(self) -> "LayerMap":
         """The placement of the layers on the helpers, shared per (n_h, nu+s)."""
         return _layer_map(self.n_h, self.nu + self.s)
@@ -99,6 +102,8 @@ class LayerMap:
     subset l is stored ascending, and slot_helpers[l, t] is its t-th
     helper; column_index(j) holds the (layer, slot) pairs whose cell lands
     in helper j's column, in increasing layer order, as two index arrays.
+    cells[j, r] = slot * L + layer of row r of helper j's column: the
+    (n_h, b) gather that takes a slot-major codeword to its columns.
     """
 
     def __init__(self, n_h: int, k: int):
@@ -113,8 +118,10 @@ class LayerMap:
                 cols[h].append((layer, slot))
         # every column has b cells; read-only, since the maps are shared
         index = np.array(cols, dtype=np.intp).transpose(2, 0, 1).copy()
-        index.setflags(write=False)
         self._col_layers, self._col_slots = index
+        self.cells = self._col_slots * len(self.subsets) + self._col_layers
+        index.setflags(write=False)
+        self.cells.setflags(write=False)
 
     def __getitem__(self, layer: int) -> tuple[int, ...]:
         return self.subsets[layer]
@@ -135,18 +142,29 @@ def _layer_map(n_h: int, k: int) -> LayerMap:
     return LayerMap(n_h, k)
 
 
-def partition_gradient(g: np.ndarray, params: SchemeParams, field: GF) -> np.ndarray:
+def partition_gradient(
+    g: np.ndarray, params: SchemeParams, field: GF, out: np.ndarray | None = None
+) -> np.ndarray:
     """Split (and zero-pad) a length-p gradient into an (L, nu, d) block array.
 
     Block (l, j) holds coordinates [(l*nu + j)*d, (l*nu + j + 1)*d) of the
     padded gradient, so concatenating blocks in (l, j) order restores it.
+    out, when given, is an (L, nu, d) array (a view, say) to write the
+    blocks into; only its padded tail is zeroed.
     """
     g = np.asarray(g, dtype=field.dtype)
     if g.shape != (params.p,):
         raise ValueError(f"gradient must have shape ({params.p},), got {g.shape}")
-    padded = np.zeros(params.p_padded, dtype=field.dtype)
-    padded[: params.p] = g
-    return padded.reshape(params.layers, params.nu, params.d)
+    layers, nu, d = params.layers, params.nu, params.d
+    if out is None:
+        out = np.empty((layers, nu, d), dtype=field.dtype)
+    full = params.p // (nu * d)
+    out[:full] = g[: full * nu * d].reshape(full, nu, d)
+    if full < layers:
+        tail = np.zeros((layers - full) * nu * d, dtype=field.dtype)
+        tail[: params.p - full * nu * d] = g[full * nu * d :]
+        out[full:] = tail.reshape(layers - full, nu, d)
+    return out
 
 
 def reassemble_gradient(blocks: np.ndarray, params: SchemeParams) -> np.ndarray:
@@ -156,34 +174,53 @@ def reassemble_gradient(blocks: np.ndarray, params: SchemeParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodewordArray:
-    """One edge's encoded gradient: nu+s coded fragments per layer.
+    """One edge's encoded gradient in its transmission form: the b symbols
+    sent to each helper.
 
-    fragments[l, k] is the symbol placed at cell (l, H_l[k]) of the
-    L x n_h grid; the compacted b x n_h transmission form is read off
-    with column(), whose row layers are params.layer_map.column_layers(j).
+    columns[j] holds helper j's b cells in increasing layer order, whose
+    layers are params.layer_map.column_layers(j). It is read-only, and
+    column(j) is a view of it, so a delivered column is not copied.
+    fragments, the (L, nu+s, d) grid of every layer's coded fragments, is
+    derived from the columns for display and checks.
     """
 
     params: SchemeParams
-    fragments: np.ndarray  # (L, nu+s, d)
+    columns: np.ndarray  # (n_h, b, d)
 
     def column(self, j: int) -> np.ndarray:
         """The b symbols sent to helper j, in increasing layer order."""
-        return self.fragments[self.params.layer_map.column_index(j)]
+        return self.columns[j]
+
+    @property
+    def fragments(self) -> np.ndarray:
+        """fragments[l, k] is the symbol placed at cell (l, H_l[k]) of the
+        L x n_h grid: slot k of layer l."""
+        layers = self.params.layer_map
+        grid = np.empty(layers.slot_helpers.shape + self.columns.shape[2:], self.columns.dtype)
+        grid[layers._col_layers, layers._col_slots] = self.columns
+        return grid
 
 
 def encode_client(g_i: np.ndarray, params: SchemeParams, code: MdsCode) -> CodewordArray:
-    """Encode one edge's gradient into its codeword array (all layers at once)."""
+    """Encode one edge's gradient straight into its helper columns.
+
+    partition_gradient writes the layers' messages once, slot-major, into
+    one (nu+s, L*d) codeword; one parity product encodes every layer, and
+    one gather takes the codeword to its columns.
+    """
     if (code.nu, code.s) != (params.nu, params.s):
         raise ValueError(
             f"code is [{code.n},{code.nu}] but params want [{params.nu + params.s},{params.nu}]"
         )
-    blocks = partition_gradient(g_i, params, code.field)
-    # One systematic encode of every layer's message, side by side.
-    stacked = np.ascontiguousarray(blocks.transpose(1, 0, 2)).reshape(
-        params.nu, params.layers * params.d
-    )
-    coded = encode(code, stacked).reshape(params.nu + params.s, params.layers, params.d)
-    return CodewordArray(params=params, fragments=coded.transpose(1, 0, 2))
+    n, layers, d = code.n, params.layers, params.d
+    coded = np.empty((n, layers * d), dtype=code.field.dtype)
+    # message row k of layer l is block (l, k) of the gradient
+    blocks = coded[: code.nu].reshape(code.nu, layers, d).transpose(1, 0, 2)
+    partition_gradient(g_i, params, code.field, out=blocks)
+    fill_parity(code, coded)
+    columns = coded.reshape(n * layers, d).take(params.layer_map.cells, axis=0)
+    columns.setflags(write=False)
+    return CodewordArray(params=params, columns=columns)
 
 
 def format_layer_grid(params: SchemeParams) -> str:

@@ -21,6 +21,20 @@ word's gathers shifted right by 8*element_bytes*i bits. Columns go in
 blocks of BLOCK symbols, so that a block's gather indices and words stay
 in L2. The log/antilog tables serve only to build the packed tables,
 once per word of coefficients.
+
+GF.matmul_fixed is the same product for a coefficient matrix that is
+reused across many calls: a code's parity coefficients, which every
+edge of every round multiplies by (mds.fill_parity). Its tables are
+indexed by the whole symbol, so each symbol costs one index pass and one
+gather instead of one per byte. For m <= 8 that is the byte table
+itself; for m = 16 it is T1[x >> 8] ^ T0[x & 0xFF] over all 2^16
+symbols, 256 KiB per input row for a word of one or two coefficients.
+On a 2-vCPU Xeon host, building one such table took ~66 us (~35 us of it
+the byte tables), and a (2, 4) x (4, d) product took 136 against 209 us
+at d = 10^4 and 168 against 264 us at d = 13440 (layers_gf16's encode):
+~18-24 us saved per input row and call. So the table pays off only when
+its coefficients are reused; GF.matmul keeps byte tables for the one-off
+products (decode solves, make_generator).
 """
 
 from __future__ import annotations
@@ -87,7 +101,7 @@ def _log_exp_tables(m: int, poly: int) -> tuple[int, np.ndarray, np.ndarray]:
     )
 
 
-# Columns of b per block of GF.matmul. A block's gather indices (8 bytes
+# Columns of b per block of GF.matmul and GF.matmul_fixed. A block's gather indices (8 bytes
 # per symbol) and its words (at most 8 bytes per symbol) then take at most
 # 512 KiB per array, so they stay in L2 and the kernel's scratch memory
 # does not grow with the row length. On GF(2^8) rows of ~350k symbols this
@@ -121,15 +135,36 @@ def _word_tables(m: int, poly: int, coefs: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _byte_indices(row: np.ndarray, t: int, out: np.ndarray) -> None:
-    """Write byte t of every symbol of row into out, as gather indices.
+# A GF(2^16) whole-symbol table is 2^16 packed words of at most 8 B, so the
+# 16 kept take at most 8 MiB (256 KiB each for a word of one or two
+# coefficients). A code uses one per input row and word of parity rows:
+# 4 at nu = 4, s = 2.
+@lru_cache(maxsize=16)
+def _symbol_tables(m: int, poly: int, coefs: tuple[int, ...]) -> np.ndarray:
+    """Packed product tables of one word of coefficients, indexed by the
+    whole symbol, read-only: shape (1, 2^m) for m = 16, and the one-pass
+    _word_tables entry itself for m <= 8.
+
+    At m = 16 entry x is T1[x >> 8] ^ T0[x & 0xFF] of the byte tables.
+    """
+    word = _word_tables(m, poly, coefs)
+    if word.shape[0] == 1:
+        return word
+    table = (word[1][:, None] ^ word[0][None, :]).reshape(1, -1)
+    table.setflags(write=False)
+    return table
+
+
+def _indices(row: np.ndarray, t: int, passes: int, out: np.ndarray) -> None:
+    """Write the gather indices of pass t over row into out: the whole
+    symbol for one-pass tables, else byte t of every symbol.
 
     Symbols are at most two bytes wide (m <= 16), so byte 1 needs no mask.
     """
-    if t:
-        np.right_shift(row, 8, out=out)
-    elif row.itemsize == 1:
+    if passes == 1:
         out[...] = row
+    elif t:
+        np.right_shift(row, 8, out=out)
     else:
         np.bitwise_and(row, 0xFF, out=out)
 
@@ -190,12 +225,7 @@ class GF:
 
     # -- array operations ----------------------------------------------------
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(n, k) x (k, d) matrix product over the field.
-
-        One gather per (input row, word of output rows, symbol byte, column
-        block), from the word's packed tables; see the module docstring.
-        """
+    def _operands(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         a = np.asarray(a, dtype=self.dtype)
         b = np.asarray(b, dtype=self.dtype)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -203,20 +233,32 @@ class GF:
         bad = a[a >= self.order]
         if bad.size:
             raise ValueError(f"coefficient {bad[0]} is not an element of {self!r}")
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
+        return a, b
+
+    def _product(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, table_of) -> np.ndarray:
+        """a x b into out, from table_of(m, poly, coefs) per word and input row.
+
+        All tables of a call take the same number of index passes, so there
+        is one gather per (input row, word, pass, column block).
+        """
         rows = 8 // self.element_bytes
         width = 8 * self.element_bytes
-        # (output rows, packed tables per input row or None); all-zero words left out
+        # (output rows, packed tables per input row or None); all-zero words
+        # are zeroed and left out
         words = []
         for lo in range(0, a.shape[0], rows):
             coefs = a[lo : lo + rows].T.tolist()
             if any(map(any, coefs)):
-                tables = [
-                    _word_tables(self.m, self.poly, tuple(c)) if any(c) else None
+                words.append((out[lo : lo + rows], [
+                    table_of(self.m, self.poly, tuple(c)) if any(c) else None
                     for c in coefs
-                ]
-                words.append((out[lo : lo + rows], tables))
-        # One index buffer per call, refilled per input row, byte and block: a
+                ]))
+            else:
+                out[lo : lo + rows] = 0
+        if not words:
+            return out
+        passes = next(t for t in words[0][1] if t is not None).shape[0]
+        # One index buffer per call, refilled per input row, pass and block: a
         # fresh 512 KiB array each time went back to the OS when freed and
         # was faulted in again.
         buffer = np.empty(min(BLOCK, b.shape[1]), np.intp)
@@ -225,8 +267,8 @@ class GF:
             idx = buffer[: min(BLOCK, b.shape[1] - start)]
             acc = [None] * len(words)
             for kk, row in enumerate(b):
-                for t in range(self.element_bytes):
-                    _byte_indices(row[cols], t, idx)
+                for t in range(passes):
+                    _indices(row[cols], t, passes, idx)
                     for w, (_, tables) in enumerate(words):
                         if tables[kk] is None:
                             continue
@@ -240,6 +282,37 @@ class GF:
                     out_row[cols] = word
                     word >>= width
         return out
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(n, k) x (k, d) matrix product over the field.
+
+        One gather per (input row, word of output rows, symbol byte, column
+        block), from the word's packed byte tables; see the module docstring.
+        """
+        a, b = self._operands(a, b)
+        out = np.empty((a.shape[0], b.shape[1]), dtype=self.dtype)
+        return self._product(a, b, out, _word_tables)
+
+    def matmul_fixed(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """(n, k) x (k, d) product by a coefficient matrix a that is reused
+        across calls, such as a code's parity coefficients.
+
+        One gather per (input row, word of output rows, column block), from
+        packed tables indexed by the whole symbol and cached per word; see
+        the module docstring. out, when given, is an (n, d) array of the
+        field's dtype that receives the product.
+        """
+        a, b = self._operands(a, b)
+        shape = (a.shape[0], b.shape[1])
+        if out is None:
+            out = np.empty(shape, dtype=self.dtype)
+        elif out.shape != shape or out.dtype != self.dtype:
+            raise ValueError(
+                f"out must be a {shape} array of {self.dtype}, got {out.shape} {out.dtype}"
+            )
+        return self._product(a, b, out, _symbol_tables)
 
     def xor_sum(self, rows: np.ndarray) -> np.ndarray:
         """Field sum (XOR) of the rows of a (rows, d) array."""

@@ -136,12 +136,13 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     are gathered side by side and decoded with one field matmul.
 
     The rows to gather come from plan.decode_patterns. A message whose
-    sender slot, symbol width or length (against the plan's m_j) is wrong
-    raises ProtocolError. Each group has exactly nu emitters, so there is
-    no redundancy: a corrupted symbol *value* cannot be detected and
-    decodes into a wrong sum.
+    sender slot, symbol width, dtype or length (against the plan's m_j) is
+    wrong raises ProtocolError. Each group has exactly nu emitters, so
+    there is no redundancy: a corrupted symbol *value* cannot be detected
+    and decodes into a wrong sum.
     """
     params = plan.params
+    field = code.field
     if len(messages) != params.n_h:
         raise ProtocolError(f"need {params.n_h} helper messages, got {len(messages)}")
     for j, (msg, m_j) in enumerate(zip(messages, plan.m_j.tolist())):
@@ -152,13 +153,15 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
                 f"helper {j} sent entries of shape {msg.entries.shape}, "
                 f"expected ({m_j}, {params.d})"
             )
+        if msg.entries.dtype != field.dtype:
+            raise ProtocolError(
+                f"helper {j} sent entries of dtype {msg.entries.dtype}, "
+                f"expected {field.dtype}"
+            )
         if len(msg) != m_j:
             raise ProtocolError(f"helper {j} sent {len(msg)} entries, schedule has {m_j}")
 
-    field = code.field
-    stacked = np.concatenate([m.entries for m in messages]).astype(
-        field.dtype, copy=False
-    )
+    stacked = np.concatenate([m.entries for m in messages])
     layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
     for slots, (layers, rows) in plan.decode_patterns.items():
         solver = invert_matrix(field, code.generator[:, list(slots)].T)

@@ -120,8 +120,23 @@ def encode(code: MdsCode, message: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"message must be (nu, d) = ({code.nu}, *), got {message.shape}"
         )
-    parity = code.field.matmul(code.generator[:, code.nu :].T, message)
-    return np.concatenate([message, parity])
+    codeword = np.empty((code.n, message.shape[1]), dtype=code.field.dtype)
+    codeword[: code.nu] = message
+    fill_parity(code, codeword)
+    return codeword
+
+
+def fill_parity(code: MdsCode, codeword: np.ndarray) -> None:
+    """Write the s parity rows of an (nu+s, d) codeword whose first nu rows
+    hold the message.
+
+    Every codeword of a code multiplies by the same parity coefficients,
+    so the product reads tables indexed by the whole symbol, built once
+    per code (GF.matmul_fixed).
+    """
+    code.field.matmul_fixed(
+        code.generator[:, code.nu :].T, codeword[: code.nu], out=codeword[code.nu :]
+    )
 
 
 def decode_from(code: MdsCode, positions, symbols: np.ndarray) -> np.ndarray:

@@ -277,15 +277,16 @@ def run_round(
 
     arrays: list[CodewordArray] = stage("encode", encode_all)
 
+    # Helpers get views of each edge's columns, so nothing is copied here.
     def deliver():
         inbox = [{} for _ in range(params.n_h)]
         sent = 0
-        for i in range(params.n_e):
+        for i, erased in enumerate(eps.tolist()):
             array, arrays[i] = arrays[i], None
             for j in range(params.n_h):
                 col = array.column(j)
                 sent += col.size
-                if not eps[i, j]:
+                if not erased[j]:
                     inbox[j][i] = col
         return inbox, sent
 

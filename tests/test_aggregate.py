@@ -340,6 +340,36 @@ def test_aggregate_rejects_a_column_of_the_wrong_shape(gf8, shape):
         aggregate_helper(0, received, RoundPlan(eps, params), gf8)
 
 
+@pytest.mark.parametrize(
+    "column",
+    [lambda col: col.astype(np.int64) + 256, lambda col: col + 0.5],
+    ids=["int64-plus-256", "float-plus-half"],
+)
+def test_aggregate_rejects_a_column_of_another_dtype(gf8, column):
+    # both columns truncate back to the true uint8 entries, so only the
+    # dtype tells them apart from a valid column
+    params, code, eps = seven_edge_setup(gf8)
+    g = random_gradient(np.random.default_rng(5), gf8, params.p)
+    received = {i: encode_client(g, params, code).column(0) for i in range(7) if not eps[i, 0]}
+    received[3] = column(received[3])
+    assert np.array_equal(received[3].astype(np.uint8), received[2])
+    dtype = received[3].dtype
+    message = f"helper 0 got a column of dtype {dtype} from edge 3, expected uint8"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        aggregate_helper(0, received, RoundPlan(eps, params), gf8)
+
+
+def test_round_plan_takes_a_list_and_rejects_entries_other_than_0_and_1():
+    params = SchemeParams(p=24, n_e=2, n_h=4, s=1, nu=2)
+    rows = [[0, 1, 0, 0], [1, 0, 0, 0]]
+    plan = RoundPlan(rows, params)
+    assert np.array_equal(plan.cover, RoundPlan(np.array(rows), params).cover)
+    assert isinstance(plan.eps, np.ndarray)
+    for bad in ([[0, -1, 0, 0], [1, 0, 0, 0]], [[0, 0.5, 0, 0], [1, 0, 0, 0]]):
+        with pytest.raises(ConfigurationError, match="row 0 has entries other than 0 and 1"):
+            RoundPlan(np.array(bad), params)
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (2, 5), (2, 3), (8,)])
 def test_round_plan_rejects_a_matrix_of_the_wrong_shape(shape):
     params = SchemeParams(p=24, n_e=2, n_h=4, s=1, nu=2)

@@ -2,11 +2,13 @@
 
 import json
 import re
+from dataclasses import FrozenInstanceError, replace
 from math import comb
 
 import numpy as np
 import pytest
 
+from layeragg import client
 from layeragg.client import (
     LayerMap,
     SchemeParams,
@@ -19,7 +21,7 @@ from layeragg.client import (
 )
 from layeragg.errors import ConfigurationError
 from layeragg.gf import GF
-from layeragg.mds import decode_from, make_generator
+from layeragg.mds import decode_from, encode, make_generator
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,32 @@ def test_derived_quantities():
     # counting identities
     assert params.lam * params.d == params.p_padded
     assert params.b * params.n_h == params.layers * (params.nu + params.s)
+
+
+def test_derived_quantities_are_computed_once_and_equality_uses_the_fields(monkeypatch):
+    calls = []
+    real_comb = client.comb
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return real_comb(n, k)
+
+    monkeypatch.setattr(client, "comb", counting_comb)
+    fields = dict(p=121, n_e=7, n_h=6, s=2, nu=2)
+    params, fresh = SchemeParams(**fields), SchemeParams(**fields)
+    names = ("layers", "lam", "d", "p_padded", "b", "alpha", "layer_map")
+    first = [getattr(params, name) for name in names]
+    assert first[:6] == [15, 30, 5, 150, 10, 6]
+    made = len(calls)
+    assert made == 3  # one comb each for layers, b and alpha
+    assert [getattr(params, name) for name in names] == first
+    assert len(calls) == made
+    # the cached values do not enter equality or the hash
+    assert params == fresh and hash(params) == hash(fresh)
+    assert hash(params) == hash(tuple(fields.values()))
+    assert params != replace(params, p=120) and replace(params, p=120).d == 4
+    with pytest.raises(FrozenInstanceError):
+        params.p = 120
 
 
 def test_padding_rounds_up():
@@ -165,6 +193,29 @@ def test_columns_have_b_symbols_and_match_grid(gf8):
     assert params.layer_map.column_layers(0) == (0, 1, 2)
     for row, layer in enumerate(params.layer_map.column_layers(0)):
         assert np.array_equal(arr.column(0)[row], arr.fragments[layer, 0])
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+@pytest.mark.parametrize(
+    "p,n_h,s,nu",
+    [(120, 6, 2, 2), (121, 6, 2, 2), (11, 5, 2, 2), (1, 5, 2, 2), (24, 4, 1, 3)],
+    ids=["exact", "padded", "pad-spans-layers", "one-symbol", "one-layer"],
+)
+def test_columns_are_the_grid_gather_of_per_layer_encodes(m, p, n_h, s, nu):
+    fld = GF(m)
+    params = SchemeParams(p=p, n_e=1, n_h=n_h, s=s, nu=nu)
+    code = make_generator(fld, nu, s)
+    g = random_gradient(np.random.default_rng([m, p]), fld, p)
+    arr = encode_client(g, params, code)
+    blocks = partition_gradient(g, params, fld)
+    grid = np.stack([encode(code, blocks[layer]) for layer in range(params.layers)])
+    columns = np.stack([grid[params.layer_map.column_index(j)] for j in range(n_h)])
+    assert arr.columns.dtype == fld.dtype and np.array_equal(arr.columns, columns)
+    assert np.array_equal(arr.fragments, grid)
+    assert not arr.columns.flags.writeable
+    for j in range(n_h):
+        assert np.shares_memory(arr.column(j), arr.columns)
+        assert np.array_equal(arr.column(j), columns[j])
 
 
 def test_per_layer_any_nu_subset_decodes(gf8):

@@ -2,14 +2,18 @@
 layeragg and is reached on each workload that expects it. Planning
 reaches aggregate.plan_layer once per layer of each erasure matrix in a
 round, and once per layer of each chunk of matrices in cost analysis,
-so plan_useful_ratio stays defined."""
+so plan_useful_ratio stays defined. The field kernels keep the call
+shape that roundbench's argument counters read."""
 
 import importlib
+import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import layeragg
 from layeragg import aggregate, master
@@ -97,3 +101,58 @@ def test_every_layer_expected_on_cost_mc_is_called_by_a_monte_carlo_call(monkeyp
     params = layeragg.SchemeParams(**spec["params"])
     layeragg.cost_average(params, "monte_carlo", trials=spec["trials_per_call"], seed=7)
     assert [name for name, seen in calls.items() if not seen] == []
+
+
+ROUND_SHAPES = {
+    # small shapes of the round workloads: a strict matrix at m = 16, and a
+    # lax one (rows of weight 2, 1 and 0) at m = 8
+    "layers_gf16": (
+        dict(p=300, n_e=6, n_h=6, s=2, nu=2, field_bits=16, seed=1),
+        sample_uniform(6, 6, 2, 1),
+    ),
+    "long_gf8": (
+        dict(p=200, n_e=5, n_h=5, s=2, nu=1, field_bits=8, seed=2),
+        np.array([[1, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0] * 5, [0, 1, 1, 0, 0], [0] * 5]),
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ROUND_SHAPES))
+def test_every_layer_expected_on_a_round_workload_is_called_by_a_small_round(monkeypatch, workload):
+    """A round path that skips a map target would leave that layer
+    unmeasured on the traced run of the workload: GF.matmul, say, which
+    the edge encodes no longer call, so only decode solves and
+    make_generator reach it."""
+    assert MAP["workloads"][workload]["kind"] == "round"
+    expected = [layer for layer in MAP["layers"] if workload in layer["expected_on"]]
+    assert expected
+    calls = {layer["name"]: counting(monkeypatch, layer["target"]) for layer in expected}
+    fields, eps = ROUND_SHAPES[workload]
+    assert layeragg.run_round(layeragg.Scenario(**fields), 0, eps=eps).passed
+    assert [name for name, seen in calls.items() if not seen] == []
+
+
+def test_field_kernels_keep_the_call_shape_of_the_benchmark_counters():
+    """roundbench's tracer calls a kernel's counter with the kernel's own
+    arguments, so a parameter added to GF.matmul or GF.xor_sum would make
+    the traced run raise TypeError."""
+    path = Path(__file__).resolve().parents[1] / "roundbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("roundbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    kernels = [layer for layer in MAP["layers"] if "counter" in layer]
+    assert {layer["target"] for layer in kernels} == {"layeragg.gf:GF.matmul", "layeragg.gf:GF.xor_sum"}
+    for layer in kernels:
+        target = getattr(layeragg.GF, layer["target"].rpartition(".")[2])
+        counter = tracer.COUNTERS[layer["counter"]]
+        assert len(inspect.signature(target).parameters) == len(inspect.signature(counter).parameters) - 1
+    traced = tracer.Tracer("layeragg", kernels)
+    traced.install()
+    try:
+        fields, eps = ROUND_SHAPES["layers_gf16"]
+        assert layeragg.run_round(layeragg.Scenario(**fields), 0, eps=eps).passed
+    finally:
+        traced.uninstall()
+    summary = traced.summary()
+    assert summary["gf.matmul"]["calls"] and summary["gf.matmul"]["counts"]["mults"]
+    assert summary["gf.xor_sum"]["calls"] and summary["gf.xor_sum"]["counts"]["ops"]

@@ -152,12 +152,12 @@ def test_tables_are_shared_per_field_and_not_built_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import layeragg; import layeragg.gf as g; print(*(f.cache_info().currsize "
-        "for f in (g._log_exp_tables, g._word_tables)))"
+        "for f in (g._log_exp_tables, g._word_tables, g._symbol_tables)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def test_xor_reduce_empty_and_single():
@@ -165,3 +165,74 @@ def test_xor_reduce_empty_and_single():
     assert np.array_equal(GF(8).xor_sum(empty), np.zeros(5, dtype=np.uint8))
     one = np.arange(5, dtype=np.uint8).reshape(1, 5)
     assert np.array_equal(GF(8).xor_sum(one), one[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([4, 8, 16]),
+    n=st.integers(1, 9),
+    k=st.integers(1, 5),
+    d=st.sampled_from([0, 1, 7, BLOCK + 3]),
+    zero=st.sampled_from(["none", "column", "word", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=4, n=9, k=5, d=BLOCK + 3, zero="word", seed=0)
+@example(m=8, n=9, k=5, d=BLOCK + 3, zero="column", seed=1)
+@example(m=16, n=2, k=4, d=BLOCK + 3, zero="none", seed=2)
+@example(m=16, n=9, k=3, d=BLOCK + 3, zero="word", seed=3)
+@example(m=16, n=5, k=2, d=7, zero="all", seed=4)
+def test_whole_symbol_product_equals_matmul(m, n, k, d, zero, seed):
+    """GF.matmul_fixed against GF.matmul, into a fresh array and into out:
+    coefficients 0 and 1, a zero word or input column, zero a, and more
+    than BLOCK columns."""
+    fld = GF(m)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, fld.order, size=(n, k), dtype=fld.dtype)
+    a[rng.random((n, k)) < 0.2] = 0
+    a[rng.random((n, k)) < 0.2] = 1
+    rows = 8 // fld.element_bytes
+    lo = rows * int(rng.integers(0, -(-n // rows)))
+    if zero == "column":
+        a[lo : lo + rows, int(rng.integers(0, k))] = 0
+    elif zero == "word":
+        a[lo : lo + rows] = 0
+    elif zero == "all":
+        a[:] = 0
+    b = rng.integers(0, fld.order, size=(k, d), dtype=fld.dtype)
+    b[:, -1:] = fld.order - 1
+    want = fld.matmul(a, b)
+    got = fld.matmul_fixed(a, b)
+    assert got.dtype == fld.dtype and np.array_equal(got, want)
+    out = np.full((n, d), fld.order - 1, dtype=fld.dtype)  # stale values are overwritten
+    assert fld.matmul_fixed(a, b, out=out) is out
+    assert np.array_equal(out, want)
+
+
+def test_whole_symbol_product_rejects_bad_operands():
+    fld = GF(4)
+    with pytest.raises(IndexError):
+        fld.matmul_fixed(np.array([[3]]), np.array([[16]]))
+    with pytest.raises(ValueError, match=r"coefficient 16 is not an element of GF\(m=4"):
+        fld.matmul_fixed(np.array([[16]]), np.array([[1]]))
+    with pytest.raises(ValueError, match="out must be"):
+        fld.matmul_fixed(np.array([[3]]), np.array([[1, 2]]), out=np.empty((1, 3), np.uint8))
+    with pytest.raises(ValueError, match="out must be"):
+        fld.matmul_fixed(np.array([[3]]), np.array([[1, 2]]), out=np.empty((1, 2), np.uint16))
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_symbol_tables_hold_packed_products_of_whole_symbols(m):
+    fld = GF(m)
+    width = 8 * fld.element_bytes
+    coefs = (fld.gen_pow(7), 0, 1)[: 8 // fld.element_bytes]
+    table = gf._symbol_tables(fld.m, fld.poly, coefs)
+    assert table.shape == (1, fld.order) and not table.flags.writeable
+    assert gf._symbol_tables(fld.m, fld.poly, coefs) is table
+    if m <= 8:
+        assert table is gf._word_tables(fld.m, fld.poly, coefs)
+    x = np.arange(fld.order)
+    for i, c in enumerate(coefs):
+        lanes = (table[0] >> (width * i)) & (fld.order - 1)
+        assert lanes.tolist() == [fld.mul(c, int(v)) for v in x]
+    # worst case of the cache: 2^16 entries of 8 bytes
+    assert gf._symbol_tables.cache_info().maxsize * (1 << 16) * 8 <= 8 << 20

@@ -114,6 +114,20 @@ def test_decode_rejects_truncated_message(gf8):
         decode_global([messages[0], wide] + messages[2:], plan, code)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64])
+def test_decode_rejects_entries_of_another_dtype(gf8, dtype):
+    # uint8 entries widened to another dtype would be cut back silently
+    params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
+    rng = np.random.default_rng(3)
+    grads = np.stack([random_gradient(rng, gf8, 120) for _ in range(7)])
+    eps = sample_uniform(7, 6, 2, rng)
+    _, messages, plan, code = full_round(gf8, params, eps, grads)
+    widened = AggregatedMessage(helper=4, entries=messages[4].entries.astype(dtype))
+    message = f"helper 4 sent entries of dtype {np.dtype(dtype)}, expected uint8"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        decode_global(messages[:4] + [widened] + messages[5:], plan, code)
+
+
 def test_decode_names_a_message_in_the_wrong_slot(gf8):
     # helpers 2 and 5 emit the same number of entries here, so only the
     # sender field tells the swap apart from a valid round

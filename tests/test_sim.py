@@ -157,17 +157,23 @@ def test_round_plans_each_layer_once(monkeypatch):
     assert run_round(scenario).passed
     assert sorted(calls) == list(range(scenario.params().layers))
 
-def test_round_makes_one_matmul_per_encode_and_emitter_pattern(monkeypatch):
-    # n_e parity encodes, one decode solve per distinct emitter-slot
-    # pattern, and the generator's own product
-    calls = []
-    matmul = GF.matmul
+def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_edge(monkeypatch):
+    # GF.matmul: one decode solve per distinct emitter-slot pattern, and
+    # the generator's own product; GF.matmul_fixed: one parity product per
+    # edge, by the code's parity coefficients
+    calls, fixed = [], []
+    matmul, matmul_fixed = GF.matmul, GF.matmul_fixed
 
     def counting(self, a, b):
         calls.append((np.shape(a), np.shape(b)))
         return matmul(self, a, b)
 
+    def counting_fixed(self, a, b, out=None):
+        fixed.append((np.shape(a), np.shape(b)))
+        return matmul_fixed(self, a, b, out)
+
     monkeypatch.setattr(GF, "matmul", counting)
+    monkeypatch.setattr(GF, "matmul_fixed", counting_fixed)
     scenario = Scenario(p=53760 // 8, n_e=20, n_h=8, s=2, nu=3, field_bits=16, seed=4)
     result = run_round(scenario)
     assert result.passed
@@ -179,9 +185,8 @@ def test_round_makes_one_matmul_per_encode_and_emitter_pattern(monkeypatch):
         for cover in lp.images
     }
     assert 1 < len(patterns) < sum(lp.beta for lp in plan.layer_plans)
-    assert len(calls) == params.n_e + len(patterns) + 1
-    encodes = [c for c in calls if c == ((params.s, params.nu), (params.nu, params.layers * params.d))]
-    assert len(encodes) == params.n_e
+    assert len(calls) == len(patterns) + 1
+    assert fixed == [((params.s, params.nu), (params.nu, params.layers * params.d))] * params.n_e
 
 
 def test_invalid_matrix_fails_in_validate_stage():
