@@ -323,9 +323,18 @@ class RoundPlan:
         ).T
 
     @cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The one sort of the (L, n_e) cover ids that groups and membership
+        share: the stable order of each layer's edges, the sorted ids, and
+        _runs' run starts and run numbers."""
+        ids = self.cover.T
+        order = np.argsort(ids, axis=1, kind="stable")
+        ranked = np.take_along_axis(ids, order, axis=1)
+        return (order, ranked, *_runs(ranked))
+
+    @cached_property
     def groups(self) -> RoundGroups:
-        ranked = np.sort(self.cover.T, axis=1)
-        starts, _ = _runs(ranked)
+        _, ranked, starts, _ = self._ranked
         return RoundGroups(
             layer=starts // self.params.n_e,
             cover=ranked.ravel()[starts],
@@ -334,14 +343,12 @@ class RoundPlan:
 
     @cached_property
     def membership(self) -> tuple[np.ndarray, np.ndarray]:
-        ids = self.cover.T
-        order = np.argsort(ids, axis=1, kind="stable")
-        starts, number = _runs(np.take_along_axis(ids, order, axis=1))
-        layers = np.arange(ids.shape[0])[:, None]
+        order, ranked, starts, number = self._ranked
+        layers = np.arange(ranked.shape[0])[:, None]
         group_of = np.empty_like(order)
-        group_of[layers, order] = number.reshape(ids.shape)
+        group_of[layers, order] = number.reshape(ranked.shape)
         place = np.empty_like(order)
-        place[layers, order] = (np.arange(ids.size) - starts[number]).reshape(ids.shape)
+        place[layers, order] = (np.arange(ranked.size) - starts[number]).reshape(ranked.shape)
         return group_of, place
 
     @cached_property

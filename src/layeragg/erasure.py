@@ -21,8 +21,11 @@ ENUMERATION_CAP = 10**6
 
 
 def validate(eps: np.ndarray, s: int) -> None:
-    """Reject the first row with an entry other than 0 or 1, or a weight above s."""
+    """Reject an array that is not 2-D, then the first row with an entry
+    other than 0 or 1, or a weight above s."""
     eps = np.asarray(eps)
+    if eps.ndim != 2:
+        raise ConfigurationError(f"erasure matrix must be 2-D (n_e, n_h), got shape {eps.shape}")
     nonbinary = ((eps != 0) & (eps != 1)).any(axis=1)
     weights = eps.sum(axis=1)
     bad = np.flatnonzero(nonbinary | (weights > s))

@@ -13,10 +13,10 @@ import io
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -190,17 +190,18 @@ def _file_gradient(scenario: Scenario) -> np.ndarray | None:
 
 def _round_gradients(
     scenario: Scenario, field: GF, round_index: int, loaded: np.ndarray | None
-) -> list[np.ndarray]:
-    """One length-p gradient per edge (the zero and file kinds share one)."""
+) -> Iterator[np.ndarray]:
+    """One length-p gradient per edge, each drawn when it is asked for (the
+    zero and file kinds give one array every time)."""
     spec = scenario.gradients
     if spec["kind"] == "zero":
-        return [np.zeros(scenario.p, dtype=field.dtype)] * scenario.n_e
+        return repeat(np.zeros(scenario.p, dtype=field.dtype), scenario.n_e)
     if spec["kind"] == "file":
         if loaded is None:
             loaded = _file_gradient(scenario)
-        return [loaded] * scenario.n_e
+        return repeat(loaded, scenario.n_e)
     rng = _stream_rng(spec.get("seed", scenario.seed), _GRADIENT_STREAM, round_index)
-    return [random_gradient(rng, field, scenario.p) for _ in range(scenario.n_e)]
+    return (random_gradient(rng, field, scenario.p) for _ in range(scenario.n_e))
 
 
 def _round_erasure(scenario: Scenario, round_index: int) -> np.ndarray:
@@ -255,27 +256,30 @@ def run_round(
 
     def check_matrix(eps):
         eps = np.asarray(eps)
-        erasure.validate(eps, params.s)
         if eps.shape != (params.n_e, params.n_h):
-            raise ConfigurationError(f"erasure matrix shape {eps.shape} mismatch")
+            raise ConfigurationError(
+                f"erasure matrix shape {eps.shape} mismatch: expected "
+                f"(n_e, n_h) = ({params.n_e}, {params.n_h})"
+            )
+        erasure.validate(eps, params.s)
         return eps
 
     eps = stage("validate", check_matrix, eps)
 
     plan = stage("plan", aggregate.RoundPlan, eps, params)
-    gradients = stage("gradients", _round_gradients, scenario, fld, round_index, gradient)
-    reference = reduce(np.bitwise_xor, gradients)
 
-    # Each input is dropped once consumed, so the gradients, codewords,
-    # inbox and decode temporaries of a round are never all held at once.
-    def encode_all():
-        arrays = []
-        for i in range(params.n_e):
-            g, gradients[i] = gradients[i], None
-            arrays.append(encode_client(g, params, code))
-        return arrays
-
-    arrays: list[CodewordArray] = stage("encode", encode_all)
+    # Each edge's gradient is drawn, encoded (which checks its shape) and
+    # added to the reference before the next is drawn, so at most one is
+    # alive. Later inputs are dropped once consumed, so the codewords, inbox
+    # and decode temporaries of a round are never all held at once.
+    draws = stage("gradients", _round_gradients, scenario, fld, round_index, gradient)
+    reference = np.zeros(params.p, dtype=fld.dtype)
+    arrays: list[CodewordArray] = []
+    for _ in range(params.n_e):
+        g = stage("gradients", next, draws)
+        arrays.append(stage("encode", encode_client, g, params, code))
+        reference ^= g
+        del g
 
     # Helpers get views of each edge's columns, so nothing is copied here.
     def deliver():

@@ -1,5 +1,6 @@
 """CLI behavior: output shapes, golden values, exit-code contract."""
 
+import hashlib
 import json
 
 import pytest
@@ -318,3 +319,49 @@ def test_malformed_matrix_rows_in_a_scenario_exit_2_naming_the_row(tmp_path, row
     assert "scenario field 'erasures.rows'" in captured.err
     assert needle in captured.err
     assert "round 0" not in captured.out
+
+
+# sha256 of stdout, recorded before random_gradient drew from 64-bit words:
+# the random gradients, and so every encoded column, must not change.
+ENCODE_DIGESTS = {
+    (4, 24): "865f89a7a545eb9138dd3ddc42a05ecbf20d79427d84c7efc2ae2013a5445fa1",
+    (4, 25): "45b640f89396a4a4a42db34adaf63203234029ac91e6a02591e1928298404777",
+    (4, 27): "d83b2cb3705cad51dd9b9bce24f50f40ae5ea3bb31c2f275f8f55ed7d4003079",
+    (4, 1001): "bbfcb52a81425885372e4cab8c59f0592463ab544cd8d99e817d04c2dd19678c",
+    (8, 24): "0822ad1913e7e3205f398e1f24ba09334313f3b536854d2a74e6ed70f86d06bc",
+    (8, 25): "5f2480113d7597be5c0aa51da48d48f5a9997a5a291d35958e3b3b82e84eef68",
+    (8, 27): "cb71544b3dc6661d22e6b65adb7088ef81563f184e807cf12ba028106a60c480",
+    (8, 1001): "633699f25e008b9e1d8ed24613c68f0b50aa2e2a652d396582835f96b9030b1e",
+    (16, 24): "cf72ae4e6aa7a3960127db1229976e96881dff775c300cb700843310278705dc",
+    (16, 25): "6bc47fa2f6fce19728774fb024b9dd5460f215956333b6ff5d74b1317b5c88a8",
+    (16, 27): "a33a7891155711cc5fd2d8bee7e59d8959dc40604a9e6bc8143e8d54d2edab39",
+    (16, 1001): "bb7dab02620ecf29330801f594cb159512318aa1bf244eb8b175a82dc63daab0",
+}
+SIMULATE_DIGESTS = {
+    4: "74c5ebb20d1cc72cf18d7b0f85162c42fd16fccd9a2b61905f30034ef20ca1a4",
+    8: "16012b02dede318d604bff3a32ceee353d7f0c56a356098f6a1a9b980e370b20",
+    16: "21fbe019ed7334a9513751d3cd1d28668e012a57477292eeea4c662df383f828",
+}
+
+
+def _stdout_sha256(argv, capsys) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m, p", sorted(ENCODE_DIGESTS))
+def test_encode_random_gradient_output_is_pinned(m, p, capsys):
+    argv = [
+        "encode", "--seed", "9", "--field-bits", str(m), "--format", "json",
+        "--p", str(p), "--n-h", "5", "--s", "2", "--nu", "2", "--edge-index", "3",
+    ]
+    assert _stdout_sha256(argv, capsys) == ENCODE_DIGESTS[m, p]
+
+
+@pytest.mark.parametrize("m", sorted(SIMULATE_DIGESTS))
+def test_simulate_json_output_is_pinned(m, capsys):
+    argv = [
+        "simulate", "--p", "60", "--n-e", "5", "--n-h", "4", "--s", "1", "--nu", "2",
+        "--rounds", "3", "--seed", "7", "--field-bits", str(m), "--format", "json",
+    ]
+    assert _stdout_sha256(argv, capsys) == SIMULATE_DIGESTS[m]

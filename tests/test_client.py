@@ -294,6 +294,54 @@ def test_random_gradient_deterministic(gf8):
     assert a.dtype == np.uint8
 
 
+def _generator_state(rng: np.random.Generator) -> dict:
+    """The bit generator's state; the pending half-word counts only while
+    has_uint32 says there is one."""
+    state = rng.bit_generator.state
+    if not state.get("has_uint32", 1):
+        state.pop("uinteger")
+    state["state"] = {key: np.asarray(value).tolist() for key, value in state["state"].items()}
+    return state
+
+
+RANDOM_GRADIENT_LENGTHS = [1, 2, 3, 5, 7, 53760, 2**20 + 1]
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+@pytest.mark.parametrize(
+    "bits", [np.random.PCG64, np.random.MT19937], ids=["PCG64", "MT19937"]
+)
+def test_random_gradient_is_integers_draw_for_draw(m, bits):
+    # Consecutive draws of odd and even byte counts leave a pending 32-bit
+    # half-word in PCG64 after some of them, which the next draw must use.
+    # MT19937 puts its first 32-bit draw in the high half of a 64-bit one,
+    # so it matches only if it takes integers.
+    fld = GF(m)
+    ours, theirs = (np.random.Generator(bits(1)) for _ in range(2))
+    for p in RANDOM_GRADIENT_LENGTHS + RANDOM_GRADIENT_LENGTHS[::-1] + [3, 3]:
+        got = random_gradient(ours, fld, p)
+        want = theirs.integers(0, fld.order, size=p, dtype=fld.dtype)
+        assert got.dtype == want.dtype == fld.dtype and got.shape == (p,)
+        assert np.array_equal(got, want), p
+        assert _generator_state(ours) == _generator_state(theirs), p
+    assert ours.integers(0, 2**63, size=5).tolist() == theirs.integers(0, 2**63, size=5).tolist()
+    assert np.array_equal(ours.random(3), theirs.random(3))
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("p", RANDOM_GRADIENT_LENGTHS)
+def test_random_gradient_after_a_pending_half_word(m, p):
+    fld = GF(m)
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for rng in (ours, theirs):
+        rng.integers(0, 2**32, size=1, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"]
+    got = random_gradient(ours, fld, p)
+    assert np.array_equal(got, theirs.integers(0, fld.order, size=p, dtype=fld.dtype))
+    assert _generator_state(ours) == _generator_state(theirs)
+    assert ours.integers(0, 2**32, size=3).tolist() == theirs.integers(0, 2**32, size=3).tolist()
+
+
 @pytest.mark.parametrize(
     "text, needle",
     [

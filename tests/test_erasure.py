@@ -1,5 +1,6 @@
 """Erasure matrix construction, sampling, and enumeration tests."""
 
+import re
 from itertools import combinations
 from math import comb
 
@@ -17,7 +18,7 @@ from layeragg.erasure import (
     validate,
     worst_case_pattern,
 )
-from layeragg.errors import CapExceededError
+from layeragg.errors import CapExceededError, ConfigurationError
 
 SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
 
@@ -129,3 +130,12 @@ def test_enumerate_row_sets_yields_each_set_of_distinct_rows_once(n_e, n_h, s):
 def test_validate_rejects_entries_other_than_zero_and_one(entries, row):
     with pytest.raises(ValueError, match=f"row {row} has entries other than 0 and 1"):
         validate(np.array(entries), s=1)
+
+
+@pytest.mark.parametrize(
+    "eps", [np.zeros(4), np.zeros((2, 2, 4)), np.uint8(0)], ids=["1-D", "3-D", "0-D"]
+)
+def test_validate_rejects_an_array_that_is_not_2d(eps):
+    needle = re.escape(f"must be 2-D (n_e, n_h), got shape {eps.shape}")
+    with pytest.raises(ConfigurationError, match=needle):
+        validate(eps, s=1)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from layeragg import aggregate, sim
-from layeragg.client import SchemeParams
+from layeragg.client import SchemeParams, encode_client
 from layeragg.errors import ConfigurationError
 from layeragg.gf import GF
 from layeragg.sim import (
@@ -135,6 +136,74 @@ def test_file_gradient_is_every_edge_gradient(tmp_path):
         run_round(scenario)
     assert info.value.stage == "gradients"
 
+def _recording_draws(monkeypatch, fail_at=None):
+    """Wrap sim.random_gradient: keep a copy of every draw, and before each
+    draw count the earlier draws still alive (held by weak references)."""
+    draws, alive, refs = [], [], []
+    draw = sim.random_gradient
+
+    def recording(rng, field, p):
+        alive.append(sum(ref() is not None for ref in refs))
+        if len(draws) == fail_at:
+            raise RuntimeError("no entropy left")
+        g = draw(rng, field, p)
+        draws.append(g.copy())
+        refs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(sim, "random_gradient", recording)
+    return draws, alive
+
+
+@pytest.mark.parametrize("n_e", [1, 2, 7])
+def test_round_draws_each_gradient_after_the_last_is_encoded(monkeypatch, n_e):
+    draws, alive = _recording_draws(monkeypatch)
+    result = run_round(Scenario(p=120, n_e=n_e, n_h=6, s=2, nu=2, seed=5))
+    assert result.passed
+    assert len(draws) == n_e
+    assert alive == [0] * n_e
+    assert np.array_equal(result.reference, np.bitwise_xor.reduce(draws))
+    assert result.reference.dtype == np.uint8
+
+
+def test_round_reference_of_the_file_and_zero_kinds(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(list(range(24))))
+    for n_e, kind, want in [
+        (1, {"kind": "file", "path": str(path)}, list(range(24))),
+        (2, {"kind": "file", "path": str(path)}, [0] * 24),
+        (3, {"kind": "file", "path": str(path)}, list(range(24))),
+        (1, {"kind": "zero"}, [0] * 24),
+        (3, {"kind": "zero"}, [0] * 24),
+    ]:
+        result = run_round(Scenario(p=24, n_e=n_e, n_h=4, s=1, nu=2, gradients=kind))
+        assert result.passed
+        assert result.reference.dtype == np.uint8
+        assert result.reference.tolist() == want
+
+
+def test_round_names_the_stage_of_a_failing_draw_or_encode(monkeypatch):
+    scenario = Scenario(p=120, n_e=3, n_h=6, s=2, nu=2, seed=5)
+    _recording_draws(monkeypatch, fail_at=1)
+    with pytest.raises(StageFailure, match="^gradients: no entropy left$") as info:
+        run_round(scenario)
+    assert info.value.stage == "gradients"
+
+    monkeypatch.undo()
+    encoded = []
+
+    def failing(g, params, code):
+        if encoded:
+            raise ValueError("codeword lost")
+        encoded.append(g)
+        return encode_client(g, params, code)
+
+    monkeypatch.setattr(sim, "encode_client", failing)
+    with pytest.raises(StageFailure, match="^encode: codeword lost$") as info:
+        run_round(scenario)
+    assert info.value.stage == "encode"
+
+
 def test_round_counts_match_closed_forms():
     scenario = Scenario(p=120, n_e=7, n_h=6, s=2, nu=2, seed=3)
     result = run_round(scenario)
@@ -223,13 +292,24 @@ def test_round_takes_a_list_of_lists_as_its_erasure_matrix():
         ([[0, 0, 0], [0, 1, 0]], r"shape \(2, 3\) mismatch"),
         (np.zeros((3, 4), dtype=np.uint8), r"shape \(3, 4\) mismatch"),
         ([[0, 0, 0, 0], [0, 1, 0]], "inhomogeneous"),
-        ([0, 0, 0, 0], "axis 1"),
+        ([0, 0, 0, 0], r"shape \(4,\) mismatch: expected \(n_e, n_h\) = \(2, 4\)"),
+        (np.zeros((2, 4, 1)), r"shape \(2, 4, 1\) mismatch: expected \(n_e, n_h\) = \(2, 4\)"),
     ],
 )
 def test_malformed_matrix_fails_in_validate_stage(eps, needle):
     with pytest.raises(StageFailure, match=needle) as info:
         run_round(Scenario(p=24, n_e=2, n_h=4, s=1, nu=2), eps=eps)
     assert info.value.stage == "validate"
+
+
+def test_a_one_dimensional_matrix_is_named_by_the_shape_check():
+    with pytest.raises(StageFailure) as info:
+        run_round(Scenario(p=60, n_e=3, n_h=4, s=1, nu=2), eps=np.zeros(4))
+    assert info.value.stage == "validate"
+    assert type(info.value.__cause__) is ConfigurationError
+    assert str(info.value) == (
+        "validate: erasure matrix shape (4,) mismatch: expected (n_e, n_h) = (3, 4)"
+    )
 
 
 def test_rounds_count_in_erasure_spec_wins():
