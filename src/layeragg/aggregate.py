@@ -25,7 +25,7 @@ import numpy as np
 from . import erasure
 from .client import SchemeParams
 from .errors import ConfigurationError, ProtocolError
-from .gf import GF
+from .gf import GF, is_integer
 
 # Layers of at most this many slots read cover ids from one table over
 # all 2^k footprint masks and cover slots from one over all C(k, s) ids;
@@ -187,38 +187,15 @@ def plan_layer(
     return LayerAggregationPlan(layer, tuple(helpers), s, footprints, cover)
 
 
-class HelperIndex(NamedTuple):
-    """Where helper j's received symbols go in its fold buffer.
-
-    The buffer holds one (r, n) block of symbol rows per distinct group
-    size r, row-major: row t of a block holds the t-th edge of each of its
-    n entries, so one XOR down the block folds all n.
-
-    entries  the helper's message length m_j
-    rows     buffer rows, the summed size of its groups
-    edges    per edge it reads: (edge, layer of the first entry that
-             reads it, buffer positions, rows of the edge's column),
-             ordered by that first entry, then by edge
-    blocks   per group size: (entry ids, buffer offset, r, n)
-    """
-
-    entries: int
-    rows: int
-    edges: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
-    blocks: tuple[tuple[np.ndarray, int, int, int], ...]
-
-
 class RoundGroups(NamedTuple):
     """Every group of a round, numbered layer-major in image order.
 
     layer  (groups,) the group's layer
     cover  (groups,) its cover id
-    size   (groups,) its number of edges
     """
 
     layer: np.ndarray
     cover: np.ndarray
-    size: np.ndarray
 
 
 def _run_starts(ranked: np.ndarray) -> np.ndarray:
@@ -293,7 +270,9 @@ class RoundPlan:
                      that emits it, -1 in the slots of its cover
     schedules        per helper, the (layer, image index) pairs it emits;
                      a tuple view for checks and tests
-    helper_index     per helper, the HelperIndex of its fold
+    feeds            (n_e, (nu+s)*L) per edge and codeword cell
+                     slot*L + layer (LayerMap.cells' numbering), the message
+                     row the cell feeds, -1 in the slots of the edge's cover
     decode_patterns  per emitter-slot pattern, the layers and message rows
                      the master decodes with one solve
 
@@ -338,7 +317,6 @@ class RoundPlan:
         return RoundGroups(
             layer=starts // self.params.n_e,
             cover=ranked.ravel()[starts],
-            size=np.diff(starts, append=ranked.size),
         )
 
     @cached_property
@@ -384,6 +362,11 @@ class RoundPlan:
         return rows
 
     @cached_property
+    def feeds(self) -> np.ndarray:
+        rows = self._message_rows[self.membership[0]]
+        return rows.transpose(1, 2, 0).reshape(self.params.n_e, -1)
+
+    @cached_property
     def schedules(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         rows = self._message_rows
         entries = int(self.m_j.sum())
@@ -393,59 +376,6 @@ class RoundPlan:
         pairs = list(zip(layer.tolist(), image.tolist()))
         ends = np.cumsum(self.m_j).tolist()
         return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
-
-    @cached_property
-    def helper_index(self) -> tuple[HelperIndex, ...]:
-        """One HelperIndex per helper."""
-        params = self.params
-        groups, emitters = self.groups, self.emitters
-        group_of, place = self.membership
-        index = []
-        for j in range(params.n_h):
-            # j's entries are the groups it emits, in group order
-            g = np.nonzero(emitters == j)[0]
-            m = len(g)
-            entry_of = np.full(len(groups.layer), -1, dtype=np.intp)
-            entry_of[g] = np.arange(m)
-            r = groups.size[g]
-            # entries by size, schedule order within a size: one block each
-            by_size = np.argsort(r, kind="stable")
-            count = np.bincount(r)
-            block_r = np.flatnonzero(count)
-            block_n = count[block_r]
-            block_first = np.cumsum(block_n) - block_n
-            block_offset = np.cumsum(block_r * block_n) - block_r * block_n
-            block = np.empty(m, dtype=np.intp)
-            block[by_size] = np.repeat(np.arange(len(block_r)), block_n)
-            rank = np.empty(m, dtype=np.intp)
-            rank[by_size] = np.arange(m) - np.repeat(block_first, block_n)
-
-            # the entry each (edge, row of j's column) feeds, edge-major
-            layers = params.layer_map.column_index(j)[0]
-            reads = entry_of[group_of[layers]].T
-            edge, row = np.nonzero(reads >= 0)
-            entry = reads[edge, row]
-            b = block[entry]
-            pos = block_offset[b] + place[layers[row], edge] * block_n[b] + rank[entry]
-            starts = np.flatnonzero(np.diff(edge, prepend=-1))
-            bounds = np.append(starts, len(edge)).tolist()
-            first_layer = layers[row[starts]].tolist()
-            # edges in the order a walk of the schedule first reads them, so
-            # a missing one is reported at its first entry
-            edges = tuple(
-                (int(edge[bounds[k]]), first_layer[k],
-                 pos[bounds[k] : bounds[k + 1]], row[bounds[k] : bounds[k + 1]])
-                for k in np.lexsort((edge[starts], entry[starts])).tolist()
-            )
-            blocks = tuple(
-                (by_size[first : first + n], offset, size, n)
-                for first, offset, size, n in zip(
-                    block_first.tolist(), block_offset.tolist(),
-                    block_r.tolist(), block_n.tolist(),
-                )
-            )
-            index.append(HelperIndex(m, len(edge), edges, blocks))
-        return tuple(index)
 
     @cached_property
     def decode_patterns(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
@@ -490,15 +420,20 @@ def aggregate_helper(
     """Run the aggregation strategy at helper j, in the order of its schedule.
 
     received maps edge index -> that edge's (b, d) column, present only
-    for surviving links; a column of another shape, or of a dtype other
-    than the field's, raises ProtocolError.
+    for surviving links; a key that is not an edge of the round, or a
+    column of another shape or of a dtype other than the field's, raises
+    ProtocolError.
     Every group sum only touches edges whose link to j survived; a gap
-    means the erasure bookkeeping is broken. The symbols are copied once
-    into a buffer laid out by plan.helper_index, and each block of
-    equal-size groups is folded with one xor_sum.
+    means the erasure bookkeeping is broken. The fold is laid out per call
+    from plan.feeds: the symbols are copied once into a buffer of one
+    (r, n) block of rows per distinct group size r, whose row t holds the
+    t-th edge of each of its n entries, and each block is folded with one
+    xor_sum.
     """
     params = plan.params
     for i, column in received.items():
+        if not is_integer(i) or not 0 <= i < params.n_e:
+            raise ProtocolError(f"helper {j} got a column from {i!r}, not an edge of the round")
         if np.shape(column) != (params.b, params.d):
             raise ProtocolError(
                 f"helper {j} got a column of shape {np.shape(column)} from edge {i}, "
@@ -510,20 +445,47 @@ def aggregate_helper(
                 f"helper {j} got a column of dtype {dtype} from edge {i}, "
                 f"expected {field.dtype}"
             )
-    index = plan.helper_index[j]
-    d = params.d
-    buffer = np.empty((index.rows, d), dtype=field.dtype)
-    for i, layer, pos, rows in index.edges:
-        if plan.eps[i, j] or i not in received:
-            raise ProtocolError(
-                f"helper {j} needs the layer-{layer} symbol of edge {i} "
-                f"but that link is erased"
-            )
-        buffer[pos] = received[i][rows]
-    entries = np.empty((index.entries, d), dtype=field.dtype)
-    for ids, offset, r, n in index.blocks:
-        block = buffer[offset : offset + r * n].reshape(r, n * d)
-        entries[ids] = field.xor_sum(block).reshape(n, d)
+    d, b, n_e, m = params.d, params.b, params.n_e, int(plan.m_j[j])
+    layers = params.layer_map.column_index(j)[0]
+    # the message row each (edge, row of j's column) feeds; -1 on the cover
+    feeds = plan.feeds[:, params.layer_map.cells[j]]
+    fed = feeds >= 0
+    reads = np.flatnonzero(fed.any(axis=1))
+    have = np.zeros(n_e, dtype=bool)
+    have[list(received)] = True
+    have &= plan.eps[:, j] == 0
+    if not have[reads].all():
+        # the first missing symbol in schedule order; argmin keeps the
+        # smallest edge of an entry
+        lost = np.where(fed & ~have[:, None], feeds, np.iinfo(feeds.dtype).max)
+        i, r = divmod(int(np.argmin(lost)), b)
+        raise ProtocolError(
+            f"helper {j} needs the layer-{layers[r]} symbol of edge {i} "
+            f"but that link is erased"
+        )
+    # the read edges' fed cells, edge-major: nth read edge, row of j's column
+    feeds, fed = feeds[reads], fed[reads]
+    nth, row = np.nonzero(fed)
+    entry = feeds[nth, row] - int(plan.m_j[:j].sum())
+    size = np.bincount(entry, minlength=m)
+    # buffer order: by group size, then the edge's rank in its group, then
+    # entry; row 0 of a size's block lists its entries ascending
+    key = (size[entry] * n_e + plan.membership[1][layers[row], reads[nth]]) * m + entry
+    order = np.argsort(key)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    buffer = np.empty((len(order), d), dtype=field.dtype)
+    bounds = np.cumsum(fed.sum(axis=1)).tolist()
+    for i, a, z in zip(reads.tolist(), [0] + bounds, bounds):
+        buffer[pos[a:z]] = received[i][row[a:z]]
+    entries = np.empty((m, d), dtype=field.dtype)
+    count = np.bincount(size)
+    start = 0
+    for r in np.flatnonzero(count).tolist():
+        n = int(count[r])
+        block = buffer[start : start + r * n].reshape(r, n * d)
+        entries[entry[order[start : start + n]]] = field.xor_sum(block).reshape(n, d)
+        start += r * n
     return AggregatedMessage(helper=j, entries=entries)
 
 

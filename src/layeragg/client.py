@@ -201,6 +201,14 @@ class CodewordArray:
         return grid
 
 
+def check_code(code: MdsCode, params: SchemeParams) -> None:
+    """Raise ConfigurationError unless code is the scheme's [nu+s, nu] code."""
+    if (code.nu, code.s) != (params.nu, params.s):
+        raise ConfigurationError(
+            f"code is [{code.n},{code.nu}] but params want [{params.nu + params.s},{params.nu}]"
+        )
+
+
 def encode_client(g_i: np.ndarray, params: SchemeParams, code: MdsCode) -> CodewordArray:
     """Encode one edge's gradient straight into its helper columns.
 
@@ -208,10 +216,7 @@ def encode_client(g_i: np.ndarray, params: SchemeParams, code: MdsCode) -> Codew
     one (nu+s, L*d) codeword; one parity product encodes every layer, and
     one gather takes the codeword to its columns.
     """
-    if (code.nu, code.s) != (params.nu, params.s):
-        raise ValueError(
-            f"code is [{code.n},{code.nu}] but params want [{params.nu + params.s},{params.nu}]"
-        )
+    check_code(code, params)
     n, layers, d = code.n, params.layers, params.d
     coded = np.empty((n, layers * d), dtype=code.field.dtype)
     # message row k of layer l is block (l, k) of the gradient

@@ -55,7 +55,8 @@ DEFAULT_POLY = {
 
 
 def is_integer(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    # an int first: the Integral check goes through the ABC machinery (~1 us)
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _poly_mul(a: int, b: int, m: int, poly: int) -> int:

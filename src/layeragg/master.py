@@ -29,7 +29,7 @@ import numpy as np
 
 from . import aggregate
 from .aggregate import GroupCounts, RoundPlan
-from .client import SchemeParams, reassemble_gradient
+from .client import SchemeParams, check_code, reassemble_gradient
 from .erasure import (
     enumerate_all,
     enumerate_row_sets,
@@ -137,12 +137,14 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
 
     The rows to gather come from plan.decode_patterns. A message whose
     sender slot, symbol width, dtype or length (against the plan's m_j) is
-    wrong raises ProtocolError. Each group has exactly nu emitters, so
+    wrong raises ProtocolError; a code whose (nu, s) is not the plan's
+    raises ConfigurationError. Each group has exactly nu emitters, so
     there is no redundancy: a corrupted symbol *value* cannot be detected
     and decodes into a wrong sum.
     """
     params = plan.params
     field = code.field
+    check_code(code, params)
     if len(messages) != params.n_h:
         raise ProtocolError(f"need {params.n_h} helper messages, got {len(messages)}")
     for j, (msg, m_j) in enumerate(zip(messages, plan.m_j.tolist())):

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import aggregate, erasure, master, mds
 from .client import (
-    CodewordArray,
     SchemeParams,
     encode_client,
     load_gradient,
@@ -269,44 +268,30 @@ def run_round(
     plan = stage("plan", aggregate.RoundPlan, eps, params)
 
     # Each edge's gradient is drawn, encoded (which checks its shape) and
-    # added to the reference before the next is drawn, so at most one is
-    # alive. Later inputs are dropped once consumed, so the codewords, inbox
-    # and decode temporaries of a round are never all held at once.
+    # added to the reference before the next is drawn: one is alive at a time.
     draws = stage("gradients", _round_gradients, scenario, fld, round_index, gradient)
     reference = np.zeros(params.p, dtype=fld.dtype)
-    arrays: list[CodewordArray] = []
+    arrays = []
     for _ in range(params.n_e):
         g = stage("gradients", next, draws)
         arrays.append(stage("encode", encode_client, g, params, code))
         reference ^= g
         del g
 
-    # Helpers get views of each edge's columns, so nothing is copied here.
-    def deliver():
-        inbox = [{} for _ in range(params.n_h)]
-        sent = 0
-        for i, erased in enumerate(eps.tolist()):
-            array, arrays[i] = arrays[i], None
-            for j in range(params.n_h):
-                col = array.column(j)
-                sent += col.size
-                if not erased[j]:
-                    inbox[j][i] = col
-        return inbox, sent
+    # every edge sends a column to every helper, erased links included
+    eh_per_edge = stage("deliver", sum, (array.columns.size for array in arrays)) // params.n_e
 
-    inbox, sent_total = stage("deliver", deliver)
-    del arrays
-    eh_per_edge = sent_total // params.n_e
-
+    # helpers get views of each edge's columns, so nothing is copied here
     def aggregate_all():
-        messages = []
-        for j in range(params.n_h):
-            box, inbox[j] = inbox[j], None
-            messages.append(aggregate.aggregate_helper(j, box, plan, fld))
-        return messages
+        return [
+            aggregate.aggregate_helper(
+                j, {i: a.column(j) for i, a in enumerate(arrays) if not eps[i, j]}, plan, fld
+            )
+            for j in range(params.n_h)
+        ]
 
     messages = stage("aggregate", aggregate_all)
-    del inbox
+    del arrays
     hm_symbols = sum(m.entries.size for m in messages)
 
     decoded = stage("decode", master.decode_global, messages, plan, code)

@@ -340,6 +340,22 @@ def test_aggregate_rejects_a_column_of_the_wrong_shape(gf8, shape):
         aggregate_helper(0, received, RoundPlan(eps, params), gf8)
 
 
+@pytest.mark.parametrize("key", [7, 99, -1, "x", 2.5, None])
+def test_aggregate_rejects_a_column_from_a_key_that_is_not_an_edge(gf8, key):
+    # n_e = 7, so 7 and 99 are past the last edge, and -1 would wrap around
+    params, code, eps = seven_edge_setup(gf8)
+    g = random_gradient(np.random.default_rng(4), gf8, params.p)
+    received = {i: encode_client(g, params, code).column(0) for i in range(7) if not eps[i, 0]}
+    plan = RoundPlan(eps, params)
+    want = aggregate_helper(0, received, plan, gf8).entries
+    numpy_keys = {np.int64(i): column for i, column in received.items()}
+    assert aggregate_helper(0, numpy_keys, plan, gf8).entries.tobytes() == want.tobytes()
+    received[key] = received[2]
+    message = f"helper 0 got a column from {key!r}, not an edge of the round"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        aggregate_helper(0, received, plan, gf8)
+
+
 @pytest.mark.parametrize(
     "column",
     [lambda col: col.astype(np.int64) + 256, lambda col: col + 0.5],
@@ -357,6 +373,31 @@ def test_aggregate_rejects_a_column_of_another_dtype(gf8, column):
     message = f"helper 0 got a column of dtype {dtype} from edge 3, expected uint8"
     with pytest.raises(ProtocolError, match=re.escape(message)):
         aggregate_helper(0, received, RoundPlan(eps, params), gf8)
+
+
+@pytest.mark.parametrize("kind", ["strict", "lax"])
+def test_feeds_marks_each_cover_and_feeds_every_message_row(kind):
+    params = SchemeParams(p=97, n_e=9, n_h=6, s=2, nu=2)
+    L, rng = params.layers, np.random.default_rng(17)
+    for _ in range(5):
+        draw = sample_uniform if kind == "strict" else lax_matrix
+        eps = draw(params.n_e, params.n_h, params.s, rng)
+        plan = RoundPlan(eps, params)
+        feeds = plan.feeds
+        assert feeds.shape == (params.n_e, (params.nu + params.s) * L)
+        # -1 exactly on each edge's cover, which holds every erased link
+        for layer, helpers in enumerate(params.layer_map):
+            for i in range(params.n_e):
+                cover = lexmin_cover(helpers, [h for h in helpers if eps[i, h]], params.s)
+                for t, h in enumerate(helpers):
+                    assert (feeds[i, t * L + layer] == -1) == (h in cover), (i, layer, t)
+        rows = int(plan.m_j.sum())
+        assert np.array_equal(np.unique(feeds[feeds >= 0]), np.arange(rows))
+        offsets = np.cumsum(plan.m_j) - plan.m_j
+        for j, schedule in enumerate(plan.schedules):
+            for k, (layer, a) in enumerate(schedule):
+                fed = np.flatnonzero((feeds == offsets[j] + k).any(axis=1))
+                assert tuple(fed.tolist()) == plan.layer_plans[layer].groups[a]
 
 
 def test_round_plan_takes_a_list_and_rejects_entries_other_than_0_and_1():

@@ -58,7 +58,7 @@ def test_a_round_plan_plans_each_layer_once(monkeypatch):
     calls = counting_plan_layer(monkeypatch)
     params = SchemeParams(p=53760, n_e=50, n_h=10, s=2, nu=4)
     plan = aggregate.RoundPlan(sample_uniform(50, 10, 2, 7), params)
-    plan.helper_index, plan.decode_patterns, plan.m_j
+    plan.feeds, plan.decode_patterns, plan.m_j
     assert calls == list(range(params.layers))
 
 

@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from reference_plan import lexmin_cover
 
 from layeragg.aggregate import AggregatedMessage, RoundPlan, aggregate_helper
 from layeragg.client import SchemeParams, encode_client, random_gradient
@@ -126,6 +127,22 @@ def test_decode_rejects_entries_of_another_dtype(gf8, dtype):
     message = f"helper 4 sent entries of dtype {np.dtype(dtype)}, expected uint8"
     with pytest.raises(ProtocolError, match=re.escape(message)):
         decode_global(messages[:4] + [widened] + messages[5:], plan, code)
+
+
+@pytest.mark.parametrize("nu, s", [(3, 1), (1, 3), (2, 3)])
+def test_encode_and_decode_reject_a_code_of_another_shape(gf8, nu, s):
+    # the plan is [4,2]: the first two codes used to fail inside a solve,
+    # and the third decoded without complaint
+    params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
+    rng = np.random.default_rng(3)
+    grads = np.stack([random_gradient(rng, gf8, 120) for _ in range(7)])
+    _, messages, plan, _ = full_round(gf8, params, sample_uniform(7, 6, 2, rng), grads)
+    code = make_generator(gf8, nu, s)
+    message = re.escape(f"code is [{nu + s},{nu}] but params want [4,2]")
+    with pytest.raises(ConfigurationError, match=message):
+        decode_global(messages, plan, code)
+    with pytest.raises(ConfigurationError, match=message):
+        encode_client(grads[0], params, code)
 
 
 def test_decode_names_a_message_in_the_wrong_slot(gf8):
@@ -259,6 +276,42 @@ def test_average_exhaustive_vs_monte_carlo():
     assert cost_average(params, mode="monte_carlo", trials=np.int64(3)).trials == 3
     with pytest.raises(ValueError):
         cost_average(params, mode="nope")
+
+
+def closed_form_mean(params):
+    """E[C_HM] over Omega(s) without enumeration.
+
+    Rows of a strict matrix are iid uniform s-subsets, and every layer sees
+    the same footprint distribution, so E[C_HM] = E[beta_l] =
+    sum_c (1 - (1 - q_c)^n_e) over the layer's covers c. q_c is the share of
+    s-subsets whose footprint in one layer has lexmin cover c: a footprint f
+    of the layer's k = nu+s slots is hit by C(n_h - k, s - |f|) of them.
+    """
+    k, s = params.nu + params.s, params.s
+    slots = tuple(range(k))
+    q = {}
+    for w in range(s + 1):
+        for footprint in combinations(slots, w):
+            cover = lexmin_cover(slots, footprint, s)
+            q[cover] = q.get(cover, 0) + Fraction(comb(params.n_h - k, s - w), comb(params.n_h, s))
+    return sum(1 - (1 - q_c) ** params.n_e for q_c in q.values())
+
+
+@pytest.mark.parametrize(
+    "n_e, n_h, s, nu, mean",
+    [(3, 4, 1, 2, Fraction(65, 32)), (3, 5, 2, 1, Fraction(233, 125)), (2, 6, 2, 2, Fraction(131, 75))],
+)
+def test_closed_form_mean_equals_enumeration(n_e, n_h, s, nu, mean):
+    params = SchemeParams(p=60, n_e=n_e, n_h=n_h, s=s, nu=nu)
+    assert closed_form_mean(params) == mean
+    assert cost_average(params, mode="exhaustive").value == mean
+
+
+def test_monte_carlo_agrees_with_the_closed_form_where_enumeration_cannot_reach():
+    # the round benchmark's cost shape: |Omega(s)| = 45^50
+    params = SchemeParams(p=53760, n_e=50, n_h=10, s=2, nu=4)
+    mc = cost_average(params, mode="monte_carlo", trials=400, seed=7)
+    assert abs(mc.value - float(closed_form_mean(params))) < 4 * mc.stderr
 
 
 def test_cost_api_faults_raise_configuration_error():
