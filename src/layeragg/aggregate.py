@@ -206,13 +206,6 @@ def _run_starts(ranked: np.ndarray) -> np.ndarray:
     return new
 
 
-def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of sorted ids -> the flat start of every run of equal ids in a
-    row, and the run number of every position."""
-    new = _run_starts(ranked)
-    return np.flatnonzero(new), np.cumsum(new) - 1
-
-
 class GroupCounts(NamedTuple):
     """The group counts of T erasure matrices.
 
@@ -260,8 +253,7 @@ class RoundPlan:
     cover            (n_e, L) every edge's cover id in every layer, stacked
                      from layer_plans; the rest is derived from it
     groups           the RoundGroups of the round
-    membership       two (L, n_e) arrays: each edge's group in each layer,
-                     and its rank among that group's edges, which ascend
+    group_of         (L, n_e) each edge's group in each layer
     beta             (L,) groups per layer
     m_j              (n_h,) each helper's message length; beta and m_j
                      are count_groups' one-matrix case, the rule cost
@@ -297,19 +289,18 @@ class RoundPlan:
             plan_layer(layer, subset, eps, params.s)
             for layer, subset in enumerate(params.layer_map)
         )
-        self.cover = np.concatenate([lp.cover for lp in self.layer_plans]).reshape(
-            params.layers, params.n_e
-        ).T
+        self.cover = np.stack([lp.cover for lp in self.layer_plans]).T
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The one sort of the (L, n_e) cover ids that groups and membership
-        share: the stable order of each layer's edges, the sorted ids, and
-        _runs' run starts and run numbers."""
+        """The one sort of the (L, n_e) cover ids that groups and group_of
+        share: the stable order of each layer's edges, the sorted ids, the
+        flat start of every run of equal ids, and each position's run."""
         ids = self.cover.T
         order = np.argsort(ids, axis=1, kind="stable")
         ranked = np.take_along_axis(ids, order, axis=1)
-        return (order, ranked, *_runs(ranked))
+        new = _run_starts(ranked)
+        return order, ranked, np.flatnonzero(new), np.cumsum(new) - 1
 
     @cached_property
     def groups(self) -> RoundGroups:
@@ -320,14 +311,11 @@ class RoundPlan:
         )
 
     @cached_property
-    def membership(self) -> tuple[np.ndarray, np.ndarray]:
-        order, ranked, starts, number = self._ranked
-        layers = np.arange(ranked.shape[0])[:, None]
+    def group_of(self) -> np.ndarray:
+        order, ranked, _, number = self._ranked
         group_of = np.empty_like(order)
-        group_of[layers, order] = number.reshape(ranked.shape)
-        place = np.empty_like(order)
-        place[layers, order] = (np.arange(ranked.size) - starts[number]).reshape(ranked.shape)
-        return group_of, place
+        group_of[np.arange(ranked.shape[0])[:, None], order] = number.reshape(ranked.shape)
+        return group_of
 
     @cached_property
     def _counts(self) -> GroupCounts:
@@ -363,7 +351,7 @@ class RoundPlan:
 
     @cached_property
     def feeds(self) -> np.ndarray:
-        rows = self._message_rows[self.membership[0]]
+        rows = self._message_rows[self.group_of]
         return rows.transpose(1, 2, 0).reshape(self.params.n_e, -1)
 
     @cached_property
@@ -414,79 +402,92 @@ class AggregatedMessage:
         return self.entries.shape[0]
 
 
-def aggregate_helper(
-    j: int, received: Mapping[int, np.ndarray], plan: RoundPlan, field: GF
-) -> AggregatedMessage:
-    """Run the aggregation strategy at helper j, in the order of its schedule.
+class GroupSums:
+    """Every helper's group sums of one round, folded one edge at a time:
+    rows (sum m_j, d) holds the messages concatenated in helper order, and
+    folded (n_e, n_h) the links folded so far.
 
-    received maps edge index -> that edge's (b, d) column, present only
-    for surviving links; a key that is not an edge of the round, or a
-    column of another shape or of a dtype other than the field's, raises
-    ProtocolError.
-    Every group sum only touches edges whose link to j survived; a gap
-    means the erasure bookkeeping is broken. The fold is laid out per call
-    from plan.feeds: the symbols are copied once into a buffer of one
-    (r, n) block of rows per distinct group size r, whose row t holds the
-    t-th edge of each of its n entries, and each block is folded with one
-    xor_sum.
+    An edge feeds each row at most once (plan.feeds), so a fold gathers the
+    fed cells and their rows into one reused (2, k, d) buffer, sums the two
+    with one xor_sum and scatters the sums back. The rows lie in [0, sum
+    m_j), so the gathers skip the bounds check that buffers their output.
     """
-    params = plan.params
-    for i, column in received.items():
-        if not is_integer(i) or not 0 <= i < params.n_e:
-            raise ProtocolError(f"helper {j} got a column from {i!r}, not an edge of the round")
-        if np.shape(column) != (params.b, params.d):
-            raise ProtocolError(
-                f"helper {j} got a column of shape {np.shape(column)} from edge {i}, "
-                f"expected ({params.b}, {params.d})"
-            )
-        dtype = getattr(column, "dtype", type(column).__name__)
-        if dtype != field.dtype:
-            raise ProtocolError(
-                f"helper {j} got a column of dtype {dtype} from edge {i}, "
-                f"expected {field.dtype}"
-            )
-    d, b, n_e, m = params.d, params.b, params.n_e, int(plan.m_j[j])
-    layers = params.layer_map.column_index(j)[0]
-    # the message row each (edge, row of j's column) feeds; -1 on the cover
+
+    def __init__(self, plan: RoundPlan, field: GF):
+        params = plan.params
+        self.plan, self.field = plan, field
+        self.rows = np.zeros((int(plan.m_j.sum()), params.d), dtype=field.dtype)
+        self.folded = np.zeros((params.n_e, params.n_h), dtype=bool)
+        # an edge feeds nu of the nu+s slots of every layer
+        self._pair = np.empty(2 * params.nu * params.layers * params.d, dtype=field.dtype)
+
+    def fold(self, i: int, symbols: np.ndarray, helper: int | None = None) -> None:
+        """Add edge i's (nu+s, L*d) codeword into the sums it feeds, or with
+        helper j given, the (b, d) column it sent j, which aggregate_helper
+        checks. A codeword of another shape or dtype raises ProtocolError."""
+        params, d = self.plan.params, self.plan.params.d
+        if helper is None:
+            shape, dtype = (params.nu + params.s, params.layers * d), self.field.dtype
+            if np.shape(symbols) != shape or getattr(symbols, "dtype", None) != dtype:
+                raise ProtocolError(f"edge {i} sent a codeword that is not a {shape} {dtype} array")
+            feeds = self.plan.feeds[i]
+            self.folded[i] = self.plan.eps[i] == 0
+        else:
+            feeds = self.plan.feeds[i, params.layer_map.cells[helper]]
+            self.folded[i, helper] = True
+        fed = np.flatnonzero(feeds >= 0)
+        if len(fed):
+            rows, pair = feeds[fed], self._pair[: 2 * len(fed) * d].reshape(2, -1, d)
+            self.rows.take(rows, axis=0, out=pair[0], mode="clip")
+            np.reshape(symbols, (-1, d)).take(fed, axis=0, out=pair[1], mode="clip")
+            self.rows[rows] = self.field.xor_sum(pair.reshape(2, -1)).reshape(-1, d)
+
+
+def aggregate_helper(
+    j: int, received: Mapping[int, np.ndarray] | GroupSums, plan: RoundPlan, field: GF
+) -> AggregatedMessage:
+    """Emit helper j's message: its group sums, in the order of its schedule.
+
+    received is the round's GroupSums, or a mapping of edge index -> that
+    edge's (b, d) column, present only for surviving links, folded here
+    into a fresh GroupSums. A key that is not an edge of the round, a
+    column of another shape or of a dtype other than the field's, or the
+    GroupSums of another plan or field, raises ProtocolError, as does a
+    cell feeding j's message over a link that was not folded: every group
+    sum only touches edges whose link to j survived.
+    """
+    params, sums = plan.params, received
+    if not isinstance(received, GroupSums):
+        sums = GroupSums(plan, field)
+        for i, column in received.items():
+            if not is_integer(i) or not 0 <= i < params.n_e:
+                raise ProtocolError(f"helper {j} got a column from {i!r}, not an edge of the round")
+            if np.shape(column) != (params.b, params.d):
+                raise ProtocolError(
+                    f"helper {j} got a column of shape {np.shape(column)} from edge {i}, "
+                    f"expected ({params.b}, {params.d})"
+                )
+            dtype = getattr(column, "dtype", type(column).__name__)
+            if dtype != field.dtype:
+                raise ProtocolError(
+                    f"helper {j} got a column of dtype {dtype} from edge {i}, "
+                    f"expected {field.dtype}"
+                )
+            sums.fold(i, column, helper=j)
+    elif received.plan is not plan or received.field != field:
+        raise ProtocolError(f"helper {j} got the group sums of another round or field")
+    # the row each (edge, row of j's column) feeds, -1 on the cover; the least
+    # unfolded one is the first missing symbol in schedule order, smallest edge
     feeds = plan.feeds[:, params.layer_map.cells[j]]
-    fed = feeds >= 0
-    reads = np.flatnonzero(fed.any(axis=1))
-    have = np.zeros(n_e, dtype=bool)
-    have[list(received)] = True
-    have &= plan.eps[:, j] == 0
-    if not have[reads].all():
-        # the first missing symbol in schedule order; argmin keeps the
-        # smallest edge of an entry
-        lost = np.where(fed & ~have[:, None], feeds, np.iinfo(feeds.dtype).max)
-        i, r = divmod(int(np.argmin(lost)), b)
+    lost = np.where((feeds >= 0) & ~sums.folded[:, j, None], feeds, np.iinfo(feeds.dtype).max)
+    i, r = divmod(int(np.argmin(lost)), params.b)
+    if lost[i, r] < len(sums.rows):
         raise ProtocolError(
-            f"helper {j} needs the layer-{layers[r]} symbol of edge {i} "
-            f"but that link is erased"
+            f"helper {j} needs the layer-{params.layer_map.cells[j, r] % params.layers} "
+            f"symbol of edge {i} but that link is erased"
         )
-    # the read edges' fed cells, edge-major: nth read edge, row of j's column
-    feeds, fed = feeds[reads], fed[reads]
-    nth, row = np.nonzero(fed)
-    entry = feeds[nth, row] - int(plan.m_j[:j].sum())
-    size = np.bincount(entry, minlength=m)
-    # buffer order: by group size, then the edge's rank in its group, then
-    # entry; row 0 of a size's block lists its entries ascending
-    key = (size[entry] * n_e + plan.membership[1][layers[row], reads[nth]]) * m + entry
-    order = np.argsort(key)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order))
-    buffer = np.empty((len(order), d), dtype=field.dtype)
-    bounds = np.cumsum(fed.sum(axis=1)).tolist()
-    for i, a, z in zip(reads.tolist(), [0] + bounds, bounds):
-        buffer[pos[a:z]] = received[i][row[a:z]]
-    entries = np.empty((m, d), dtype=field.dtype)
-    count = np.bincount(size)
-    start = 0
-    for r in np.flatnonzero(count).tolist():
-        n = int(count[r])
-        block = buffer[start : start + r * n].reshape(r, n * d)
-        entries[entry[order[start : start + n]]] = field.xor_sum(block).reshape(n, d)
-        start += r * n
-    return AggregatedMessage(helper=j, entries=entries)
+    start = int(plan.m_j[:j].sum())
+    return AggregatedMessage(helper=j, entries=sums.rows[start : start + int(plan.m_j[j])])
 
 
 def message_to_bytes(message: AggregatedMessage, field: GF) -> bytes:

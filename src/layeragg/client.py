@@ -100,9 +100,8 @@ class LayerMap:
     """The (nu+s)-subsets of [0, n_h) in lexicographic order, with column indexes.
 
     subset l is stored ascending, and slot_helpers[l, t] is its t-th
-    helper; column_index(j) holds the (layer, slot) pairs whose cell lands
-    in helper j's column, in increasing layer order, as two index arrays.
-    cells[j, r] = slot * L + layer of row r of helper j's column: the
+    helper. Helper j's column holds the b layers column_layers(j) in
+    increasing order, and cells[j, r] = slot * L + layer of its row r: the
     (n_h, b) gather that takes a slot-major codeword to its columns.
     """
 
@@ -128,10 +127,6 @@ class LayerMap:
 
     def __iter__(self):
         return iter(self.subsets)
-
-    def column_index(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(layers, slots) arrays of helper j's column, for one gather."""
-        return self._col_layers[j], self._col_slots[j]
 
     def column_layers(self, j: int) -> tuple[int, ...]:
         return tuple(self._col_layers[j].tolist())
@@ -174,18 +169,24 @@ def reassemble_gradient(blocks: np.ndarray, params: SchemeParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodewordArray:
-    """One edge's encoded gradient in its transmission form: the b symbols
-    sent to each helper.
+    """One edge's encoded gradient as a slot-major (nu+s, L*d) codeword:
+    row k holds slot k of every layer, so cell slot*L + layer
+    (LayerMap.cells' numbering) is that row of codeword.reshape(-1, d).
 
-    columns[j] holds helper j's b cells in increasing layer order, whose
-    layers are params.layer_map.column_layers(j). It is read-only, and
-    column(j) is a view of it, so a delivered column is not copied.
-    fragments, the (L, nu+s, d) grid of every layer's coded fragments, is
-    derived from the columns for display and checks.
+    columns[j], gathered on first read and read-only, holds the b cells
+    sent to helper j, whose layers are params.layer_map.column_layers(j);
+    column(j) is a view of it. fragments, the (L, nu+s, d) grid of every
+    layer's coded fragments, is a copy for display and checks.
     """
 
     params: SchemeParams
-    columns: np.ndarray  # (n_h, b, d)
+    codeword: np.ndarray  # (nu+s, L*d)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        columns = self.codeword.reshape(-1, self.params.d).take(self.params.layer_map.cells, axis=0)
+        columns.setflags(write=False)
+        return columns
 
     def column(self, j: int) -> np.ndarray:
         """The b symbols sent to helper j, in increasing layer order."""
@@ -195,10 +196,7 @@ class CodewordArray:
     def fragments(self) -> np.ndarray:
         """fragments[l, k] is the symbol placed at cell (l, H_l[k]) of the
         L x n_h grid: slot k of layer l."""
-        layers = self.params.layer_map
-        grid = np.empty(layers.slot_helpers.shape + self.columns.shape[2:], self.columns.dtype)
-        grid[layers._col_layers, layers._col_slots] = self.columns
-        return grid
+        return self.codeword.reshape(len(self.codeword), -1, self.params.d).swapaxes(0, 1).copy()
 
 
 def check_code(code: MdsCode, params: SchemeParams) -> None:
@@ -209,23 +207,28 @@ def check_code(code: MdsCode, params: SchemeParams) -> None:
         )
 
 
-def encode_client(g_i: np.ndarray, params: SchemeParams, code: MdsCode) -> CodewordArray:
-    """Encode one edge's gradient straight into its helper columns.
+def encode_client(
+    g_i: np.ndarray, params: SchemeParams, code: MdsCode, out: np.ndarray | None = None
+) -> CodewordArray:
+    """Encode one edge's gradient into one slot-major codeword.
 
-    partition_gradient writes the layers' messages once, slot-major, into
-    one (nu+s, L*d) codeword; one parity product encodes every layer, and
-    one gather takes the codeword to its columns.
+    partition_gradient writes the layers' messages into it once, and one
+    parity product encodes every layer. out, when given, is a C-contiguous
+    (nu+s, L*d) array of the field's dtype that receives the codeword, so
+    edge after edge can reuse one buffer, each encode overwriting the last.
     """
     check_code(code, params)
     n, layers, d = code.n, params.layers, params.d
-    coded = np.empty((n, layers * d), dtype=code.field.dtype)
+    shape, dtype = (n, layers * d), code.field.dtype
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {shape} array of {dtype}")
     # message row k of layer l is block (l, k) of the gradient
-    blocks = coded[: code.nu].reshape(code.nu, layers, d).transpose(1, 0, 2)
+    blocks = out[: code.nu].reshape(code.nu, layers, d).transpose(1, 0, 2)
     partition_gradient(g_i, params, code.field, out=blocks)
-    fill_parity(code, coded)
-    columns = coded.reshape(n * layers, d).take(params.layer_map.cells, axis=0)
-    columns.setflags(write=False)
-    return CodewordArray(params=params, columns=columns)
+    fill_parity(code, out)
+    return CodewordArray(params=params, codeword=out)
 
 
 def format_layer_grid(params: SchemeParams) -> str:

@@ -316,12 +316,12 @@ class GF:
         return self._product(a, b, out, _symbol_tables)
 
     def xor_sum(self, rows: np.ndarray) -> np.ndarray:
-        """Field sum (XOR) of the rows of a (rows, d) array."""
+        """Field sum (XOR) of the rows of a (rows, d) array, in a new array
+        that only a sum of no rows needs zeroed."""
         rows = np.asarray(rows, dtype=self.dtype)
-        out = np.zeros(rows.shape[1], dtype=self.dtype)
-        if rows.shape[0]:
-            np.bitwise_xor.reduce(np.ascontiguousarray(rows), axis=0, out=out)
-        return out
+        if not rows.shape[0]:
+            return np.zeros(rows.shape[1], dtype=self.dtype)
+        return np.bitwise_xor.reduce(np.ascontiguousarray(rows), axis=0)
 
     def reduce(self, values) -> np.ndarray:
         """Map arbitrary integers into the field by truncating to m bits."""

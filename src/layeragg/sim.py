@@ -267,31 +267,26 @@ def run_round(
 
     plan = stage("plan", aggregate.RoundPlan, eps, params)
 
-    # Each edge's gradient is drawn, encoded (which checks its shape) and
-    # added to the reference before the next is drawn: one is alive at a time.
+    # One pass over the edges: each gradient is drawn, encoded into one
+    # reused codeword (which checks its shape), added to the reference and
+    # folded into the helpers' sums, so one gradient and codeword are alive.
+    # Every edge sends every cell, links to erased helpers included.
     draws = stage("gradients", _round_gradients, scenario, fld, round_index, gradient)
     reference = np.zeros(params.p, dtype=fld.dtype)
-    arrays = []
-    for _ in range(params.n_e):
+    sums = stage("aggregate", aggregate.GroupSums, plan, fld)
+    buffer = np.empty((params.nu + params.s, params.layers * params.d), dtype=fld.dtype)
+    eh_per_edge = 0
+    for i in range(params.n_e):
         g = stage("gradients", next, draws)
-        arrays.append(stage("encode", encode_client, g, params, code))
+        codeword = stage("encode", encode_client, g, params, code, out=buffer).codeword
         reference ^= g
         del g
+        eh_per_edge += codeword.size
+        stage("deliver", sums.fold, i, codeword)
+    eh_per_edge //= params.n_e
 
-    # every edge sends a column to every helper, erased links included
-    eh_per_edge = stage("deliver", sum, (array.columns.size for array in arrays)) // params.n_e
-
-    # helpers get views of each edge's columns, so nothing is copied here
-    def aggregate_all():
-        return [
-            aggregate.aggregate_helper(
-                j, {i: a.column(j) for i, a in enumerate(arrays) if not eps[i, j]}, plan, fld
-            )
-            for j in range(params.n_h)
-        ]
-
-    messages = stage("aggregate", aggregate_all)
-    del arrays
+    emitted = (aggregate.aggregate_helper(j, sums, plan, fld) for j in range(params.n_h))
+    messages = stage("aggregate", list, emitted)
     hm_symbols = sum(m.entries.size for m in messages)
 
     decoded = stage("decode", master.decode_global, messages, plan, code)
@@ -540,7 +535,7 @@ def verify_scheme(
             eps = erasure.sample_uniform(n_e, n_h, s, rng)
             plan = aggregate.RoundPlan(eps, params)
             # (L, n_e, nu+s): the emitters of each edge's group in each layer
-            group_of = plan.membership[0]
+            group_of = plan.group_of
             emitters = plan.emitters[group_of]
             erased = (emitters >= 0) & (eps[np.arange(n_e)[:, None], emitters] != 0)
             if avail.passed and erased.any():

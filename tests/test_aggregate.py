@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from itertools import combinations
 from math import comb
@@ -14,16 +15,23 @@ import pytest
 from reference_plan import lexmin_cover, reference_plan_layer, reference_schedules, views
 
 import layeragg
-from layeragg import aggregate
+from layeragg import aggregate, sim
 from layeragg.aggregate import (
     AggregatedMessage,
+    GroupSums,
     RoundPlan,
     aggregate_helper,
     message_from_bytes,
     message_to_bytes,
     plan_layer,
 )
-from layeragg.client import LayerMap, SchemeParams, encode_client, random_gradient
+from layeragg.client import (
+    CodewordArray,
+    LayerMap,
+    SchemeParams,
+    encode_client,
+    random_gradient,
+)
 from layeragg.erasure import enumerate_all, from_erased_sets, sample_uniform, validate
 from layeragg.errors import ConfigurationError, ProtocolError
 from layeragg.gf import GF
@@ -509,38 +517,137 @@ def test_fold_of_a_helper_with_an_empty_schedule(gf8):
     assert msg.entries.shape == (0, params.d)
 
 
-def test_fold_calls_xor_sum_once_per_group_size(monkeypatch):
+def test_round_calls_xor_sum_once_per_edge_with_fed_cells(monkeypatch):
     # roundbench's tracer counts each xor_sum call from one positional
-    # (rows, d) array, so the fold must keep that call shape
+    # (rows, d) array, so the fold must keep that call shape. An edge feeds
+    # nu of the nu+s slots of every layer, so every edge has fed cells, and
+    # its fold sums its nu*L fed cells with the rows they feed.
     calls = []
-    helper = []
-    xor_sum, aggregate_helper_ = GF.xor_sum, aggregate.aggregate_helper
+    xor_sum = GF.xor_sum
 
     def recording(self, *args, **kwargs):
-        calls.append((helper[-1], args, kwargs))
+        calls.append((args, kwargs))
         return xor_sum(self, *args, **kwargs)
 
-    def tagged(j, *args):
-        helper.append(j)
-        return aggregate_helper_(j, *args)
-
     monkeypatch.setattr(GF, "xor_sum", recording)
-    monkeypatch.setattr(aggregate, "aggregate_helper", tagged)
     scenario = Scenario(p=600, n_e=16, n_h=6, s=2, nu=2, seed=5)
-    result = run_round(scenario)
-    assert result.passed
+    assert run_round(scenario).passed
     params = scenario.params()
-    plan = RoundPlan(result.eps, params)
-    for _, args, kwargs in calls:
+    assert len(calls) == params.n_e
+    for args, kwargs in calls:
         assert kwargs == {} and len(args) == 1 and np.ndim(args[0]) == 2
-    for j, schedule in enumerate(plan.schedules):
-        sizes = [len(plan.layer_plans[layer].groups[a]) for layer, a in schedule]
-        shapes = [np.shape(args[0]) for h, args, _ in calls if h == j]
-        assert len(shapes) == len(set(sizes))
-        assert sum((r - 1) * cols for r, cols in shapes) == sum(
-            (r - 1) * params.d for r in sizes
+        assert np.shape(args[0]) == (2, params.nu * params.layers * params.d)
+
+
+@pytest.mark.parametrize("kind", ["strict", "lax"])
+def test_feeds_stay_in_the_message_rows_and_no_edge_feeds_a_row_twice(kind):
+    # the folds gather with mode="clip" and scatter without accumulating,
+    # which is right only on in-range rows that an edge feeds once
+    rng = np.random.default_rng(23)
+    draw = sample_uniform if kind == "strict" else lax_matrix
+    for n_e, n_h, s, nu in [(7, 6, 2, 2), (9, 5, 2, 1), (12, 5, 1, 3), (1, 4, 1, 2), (20, 8, 2, 3)]:
+        params = SchemeParams(p=97, n_e=n_e, n_h=n_h, s=s, nu=nu)
+        for _ in range(4):
+            plan = RoundPlan(draw(n_e, n_h, s, rng), params)
+            feeds, rows = plan.feeds, int(plan.m_j.sum())
+            assert feeds.min() >= -1 and feeds.max() < rows
+            for edge in feeds:
+                fed = edge[edge >= 0]
+                assert len(fed) == nu * params.layers
+                assert len(np.unique(fed)) == len(fed)
+
+
+def emitted_by_round(monkeypatch, scenario, eps):
+    """Run a round and record, per helper, what its emission received and
+    returned, and a copy of every codeword the round encoded."""
+    codewords, emitted = [], {}
+    encode, emit = sim.encode_client, aggregate.aggregate_helper
+
+    def recording_encode(*args, **kwargs):
+        array = encode(*args, **kwargs)
+        codewords.append(array.codeword.copy())
+        return array
+
+    def recording_emit(j, received, plan, field):
+        message = emit(j, received, plan, field)
+        emitted[j] = (received, plan, message.entries.copy())
+        return message
+
+    monkeypatch.setattr(sim, "encode_client", recording_encode)
+    monkeypatch.setattr(aggregate, "aggregate_helper", recording_emit)
+    result = run_round(scenario, eps=eps)
+    monkeypatch.undo()
+    assert result.passed
+    return codewords, emitted
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_round_group_sums_equal_the_reference_and_the_mapping_path(monkeypatch, m):
+    field = GF(m)
+    rng = np.random.default_rng(100 + m)
+    cases = [
+        # helper 0 lies in every cover, so its schedule is empty
+        (SchemeParams(p=12, n_e=1, n_h=4, s=1, nu=2), np.array([[1, 0, 0, 0]])),
+        # one edge without erasures: helper 0's column feeds nothing
+        (SchemeParams(p=30, n_e=1, n_h=5, s=2, nu=1), np.zeros((1, 5), dtype=int)),
+    ]
+    for n_e, n_h, s, nu in [(7, 6, 2, 2), (9, 5, 2, 1), (12, 5, 1, 3)]:
+        params = SchemeParams(p=97, n_e=n_e, n_h=n_h, s=s, nu=nu)
+        cases += [(params, sample_uniform(n_e, n_h, s, rng)) for _ in range(2)]
+        cases += [(params, lax_matrix(n_e, n_h, s, rng)) for _ in range(2)]
+    empty = 0
+    for params, eps in cases:
+        scenario = Scenario(
+            p=params.p, n_e=params.n_e, n_h=params.n_h, s=params.s, nu=params.nu,
+            field_bits=m, seed=int(rng.integers(1 << 16)),
         )
-    assert len(calls) < sum(len(schedule) for schedule in plan.schedules)
+        codewords, emitted = emitted_by_round(monkeypatch, scenario, eps)
+        arrays = [CodewordArray(params, codeword) for codeword in codewords]
+        assert sorted(emitted) == list(range(params.n_h))
+        for j, (received, plan, entries) in emitted.items():
+            assert isinstance(received, GroupSums) and received.plan is plan
+            columns = {i: arrays[i].column(j) for i in range(params.n_e) if not eps[i, j]}
+            want = reference_aggregate(j, columns, plan, field).entries
+            mapped = aggregate_helper(j, columns, plan, field).entries
+            assert entries.dtype == want.dtype == mapped.dtype
+            assert entries.shape == want.shape == mapped.shape
+            assert entries.tobytes() == want.tobytes() == mapped.tobytes(), (j, eps.tolist())
+            empty += not len(entries)
+    assert empty >= 2
+
+
+def test_a_round_holds_one_codeword_not_one_per_edge():
+    # one warm round's traced peak stays below the bytes of the n_e
+    # codewords the round encodes; a round that held them all would not
+    scenario = Scenario(p=1 << 18, n_e=20, n_h=8, s=2, nu=3, field_bits=8, seed=3)
+    params = scenario.params()
+    codeword = (params.nu + params.s) * params.layers * params.d
+    assert run_round(scenario).passed
+    tracemalloc.start()
+    try:
+        assert run_round(scenario, round_index=1).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.n_e * codeword, (peak, params.n_e * codeword)
+
+
+def test_group_sums_reject_a_codeword_of_another_shape_or_dtype(gf8):
+    params, code, eps = seven_edge_setup(gf8)
+    plan = RoundPlan(eps, params)
+    sums = GroupSums(plan, gf8)
+    codeword = encode_client(np.zeros(120, dtype=np.uint8), params, code).codeword
+    with pytest.raises(ProtocolError, match=r"edge 0 sent a codeword that is not a \(4, 60\) uint8 array"):
+        sums.fold(0, codeword[:, 1:])
+    with pytest.raises(ProtocolError, match="edge 0 sent a codeword that is not"):
+        sums.fold(0, codeword.astype(np.uint16))
+    with pytest.raises(ProtocolError, match="group sums of another round or field"):
+        aggregate_helper(0, sums, RoundPlan(eps, params), gf8)
+    with pytest.raises(ProtocolError, match="group sums of another round or field"):
+        aggregate_helper(0, sums, plan, GF(16))
+    # nothing folded yet: helper 0's first read names the gap
+    with pytest.raises(ProtocolError, match="helper 0 needs the layer-"):
+        aggregate_helper(0, sums, plan, gf8)
 
 
 def test_fold_names_the_same_missing_symbol_as_the_reference(gf8):

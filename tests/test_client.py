@@ -104,8 +104,9 @@ def test_layer_map_column_counts():
         for k in range(1, n_h + 1):
             layers = LayerMap(n_h, k)
             b = comb(n_h - 1, k - 1)
+            assert layers.cells.shape == (n_h, b)
             for j in range(n_h):
-                assert all(len(a) == b for a in layers.column_index(j))
+                assert len(layers.column_layers(j)) == b
     with pytest.raises(ConfigurationError):
         LayerMap(4, 5)
 
@@ -209,7 +210,10 @@ def test_columns_are_the_grid_gather_of_per_layer_encodes(m, p, n_h, s, nu):
     arr = encode_client(g, params, code)
     blocks = partition_gradient(g, params, fld)
     grid = np.stack([encode(code, blocks[layer]) for layer in range(params.layers)])
-    columns = np.stack([grid[params.layer_map.column_index(j)] for j in range(n_h)])
+    layers = params.layer_map
+    columns = np.array(
+        [[grid[layer, layers[layer].index(j)] for layer in layers.column_layers(j)] for j in range(n_h)]
+    )
     assert arr.columns.dtype == fld.dtype and np.array_equal(arr.columns, columns)
     assert np.array_equal(arr.fragments, grid)
     assert not arr.columns.flags.writeable
@@ -243,6 +247,21 @@ def test_encoding_is_linear_in_the_gradient(gf8):
     fb = encode_client(gb, params, code).fragments
     fsum = encode_client(ga ^ gb, params, code).fragments
     assert np.array_equal(fa ^ fb, fsum)
+
+
+def test_encode_client_writes_into_a_reused_codeword_buffer(gf8):
+    params = SchemeParams(p=30, n_e=2, n_h=5, s=2, nu=2)
+    code = make_generator(gf8, 2, 2)
+    rng = np.random.default_rng(4)
+    buffer = np.empty((4, params.layers * params.d), dtype=np.uint8)
+    for _ in range(2):
+        g = random_gradient(rng, gf8, 30)
+        arr = encode_client(g, params, code, out=buffer)
+        assert arr.codeword is buffer
+        assert np.array_equal(arr.columns, encode_client(g, params, code).columns)
+    for bad in (buffer[:, 1:], buffer.astype(np.uint16), np.empty((buffer.shape[1], 4), np.uint8).T):
+        with pytest.raises(ValueError, match="out must be a C-contiguous"):
+            encode_client(g, params, code, out=bad)
 
 
 def test_encode_client_rejects_mismatched_pieces(gf8):

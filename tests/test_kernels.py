@@ -167,6 +167,16 @@ def test_xor_reduce_empty_and_single():
     assert np.array_equal(GF(8).xor_sum(one), one[0])
 
 
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_xor_sum_of_one_row_is_a_copy_of_that_row(m):
+    # the sum goes into an uninitialised array, which the reduce must fill
+    field = GF(m)
+    row = np.random.default_rng(m).integers(0, field.order, size=(1, 1000), dtype=field.dtype)
+    total = field.xor_sum(row)
+    assert total.dtype == field.dtype and np.array_equal(total, row[0])
+    assert not np.shares_memory(total, row)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.sampled_from([4, 8, 16]),

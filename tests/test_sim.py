@@ -192,11 +192,11 @@ def test_round_names_the_stage_of_a_failing_draw_or_encode(monkeypatch):
     monkeypatch.undo()
     encoded = []
 
-    def failing(g, params, code):
+    def failing(g, params, code, out=None):
         if encoded:
             raise ValueError("codeword lost")
         encoded.append(g)
-        return encode_client(g, params, code)
+        return encode_client(g, params, code, out)
 
     monkeypatch.setattr(sim, "encode_client", failing)
     with pytest.raises(StageFailure, match="^encode: codeword lost$") as info:
