@@ -8,9 +8,9 @@ outside the cover emits that group's symbol sum. Covers are numbered in
 lexicographic order, so a layer's plan is one cover id per edge and a
 round's plan is one (n_e, L) array of them, from which everything else
 is derived with array operations. Helpers and the master derive
-identical plans from the erasure matrix alone, so the wire format needs
-no per-entry metadata; RoundPlan builds that plan once per matrix for
-all of them.
+identical plans from the erasure matrix alone, so a message is its group
+sums with no per-entry metadata; RoundPlan builds that plan once per
+matrix for all of them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import lt
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -167,7 +168,8 @@ def plan_layer(
 ) -> LayerAggregationPlan:
     """Build the aggregation plan for one layer from the erasure matrix.
 
-    helpers must be sorted ascending. Each edge's footprint (any nonzero
+    helpers must be strictly increasing columns of eps; any other tuple
+    raises ConfigurationError. Each edge's footprint (any nonzero
     entry counts as erased) is looked up in the cover table shared by
     every layer of this shape. An edge's cover id depends on its own row
     alone, so eps may stack the rows of several matrices, and the ids of
@@ -175,6 +177,11 @@ def plan_layer(
     an error then counts rows of the stack. Raises ConfigurationError for
     an edge that erases more than s of the layer's helpers.
     """
+    if not (-1 < helpers[0] and helpers[-1] < eps.shape[1] and all(map(lt, helpers, helpers[1:]))):
+        raise ConfigurationError(
+            f"layer {layer}: helpers {tuple(helpers)} are not strictly increasing "
+            f"within [0, {eps.shape[1]})"
+        )
     footprints = eps.take(helpers, axis=1) != 0
     cover = _cover_table(len(helpers), s).ids(footprints)
     if cover.min(initial=0) < 0:
@@ -252,14 +259,15 @@ class RoundPlan:
     layer_plans      one LayerAggregationPlan per layer, in layer order
     cover            (n_e, L) every edge's cover id in every layer, stacked
                      from layer_plans; the rest is derived from it
-    groups           the RoundGroups of the round
+    groups           the RoundGroups of the round, the runs of each
+                     layer's sorted ids
     group_of         (L, n_e) each edge's group in each layer
-    beta             (L,) groups per layer
-    m_j              (n_h,) each helper's message length; beta and m_j
-                     are count_groups' one-matrix case, the rule cost
-                     analysis counts many matrices with
     emitters         (groups, nu+s) per group and layer slot, the helper
                      that emits it, -1 in the slots of its cover
+    beta             (L,) groups per layer, counted off groups
+    m_j              (n_h,) each helper's message length, its cells in
+                     emitters; count_groups counts beta and m_j of many
+                     matrices at once by the same rule
     schedules        per helper, the (layer, image index) pairs it emits;
                      a tuple view for checks and tests
     feeds            (n_e, (nu+s)*L) per edge and codeword cell
@@ -269,8 +277,9 @@ class RoundPlan:
                      the master decodes with one solve
 
     A helper emits its groups in group order: layers ascending, image
-    index ascending. All but cover are built on first use, so callers
-    that only count never pay for the index tables. eps is any array-like
+    index ascending. All but cover are built on first use, from one sort
+    of the ids and one lookup of the covers' members, so callers that
+    only count never build group_of or feeds. eps is any array-like
     (n_e, n_h) matrix of 0/1 entries; any other raises ConfigurationError.
     """
 
@@ -318,22 +327,19 @@ class RoundPlan:
         return group_of
 
     @cached_property
-    def _counts(self) -> GroupCounts:
-        return count_groups(self.cover[None], self.params)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self._counts.beta[0]
-
-    @property
-    def m_j(self) -> np.ndarray:
-        return self._counts.m_j[0]
-
-    @cached_property
     def emitters(self) -> np.ndarray:
         params = self.params
         inside = _cover_table(params.nu + params.s, params.s).members(self.groups.cover)
         return np.where(inside, -1, params.layer_map.slot_helpers[self.groups.layer])
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return np.bincount(self.groups.layer, minlength=self.params.layers)
+
+    @cached_property
+    def m_j(self) -> np.ndarray:
+        emitters = self.emitters
+        return np.bincount(emitters[emitters >= 0], minlength=self.params.n_h)
 
     @cached_property
     def _message_rows(self) -> np.ndarray:
@@ -424,8 +430,11 @@ class GroupSums:
     def fold(self, i: int, symbols: np.ndarray, helper: int | None = None) -> None:
         """Add edge i's (nu+s, L*d) codeword into the sums it feeds, or with
         helper j given, the (b, d) column it sent j, which aggregate_helper
-        checks. A codeword of another shape or dtype raises ProtocolError."""
+        checks. An i that is not an edge of the round, or a codeword of
+        another shape or dtype, raises ProtocolError."""
         params, d = self.plan.params, self.plan.params.d
+        if not is_integer(i) or not 0 <= i < params.n_e:
+            raise ProtocolError(f"fold got {i!r}, not an edge of the round")
         if helper is None:
             shape, dtype = (params.nu + params.s, params.layers * d), self.field.dtype
             if np.shape(symbols) != shape or getattr(symbols, "dtype", None) != dtype:
@@ -454,9 +463,12 @@ def aggregate_helper(
     column of another shape or of a dtype other than the field's, or the
     GroupSums of another plan or field, raises ProtocolError, as does a
     cell feeding j's message over a link that was not folded: every group
-    sum only touches edges whose link to j survived.
+    sum only touches edges whose link to j survived. So does a j that is
+    not a helper of the round.
     """
     params, sums = plan.params, received
+    if not is_integer(j) or not 0 <= j < params.n_h:
+        raise ProtocolError(f"aggregate_helper got {j!r}, not a helper of the round")
     if not isinstance(received, GroupSums):
         sums = GroupSums(plan, field)
         for i, column in received.items():
@@ -488,26 +500,3 @@ def aggregate_helper(
         )
     start = int(plan.m_j[:j].sum())
     return AggregatedMessage(helper=j, entries=sums.rows[start : start + int(plan.m_j[j])])
-
-
-def message_to_bytes(message: AggregatedMessage, field: GF) -> bytes:
-    """Flat wire form: entries in emission order, each field element as
-    ceil(m/8) little-endian bytes. No per-entry metadata."""
-    return np.ascontiguousarray(
-        message.entries, dtype=f"<u{field.element_bytes}"
-    ).tobytes()
-
-
-def message_from_bytes(
-    helper: int, payload: bytes, field: GF, count: int, d: int
-) -> AggregatedMessage:
-    """Parse a wire payload given the (count, d) shape the master re-derives."""
-    expected = count * d * field.element_bytes
-    if len(payload) != expected:
-        raise ProtocolError(
-            f"helper {helper}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(payload, dtype=f"<u{field.element_bytes}")
-    return AggregatedMessage(
-        helper=helper, entries=flat.astype(field.dtype).reshape(count, d)
-    )

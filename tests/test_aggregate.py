@@ -21,8 +21,6 @@ from layeragg.aggregate import (
     GroupSums,
     RoundPlan,
     aggregate_helper,
-    message_from_bytes,
-    message_to_bytes,
     plan_layer,
 )
 from layeragg.client import (
@@ -93,6 +91,16 @@ def test_plan_rejects_a_footprint_heavier_than_s():
     eps = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=np.uint8)
     with pytest.raises(ValueError, match=r"layer 2: edge 2 erases helpers \[0, 1\] of \(0, 1, 3\), more than s=1"):
         plan_layer(2, (0, 1, 3), eps, 1)
+
+
+@pytest.mark.parametrize("helpers", [(3, 2, 1), (1, 2, 9), (-1, 1, 2), (1, 1, 2), (1, 2, 4)])
+def test_plan_rejects_helpers_that_are_not_increasing_columns(helpers):
+    # unchecked, (3, 2, 1) plans its images in reverse, 9 and 4 index past
+    # the last of 4 columns, and -1 wraps around to it
+    eps = np.zeros((2, 4), dtype=np.uint8)
+    message = f"layer 0: helpers {helpers} are not strictly increasing within [0, 4)"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        plan_layer(0, helpers, eps, 1)
 
 
 def test_plan_counts_any_nonzero_entry_as_erased():
@@ -364,6 +372,18 @@ def test_aggregate_rejects_a_column_from_a_key_that_is_not_an_edge(gf8, key):
         aggregate_helper(0, received, plan, gf8)
 
 
+@pytest.mark.parametrize("j", [-1, -6, 6, 99, True, 2.5, "x", None])
+@pytest.mark.parametrize("path", ["group sums", "mapping"])
+def test_aggregate_rejects_an_index_that_is_not_a_helper(gf8, path, j):
+    # n_h = 6, so -1 would emit helper 5's rows and -6 read helper 0's cells
+    params, code, eps = seven_edge_setup(gf8)
+    plan = RoundPlan(eps, params)
+    received = GroupSums(plan, gf8) if path == "group sums" else {}
+    message = f"aggregate_helper got {j!r}, not a helper of the round"
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        aggregate_helper(j, received, plan, gf8)
+
+
 @pytest.mark.parametrize(
     "column",
     [lambda col: col.astype(np.int64) + 256, lambda col: col + 0.5],
@@ -426,22 +446,30 @@ def test_round_plan_rejects_a_matrix_of_the_wrong_shape(shape):
         RoundPlan(np.zeros(shape, dtype=np.uint8), params)
 
 
-def test_wire_format_round_trip_and_layout(gf8):
-    entries = np.array([[0x12, 0x34], [0xAB, 0x00]], dtype=np.uint8)
-    from layeragg.aggregate import AggregatedMessage
+def test_reading_every_table_of_a_round_plan_groups_once(monkeypatch, gf8):
+    """One sort of the ids gives the groups, and one lookup of their
+    covers' members the emitters, from which beta and m_j are counted;
+    the batched counter of cost analysis is never run."""
+    calls = []
+    members, count_groups = aggregate._Covers.members, aggregate.count_groups
 
-    msg = AggregatedMessage(helper=3, entries=entries)
-    payload = message_to_bytes(msg, gf8)
-    assert payload == bytes([0x12, 0x34, 0xAB, 0x00])
-    back = message_from_bytes(3, payload, gf8, count=2, d=2)
-    assert np.array_equal(back.entries, entries)
+    def counted_members(self, ids):
+        calls.append("members")
+        return members(self, ids)
 
-    f16 = GF(16)
-    wide = AggregatedMessage(helper=0, entries=np.array([[0x0201]], dtype=np.uint16))
-    assert message_to_bytes(wide, f16) == (0x0201).to_bytes(2, "little")
+    def counted_count_groups(*args):
+        calls.append("count_groups")
+        return count_groups(*args)
 
-    with pytest.raises(ProtocolError):
-        message_from_bytes(3, payload, gf8, count=3, d=2)
+    monkeypatch.setattr(aggregate._Covers, "members", counted_members)
+    monkeypatch.setattr(aggregate, "count_groups", counted_count_groups)
+    params, _, eps = seven_edge_setup(gf8)
+    plan = RoundPlan(eps, params)
+    for table in ("feeds", "decode_patterns", "m_j", "beta", "emitters", "group_of", "schedules"):
+        getattr(plan, table)
+    assert calls == ["members"]
+    assert plan.beta.tolist() == [lp.beta for lp in plan.layer_plans]
+    assert plan.m_j.tolist() == [len(entries) for entries in plan.schedules]
 
 
 def reference_aggregate(j, received, plan, field):
@@ -648,6 +676,17 @@ def test_group_sums_reject_a_codeword_of_another_shape_or_dtype(gf8):
     # nothing folded yet: helper 0's first read names the gap
     with pytest.raises(ProtocolError, match="helper 0 needs the layer-"):
         aggregate_helper(0, sums, plan, gf8)
+
+
+@pytest.mark.parametrize("i", [-1, 7, 99, True, 2.5, "x", None])
+def test_group_sums_reject_an_index_that_is_not_an_edge(gf8, i):
+    # n_e = 7, so -1 would fold into edge 6 and mark its links folded
+    params, code, eps = seven_edge_setup(gf8)
+    sums = GroupSums(RoundPlan(eps, params), gf8)
+    codeword = encode_client(np.ones(120, dtype=np.uint8), params, code).codeword
+    with pytest.raises(ProtocolError, match=re.escape(f"fold got {i!r}, not an edge of the round")):
+        sums.fold(i, codeword)
+    assert not sums.folded.any() and not sums.rows.any()
 
 
 def test_fold_names_the_same_missing_symbol_as_the_reference(gf8):

@@ -1,16 +1,26 @@
 """Source checks on the package: no invariant depends on `assert`, which
-`python -O` strips, no import needs a package it does not declare, and
-no module imports a name it does not use."""
+`python -O` strips, no import needs a package it does not declare, no
+module imports a name it does not use, and nothing is defined that only
+tests reach."""
 
 import ast
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # found without importing, so an import that fails cannot hide itself
 PACKAGE = Path(importlib.util.find_spec("layeragg").origin).parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+# where a definition in the package may be read: the package itself, the
+# benchmark and its layer map, and the acceptance tests
+READERS = [
+    *PACKAGE.glob("*.py"),
+    *PACKAGE.parents[1].glob("roundbench/*.py"),
+    PACKAGE.parents[1] / "roundbench" / "map.json",
+    PACKAGE.parents[1] / "tests" / "test_acceptance.py",
+]
 
 
 def _sources():
@@ -85,3 +95,23 @@ def test_package_modules_use_every_name_they_import():
                 if name not in kept
             ]
     assert not found, f"unused imports in the package: {', '.join(found)}"
+
+
+def test_every_definition_in_the_package_is_named_outside_its_definition():
+    """A function, class or method (dunders aside) whose name appears, as a
+    whole word, in the readers no more often than it is defined has no
+    caller but the tests."""
+    text = "\n".join(path.read_text() for path in READERS)
+    defined = Counter(
+        node.name
+        for _, tree in _sources()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    found = sorted(
+        name
+        for name, count in defined.items()
+        if len(re.findall(rf"\b{name}\b", text)) <= count
+    )
+    assert not found, f"defined in the package and named nowhere else: {', '.join(found)}"
