@@ -168,8 +168,8 @@ def plan_layer(
 ) -> LayerAggregationPlan:
     """Build the aggregation plan for one layer from the erasure matrix.
 
-    helpers must be strictly increasing columns of eps; any other tuple
-    raises ConfigurationError. Each edge's footprint (any nonzero
+    helpers must be more than s strictly increasing columns of eps; any
+    other tuple raises ConfigurationError. Each edge's footprint (any nonzero
     entry counts as erased) is looked up in the cover table shared by
     every layer of this shape. An edge's cover id depends on its own row
     alone, so eps may stack the rows of several matrices, and the ids of
@@ -177,10 +177,15 @@ def plan_layer(
     an error then counts rows of the stack. Raises ConfigurationError for
     an edge that erases more than s of the layer's helpers.
     """
-    if not (-1 < helpers[0] and helpers[-1] < eps.shape[1] and all(map(lt, helpers, helpers[1:]))):
+    if not (
+        s < len(helpers)
+        and -1 < helpers[0]
+        and helpers[-1] < eps.shape[1]
+        and all(map(lt, helpers, helpers[1:]))
+    ):
         raise ConfigurationError(
             f"layer {layer}: helpers {tuple(helpers)} are not strictly increasing "
-            f"within [0, {eps.shape[1]})"
+            f"within [0, {eps.shape[1]}), or number s={s} or fewer"
         )
     footprints = eps.take(helpers, axis=1) != 0
     cover = _cover_table(len(helpers), s).ids(footprints)
@@ -236,7 +241,7 @@ def count_groups(cover: np.ndarray, params: SchemeParams) -> GroupCounts:
     of runs in the layer's sorted ids. Every group is emitted by the
     layer's helpers outside its cover: slot t of layer l emits beta_l
     minus the number of distinct covers holding t, and m_j sums that over
-    the (layer, slot) cells of helper j's column.
+    helper j's (layer, slot) cells, LayerMap.positions[j].
     """
     trials = cover.shape[0]
     # a C-order copy: the sort runs on contiguous rows and leaves cover alone
@@ -247,8 +252,7 @@ def count_groups(cover: np.ndarray, params: SchemeParams) -> GroupCounts:
     members = _cover_table(params.nu + params.s, params.s).members(ranked.ravel()[first])
     covered = np.add.reduceat(members, np.cumsum(beta) - beta, axis=0)
     emitted = (beta[:, None] - covered).reshape(trials, -1)
-    by_helper = np.argsort(params.layer_map.slot_helpers, axis=None, kind="stable")
-    m_j = emitted[:, by_helper].reshape(trials, params.n_h, -1).sum(axis=2)
+    m_j = emitted[:, params.layer_map.positions].sum(axis=2)
     return GroupCounts(params, beta.reshape(trials, -1), m_j)
 
 
@@ -279,20 +283,13 @@ class RoundPlan:
     A helper emits its groups in group order: layers ascending, image
     index ascending. All but cover are built on first use, from one sort
     of the ids and one lookup of the covers' members, so callers that
-    only count never build group_of or feeds. eps is any array-like
-    (n_e, n_h) matrix of 0/1 entries; any other raises ConfigurationError.
+    only count never build group_of or feeds. eps is any array-like; one
+    that erasure.validate rejects (a shape other than (n_e, n_h), an entry
+    other than 0 or 1, a row heavier than s) raises its ConfigurationError.
     """
 
     def __init__(self, eps: np.ndarray, params: SchemeParams):
-        eps = np.asarray(eps)
-        if eps.shape != (params.n_e, params.n_h):
-            raise ConfigurationError(
-                f"erasure matrix has shape {eps.shape}, expected "
-                f"(n_e, n_h) = ({params.n_e}, {params.n_h})"
-            )
-        # entries only: plan_layer reports a row heavier than s, naming a layer
-        erasure.validate(eps, params.n_h)
-        self.eps = eps
+        self.eps = eps = erasure.validate(eps, params.n_e, params.n_h, params.s)
         self.params = params
         self.layer_plans = tuple(
             plan_layer(layer, subset, eps, params.s)

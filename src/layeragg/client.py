@@ -12,7 +12,7 @@ Helper and edge indices are 0-based throughout, including in JSON files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -46,6 +46,10 @@ class SchemeParams:
     nu: int
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not is_integer(value):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         if self.p < 1:
             raise ConfigurationError(f"p must be positive, got {self.p}")
         if self.n_e < 1:
@@ -100,9 +104,12 @@ class LayerMap:
     """The (nu+s)-subsets of [0, n_h) in lexicographic order, with column indexes.
 
     subset l is stored ascending, and slot_helpers[l, t] is its t-th
-    helper. Helper j's column holds the b layers column_layers(j) in
-    increasing order, and cells[j, r] = slot * L + layer of its row r: the
-    (n_h, b) gather that takes a slot-major codeword to its columns.
+    helper. A helper holds one slot per layer, so its b cells, layers
+    ascending, are positions[j] = layer * (nu+s) + slot of slot_helpers
+    (one stable sort of it by helper). Helper j's column holds the layers
+    column_layers(j), and cells[j, r] = slot * L + layer of its row r: the
+    (n_h, b) gather that takes a slot-major codeword to its columns. All
+    tables are read-only, since the maps are shared.
     """
 
     def __init__(self, n_h: int, k: int):
@@ -110,17 +117,11 @@ class LayerMap:
             raise ConfigurationError(f"subset size {k} out of range [1, {n_h}]")
         self.subsets = tuple(combinations(range(n_h), k))
         self.slot_helpers = np.array(self.subsets, dtype=np.intp)
-        self.slot_helpers.setflags(write=False)
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(n_h)]
-        for layer, subset in enumerate(self.subsets):
-            for slot, h in enumerate(subset):
-                cols[h].append((layer, slot))
-        # every column has b cells; read-only, since the maps are shared
-        index = np.array(cols, dtype=np.intp).transpose(2, 0, 1).copy()
-        self._col_layers, self._col_slots = index
-        self.cells = self._col_slots * len(self.subsets) + self._col_layers
-        index.setflags(write=False)
-        self.cells.setflags(write=False)
+        self.positions = np.argsort(self.slot_helpers, axis=None, kind="stable").reshape(n_h, -1)
+        self._col_layers, slots = np.divmod(self.positions, k)
+        self.cells = slots * len(self.subsets) + self._col_layers
+        for table in (self.slot_helpers, self.positions, self._col_layers, self.cells):
+            table.setflags(write=False)
 
     def __getitem__(self, layer: int) -> tuple[int, ...]:
         return self.subsets[layer]

@@ -3,7 +3,8 @@
 An erasure matrix is an (n_e, n_h) uint8 array with eps[i, j] = 1 when
 the link from edge i to helper j failed. Strict means exactly s failures
 per row (the set Omega(s) used for cost analysis); lax means at most s
-(what the scheme must tolerate, and what validate checks).
+(what the scheme must tolerate, and what validate checks, along with
+the shape).
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from .gf import is_integer
 ENUMERATION_CAP = 10**6
 
 
-def validate(eps: np.ndarray, s: int) -> None:
-    """Reject an array that is not 2-D, then the first row with an entry
-    other than 0 or 1, or a weight above s."""
+def validate(eps, n_e: int, n_h: int, s: int) -> np.ndarray:
+    """Return eps, any array-like, as an array once it passes the one check
+    of an erasure matrix: reject a shape other than (n_e, n_h), then the
+    first row with an entry other than 0 or 1, or a weight above s."""
     eps = np.asarray(eps)
-    if eps.ndim != 2:
-        raise ConfigurationError(f"erasure matrix must be 2-D (n_e, n_h), got shape {eps.shape}")
+    if eps.shape != (n_e, n_h):
+        raise ConfigurationError(
+            f"erasure matrix shape {eps.shape} mismatch: expected (n_e, n_h) = ({n_e}, {n_h})"
+        )
     nonbinary = ((eps != 0) & (eps != 1)).any(axis=1)
     weights = eps.sum(axis=1)
     bad = np.flatnonzero(nonbinary | (weights > s))
@@ -34,6 +38,7 @@ def validate(eps: np.ndarray, s: int) -> None:
         if nonbinary[row]:
             raise ConfigurationError(f"row {row} has entries other than 0 and 1: {eps[row].tolist()}")
         raise ConfigurationError(f"row {row} has weight {int(weights[row])}, expected at most {s}")
+    return eps
 
 
 def from_erased_sets(rows, n_h: int) -> np.ndarray:

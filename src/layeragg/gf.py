@@ -59,6 +59,13 @@ def is_integer(value) -> bool:
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def check_count(value, name: str) -> int:
+    """value, when it is a positive integer; else ConfigurationError naming name."""
+    if not is_integer(value) or value < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _poly_mul(a: int, b: int, m: int, poly: int) -> int:
     """Schoolbook multiply-and-reduce; only used to bootstrap the tables."""
     acc = 0

@@ -38,7 +38,7 @@ from .erasure import (
     worst_case_pattern,
 )
 from .errors import ConfigurationError, ProtocolError
-from .gf import is_integer
+from .gf import check_count, is_integer
 from .mds import MdsCode, invert_matrix
 
 
@@ -288,8 +288,7 @@ def cost_average(
         count = omega_size(params.n_e, params.n_h, params.s)
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)
     if mode == "monte_carlo":
-        if not is_integer(trials) or trials < 1:
-            raise ConfigurationError(f"trials must be a positive integer, got {trials!r}")
+        check_count(trials, "trials")
         if not (isinstance(seed, np.random.Generator) or is_integer(seed) and seed >= 0):
             raise ConfigurationError(
                 f"seed must be a numpy Generator or a non-negative integer, got {seed!r}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb
@@ -28,7 +28,7 @@ from .client import (
     random_gradient,
 )
 from .errors import ConfigurationError, ProtocolError
-from .gf import GF, is_integer
+from .gf import GF, check_count, is_integer
 
 _GRADIENT_STREAM = 0
 _ERASURE_STREAM = 1
@@ -61,10 +61,10 @@ class Scenario:
     s: int
     nu: int
     field_bits: int = 8
-    field_poly: int | None = None
     erasures: dict = dc_field(default_factory=lambda: {"kind": "uniform"})
     gradients: dict = dc_field(default_factory=lambda: {"kind": "random"})
     seed: int = 0
+    field_poly: int | None = None
 
     def params(self) -> SchemeParams:
         return SchemeParams(p=self.p, n_e=self.n_e, n_h=self.n_h, s=self.s, nu=self.nu)
@@ -73,19 +73,9 @@ class Scenario:
         return GF(m=self.field_bits, poly=self.field_poly)
 
     def to_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "n_e": self.n_e,
-            "n_h": self.n_h,
-            "s": self.s,
-            "nu": self.nu,
-            "field_bits": self.field_bits,
-            "erasures": self.erasures,
-            "gradients": self.gradients,
-            "seed": self.seed,
-        }
-        if self.field_poly is not None:
-            out["field_poly"] = self.field_poly
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.field_poly is None:
+            del out["field_poly"]
         return out
 
     @classmethod
@@ -105,10 +95,7 @@ class Scenario:
             raise ConfigurationError(
                 "scenario field 'field_poly' must be an integer or null"
             )
-        known = {
-            "p", "n_e", "n_h", "s", "nu",
-            "field_bits", "field_poly", "erasures", "gradients", "seed",
-        }
+        known = {f.name for f in fields(cls)}
         for name in data:
             if name not in known:
                 raise ConfigurationError(f"scenario field '{name}' is not recognized")
@@ -119,9 +106,7 @@ class Scenario:
             raise ConfigurationError("scenario field 'erasures.rows' is missing")
         if scenario.gradients["kind"] == "file" and "path" not in scenario.gradients:
             raise ConfigurationError("scenario field 'gradients.path' is missing")
-        _check_rounds(
-            scenario.erasures.get("rounds", 1), "scenario field 'erasures.rounds'"
-        )
+        check_count(scenario.erasures.get("rounds", 1), "scenario field 'erasures.rounds'")
         scenario.params()  # range checks
         if scenario.erasures["kind"] == "matrix":
             _check_rows(scenario.erasures["rows"], scenario)
@@ -139,15 +124,10 @@ def _check_rows(rows, scenario: Scenario) -> None:
         if not isinstance(row, list):
             raise ConfigurationError(f"{name}: row {i} must be a list of helper indices, got {row!r}")
     try:
-        erasure.validate(erasure.from_erased_sets(rows, scenario.n_h), scenario.s)
+        eps = erasure.from_erased_sets(rows, scenario.n_h)
+        erasure.validate(eps, scenario.n_e, scenario.n_h, scenario.s)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{name}: {exc}") from None
-
-
-def _check_rounds(value, name: str) -> int:
-    if not is_integer(value) or value < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    return value
 
 
 def _check_seed(value, name: str) -> None:
@@ -221,7 +201,7 @@ class RoundResult:
     reference: np.ndarray
     report: master.CostReport
     eps: np.ndarray
-    eh_symbols_per_edge: int  # counted off the actual column arrays
+    eh_symbols_per_edge: int  # counted off the codeword each edge is encoded into
     hm_symbols: int           # counted off the actual helper messages
 
 
@@ -253,17 +233,7 @@ def run_round(
     if eps is None:
         eps = stage("setup", _round_erasure, scenario, round_index)
 
-    def check_matrix(eps):
-        eps = np.asarray(eps)
-        if eps.shape != (params.n_e, params.n_h):
-            raise ConfigurationError(
-                f"erasure matrix shape {eps.shape} mismatch: expected "
-                f"(n_e, n_h) = ({params.n_e}, {params.n_h})"
-            )
-        erasure.validate(eps, params.s)
-        return eps
-
-    eps = stage("validate", check_matrix, eps)
+    eps = stage("validate", erasure.validate, eps, params.n_e, params.n_h, params.s)
 
     plan = stage("plan", aggregate.RoundPlan, eps, params)
 
@@ -321,8 +291,8 @@ def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
     raises ConfigurationError or FileNotFoundError rather than failing a
     round.
     """
-    _check_rounds(rounds, "rounds")
-    rounds = _check_rounds(
+    check_count(rounds, "rounds")
+    rounds = check_count(
         scenario.erasures.get("rounds", rounds), "scenario field 'erasures.rounds'"
     )
     gradient = _file_gradient(scenario)
@@ -508,8 +478,7 @@ def verify_scheme(
     identity between per-helper and per-layer emission counts, and
     end-to-end decoding against the direct gradient sum.
     """
-    if not is_integer(trials) or trials < 1:
-        raise ConfigurationError(f"trials must be a positive integer, got {trials!r}")
+    check_count(trials, "trials")
     nus = range(1, n_h - s + 1) if nu is None else [nu]
     fld = GF(m=field_bits)
     checks: list[CheckResult] = []

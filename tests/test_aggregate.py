@@ -85,8 +85,10 @@ def test_plan_rejects_a_footprint_heavier_than_s():
     # edge 0 erases three of layer 0's helpers {0, 1, 2, 3}, and s = 2
     eps = np.array([[1, 1, 1, 0], [0, 0, 0, 0]], dtype=np.uint8)
     params = SchemeParams(p=24, n_e=2, n_h=4, s=2, nu=2)
-    with pytest.raises(ValueError, match=r"layer 0: edge 0 erases helpers \[0, 1, 2\]"):
+    with pytest.raises(ConfigurationError, match=r"^row 0 has weight 3, expected at most 2$"):
         RoundPlan(eps, params)
+    with pytest.raises(ValueError, match=r"layer 0: edge 0 erases helpers \[0, 1, 2\]"):
+        plan_layer(0, (0, 1, 2, 3), eps, 2)
     # a heavy footprint behind lighter edges names its own edge
     eps = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 1, 1, 0]], dtype=np.uint8)
     with pytest.raises(ValueError, match=r"layer 2: edge 2 erases helpers \[0, 1\] of \(0, 1, 3\), more than s=1"):
@@ -101,6 +103,19 @@ def test_plan_rejects_helpers_that_are_not_increasing_columns(helpers):
     message = f"layer 0: helpers {helpers} are not strictly increasing within [0, 4)"
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         plan_layer(0, helpers, eps, 1)
+
+
+@pytest.mark.parametrize("helpers", [(), (0,), (0, 1)])
+def test_plan_rejects_a_layer_of_s_helpers_or_fewer(helpers):
+    # unchecked, () and (0,) fail inside numpy, and (0, 1) plans one cover
+    # that holds every helper, so that no helper emits
+    eps = np.zeros((2, 4), dtype=np.uint8)
+    message = (
+        f"layer 0: helpers {helpers} are not strictly increasing within [0, 4), "
+        "or number s=2 or fewer"
+    )
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        plan_layer(0, helpers, eps, 2)
 
 
 def test_plan_counts_any_nonzero_entry_as_erased():
@@ -170,9 +185,9 @@ def test_a_layer_with_more_covers_than_int64_ids_plans_and_decodes():
 
 def test_malformed_erasure_inputs_raise_configuration_error():
     with pytest.raises(ConfigurationError, match="row 1 has weight 2, expected at most 1"):
-        validate(np.array([[0, 0, 1], [1, 1, 0]]), 1)
+        validate(np.array([[0, 0, 1], [1, 1, 0]]), 2, 3, 1)
     with pytest.raises(ConfigurationError, match="row 0 has entries other than 0 and 1"):
-        validate(np.array([[2, 0, 0]]), 1)
+        validate(np.array([[2, 0, 0]]), 1, 3, 1)
     with pytest.raises(ConfigurationError, match=re.escape("row 1: helper index 3 out of range [0, 3)")):
         from_erased_sets([[0], [3]], 3)
     # a bool would index the whole row, a float no entry
@@ -181,7 +196,7 @@ def test_malformed_erasure_inputs_raise_configuration_error():
             from_erased_sets([[j]], 3)
     with pytest.raises(ConfigurationError, match="more than s=1"):
         plan_layer(0, (0, 1, 2), np.array([[1, 1, 0]]), 1)
-    with pytest.raises(ConfigurationError, match=re.escape("shape (2, 3), expected (n_e, n_h)")):
+    with pytest.raises(ConfigurationError, match=re.escape("shape (2, 3) mismatch: expected (n_e, n_h)")):
         RoundPlan(np.zeros((2, 3), dtype=np.uint8), SchemeParams(p=24, n_e=2, n_h=4, s=1, nu=2))
 
 
@@ -439,11 +454,36 @@ def test_round_plan_takes_a_list_and_rejects_entries_other_than_0_and_1():
             RoundPlan(np.array(bad), params)
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (2, 5), (2, 3), (8,)])
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5), (2, 3), (8,), (2, 4, 1)])
 def test_round_plan_rejects_a_matrix_of_the_wrong_shape(shape):
     params = SchemeParams(p=24, n_e=2, n_h=4, s=1, nu=2)
-    with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (n_e, n_h) = (2, 4)")):
+    needle = f"erasure matrix shape {shape} mismatch: expected (n_e, n_h) = (2, 4)"
+    with pytest.raises(ConfigurationError, match=re.escape(needle)):
         RoundPlan(np.zeros(shape, dtype=np.uint8), params)
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [
+        np.zeros((2, 3), dtype=np.uint8),
+        np.zeros(4, dtype=np.uint8),
+        np.zeros((2, 4, 1), dtype=np.uint8),
+        [[0, 0, 0, 0], [0, 2, 0, 0]],
+        [[0, 0, 0, 0], [1, 1, 0, 0]],
+    ],
+    ids=["2-D", "1-D", "3-D", "entry 2", "heavy row"],
+)
+def test_each_erasure_matrix_fault_reads_the_same_from_every_entry_point(eps):
+    scenario = Scenario(p=24, n_e=2, n_h=4, s=1, nu=2)
+    with pytest.raises(ConfigurationError) as checked:
+        validate(eps, 2, 4, 1)
+    with pytest.raises(ConfigurationError) as planned:
+        RoundPlan(eps, scenario.params())
+    with pytest.raises(sim.StageFailure) as failed:
+        run_round(scenario, eps=eps)
+    assert failed.value.stage == "validate"
+    assert str(planned.value) == str(checked.value)
+    assert str(failed.value) == f"validate: {checked.value}"
 
 
 def test_reading_every_table_of_a_round_plan_groups_once(monkeypatch, gf8):

@@ -111,6 +111,34 @@ def test_layer_map_column_counts():
         LayerMap(4, 5)
 
 
+def test_layer_map_positions_list_each_helpers_cells_layers_ascending():
+    for n_h in range(1, 9):
+        for k in range(1, n_h + 1):
+            layers = LayerMap(n_h, k)
+            listing = [[] for _ in range(n_h)]
+            for layer, subset in enumerate(layers.subsets):
+                for slot, h in enumerate(subset):
+                    listing[h].append((layer, slot))
+            count = len(layers.subsets)
+            assert layers.positions.tolist() == [[l * k + t for l, t in cells] for cells in listing]
+            assert layers.cells.tolist() == [[t * count + l for l, t in cells] for cells in listing]
+            for j in range(n_h):
+                assert layers.column_layers(j) == tuple(l for l, _ in listing[j])
+            for table in (layers.slot_helpers, layers.positions, layers.cells):
+                assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["p", "n_e", "n_h", "s", "nu"])
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"], ids=["float", "fraction", "bool", "str"])
+def test_scheme_params_reject_a_field_that_is_not_an_integer(name, bad):
+    # unchecked, p=24.5 gives d = 4.0, and n_h=4.0 fails inside comb
+    good = dict(p=24, n_e=2, n_h=4, s=1, nu=2)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        SchemeParams(**{**good, name: bad})
+    # numpy integers stay accepted
+    assert SchemeParams(**{**good, name: np.int64(good[name])}) == SchemeParams(**good)
+
+
 def test_layer_map_row_lookup():
     layers = LayerMap(4, 3)
     # helper 0 appears in layers 0,1,2 at rows 0,1,2 of its column

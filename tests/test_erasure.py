@@ -25,16 +25,18 @@ SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
 
 def test_validate_lax_and_strict():
     zero = np.zeros((3, 4), dtype=np.uint8)
-    validate(zero, s=1)  # lax ok
+    validate(zero, 3, 4, s=1)  # lax ok
+    checked = validate(zero.tolist(), 3, 4, s=1)
+    assert isinstance(checked, np.ndarray) and np.array_equal(checked, zero)
 
     eps = from_erased_sets(SEVEN_EDGE_ROWS, 6)
-    validate(eps, s=2)
+    assert validate(eps, 7, 6, s=2) is eps
     assert (eps.sum(axis=1) == 2).all()  # every row has weight exactly 2
 
     heavy = zero.copy()
     heavy[1, :2] = 1
-    with pytest.raises(ValueError, match="row 1"):
-        validate(heavy, s=1)
+    with pytest.raises(ConfigurationError, match="^row 1 has weight 2, expected at most 1$"):
+        validate(heavy, 3, 4, s=1)
 
 
 def test_json_round_trip():
@@ -129,13 +131,13 @@ def test_enumerate_row_sets_yields_each_set_of_distinct_rows_once(n_e, n_h, s):
 )
 def test_validate_rejects_entries_other_than_zero_and_one(entries, row):
     with pytest.raises(ValueError, match=f"row {row} has entries other than 0 and 1"):
-        validate(np.array(entries), s=1)
+        validate(np.array(entries), len(entries), 4, s=1)
 
 
 @pytest.mark.parametrize(
     "eps", [np.zeros(4), np.zeros((2, 2, 4)), np.uint8(0)], ids=["1-D", "3-D", "0-D"]
 )
 def test_validate_rejects_an_array_that_is_not_2d(eps):
-    needle = re.escape(f"must be 2-D (n_e, n_h), got shape {eps.shape}")
+    needle = re.escape(f"erasure matrix shape {eps.shape} mismatch: expected (n_e, n_h) = (2, 4)")
     with pytest.raises(ConfigurationError, match=needle):
-        validate(eps, s=1)
+        validate(eps, 2, 4, s=1)

@@ -61,7 +61,7 @@ def test_decode_of_the_helper_messages_equals_xor_sum(case):
     m, params, rows, seed = case
     fld = GF(m)
     eps = from_erased_sets(rows, params.n_h)
-    validate(eps, params.s)
+    validate(eps, params.n_e, params.n_h, params.s)
     grads = np.random.default_rng(seed).integers(
         0, fld.order, size=(params.n_e, params.p), dtype=fld.dtype
     )

@@ -1,7 +1,7 @@
 """Source checks on the package: no invariant depends on `assert`, which
 `python -O` strips, no import needs a package it does not declare, no
-module imports a name it does not use, and nothing is defined that only
-tests reach."""
+module imports a name it does not use, no message is raised at two
+places, and nothing is defined that only tests reach."""
 
 import ast
 import importlib.util
@@ -95,6 +95,19 @@ def test_package_modules_use_every_name_they_import():
                 if name not in kept
             ]
     assert not found, f"unused imports in the package: {', '.join(found)}"
+
+
+def test_no_two_raise_sites_in_the_package_share_a_message():
+    """A message template (the unparsed first argument of a raised call)
+    raised at two places is one check written twice."""
+    sites: dict[str, list[str]] = {}
+    for path, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                template = ast.unparse(node.exc.args[0])
+                sites.setdefault(template, []).append(f"{path.name}:{node.lineno}")
+    found = [f"{template} at {', '.join(at)}" for template, at in sites.items() if len(at) > 1]
+    assert not found, f"messages raised at more than one place: {'; '.join(found)}"
 
 
 def test_every_definition_in_the_package_is_named_outside_its_definition():
