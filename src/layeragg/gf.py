@@ -24,17 +24,23 @@ once per word of coefficients.
 
 GF.matmul_fixed is the same product for a coefficient matrix that is
 reused across many calls: a code's parity coefficients, which every
-edge of every round multiplies by (mds.fill_parity). Its tables are
-indexed by the whole symbol, so each symbol costs one index pass and one
-gather instead of one per byte. For m <= 8 that is the byte table
-itself; for m = 16 it is T1[x >> 8] ^ T0[x & 0xFF] over all 2^16
-symbols, 256 KiB per input row for a word of one or two coefficients.
-On a 2-vCPU Xeon host, building one such table took ~66 us (~35 us of it
-the byte tables), and a (2, 4) x (4, d) product took 136 against 209 us
-at d = 10^4 and 168 against 264 us at d = 13440 (layers_gf16's encode):
-~18-24 us saved per input row and call. So the table pays off only when
-its coefficients are reused; GF.matmul keeps byte tables for the one-off
-products (decode solves, make_generator).
+edge of every round multiplies by (mds.fill_parity). It reads and writes
+rows as 16-bit units, '<u2' views of the rows: one symbol at m = 16, two
+adjacent symbols, low byte first, at m <= 8. Its tables hold, for a word
+of up to 4 output rows and one input row, the products of every 16-bit
+unit: 2^16 entries with one 16-bit lane per output row, laid out as the
+unit itself, so 256 KiB for a word of one or two rows (_symbol_tables).
+So a block of BLOCK units costs one index conversion per input row
+and one gather per input row and word, and lane i of the word's XOR is
+written straight into output row i's units. At m <= 8 that is one gather
+per two symbols; an odd row's last symbol is a unit whose high byte is
+zero. On a 2-vCPU Xeon host, in two runs of 300 interleaved calls,
+long_gf8's (2, 3) x (3, 349552) GF(2^8) encode took 1.68-1.84 ms
+against 2.46-2.54 ms for one gather per symbol, and layers_gf16's
+(2, 4) x (4, 13440) GF(2^16) encode, one gather per symbol either
+way, 157-214 against 158-232 us. A table takes 60-150 us to build, so
+it pays off only when its coefficients are reused; GF.matmul keeps byte
+tables for the one-off products (decode solves, make_generator).
 """
 
 from __future__ import annotations
@@ -109,12 +115,30 @@ def _log_exp_tables(m: int, poly: int) -> tuple[int, np.ndarray, np.ndarray]:
     )
 
 
-# Columns of b per block of GF.matmul and GF.matmul_fixed. A block's gather indices (8 bytes
-# per symbol) and its words (at most 8 bytes per symbol) then take at most
-# 512 KiB per array, so they stay in L2 and the kernel's scratch memory
-# does not grow with the row length. On GF(2^8) rows of ~350k symbols this
-# size was the fastest of 2^12 to 2^17, ~5% ahead of unblocked rows.
+# Columns of b per block of GF.matmul, and 16-bit units of b per block of
+# GF.matmul_fixed. A block's gather indices (8 bytes per symbol or unit)
+# and its words (at most 8 bytes per symbol or unit) then take at most 512
+# KiB per array, so they stay in L2 and the kernel's scratch memory does
+# not grow with the row length. On GF(2^8) rows of ~350k symbols this size
+# was the fastest of 2^12 to 2^17 for GF.matmul, ~5% ahead of unblocked
+# rows. For GF.matmul_fixed on long_gf8's encode, 2^14 units was ~18%
+# faster in a loop of calls alone, but 3-5% slower in whole rounds, where
+# other stages evict the tables between encodes.
 BLOCK = 1 << 16
+
+
+def _lane_tables(m: int, poly: int, coefs: tuple[int, ...], width: int, dtype) -> np.ndarray:
+    """T[t][x] = XOR_i (c_i*(x << 8t)) << (width*i), of dtype: shape
+    (element_bytes, 256), or (1, 2^m) when m < 8."""
+    _, exp, log = _log_exp_tables(m, poly)
+    x = np.arange(1, min(1 << m, 256))
+    table = np.zeros(((m + 7) // 8, x.size + 1), dtype=dtype)
+    for t in range(table.shape[0]):
+        log_x = log[x << (8 * t)]
+        for i, c in enumerate(coefs):
+            if c:
+                table[t, 1:] |= exp[log[c] + log_x].astype(dtype) << (width * i)
+    return table
 
 
 @lru_cache(maxsize=1024)
@@ -128,37 +152,38 @@ def _word_tables(m: int, poly: int, coefs: tuple[int, ...]) -> np.ndarray:
     are kept, so the cache holds at most 1024 * 2 * 256 * 8 B = 4 MiB
     (element_bytes <= 2, entries <= 8 B).
     """
-    _, exp, log = _log_exp_tables(m, poly)
-    nbytes = (m + 7) // 8
-    width = 8 * nbytes
+    width = 8 * ((m + 7) // 8)
     dtype = np.min_scalar_type((1 << (width * len(coefs))) - 1)
-    x = np.arange(1, min(1 << m, 256))
-    table = np.zeros((nbytes, x.size + 1), dtype=dtype)
-    for t in range(nbytes):
-        log_x = log[x << (8 * t)]
-        for i, c in enumerate(coefs):
-            if c:
-                table[t, 1:] |= exp[log[c] + log_x].astype(dtype) << (width * i)
+    table = _lane_tables(m, poly, coefs, width, dtype)
     table.setflags(write=False)
     return table
 
 
-# A GF(2^16) whole-symbol table is 2^16 packed words of at most 8 B, so the
-# 16 kept take at most 8 MiB (256 KiB each for a word of one or two
-# coefficients). A code uses one per input row and word of parity rows:
-# 4 at nu = 4, s = 2.
+# A unit table is 2^16 packed words of at most 8 B, so the 16 kept take at
+# most 8 MiB (256 KiB each for a word of one or two coefficients). A code
+# uses one per input row and word of parity rows: nu of them when s <= 4.
 @lru_cache(maxsize=16)
 def _symbol_tables(m: int, poly: int, coefs: tuple[int, ...]) -> np.ndarray:
-    """Packed product tables of one word of coefficients, indexed by the
-    whole symbol, read-only: shape (1, 2^m) for m = 16, and the one-pass
-    _word_tables entry itself for m <= 8.
+    """Packed product tables of one word of up to 4 coefficients, indexed
+    by a 16-bit unit, read-only: shape (2^16,), little-endian entries of
+    the narrowest of 16, 32 and 64 bits that holds a lane per coefficient.
 
-    At m = 16 entry x is T1[x >> 8] ^ T0[x & 0xFF] of the byte tables.
+    A unit is one symbol at m = 16 and two adjacent symbols, low byte
+    first, at m <= 8. Entry y holds, in 16-bit lane i, the products by c_i
+    of y's symbols laid out as y itself: c_i*y at m = 16, and low byte
+    c_i*(y & 0xFF), high byte c_i*(y >> 8) at m <= 8. Either way it is
+    H[y >> 8] ^ T[y & 0xFF], with T the products of the low byte and H
+    those of the high byte (c_i*(x << 8) at m = 16, (c_i*x) << 8 at
+    m <= 8). At m = 4 a byte outside the field reads 0; GF.matmul_fixed
+    rejects such symbols first. Building one took 60-150 us on a 2-vCPU
+    Xeon host.
     """
-    word = _word_tables(m, poly, coefs)
-    if word.shape[0] == 1:
-        return word
-    table = (word[1][:, None] ^ word[0][None, :]).reshape(1, -1)
+    dtype = np.dtype(np.min_scalar_type((1 << (16 * len(coefs))) - 1)).newbyteorder("<")
+    lanes = np.zeros((2, 256), dtype=dtype)
+    lanes[: (m + 7) // 8, : min(1 << m, 256)] = _lane_tables(m, poly, coefs, 16, dtype)
+    if m <= 8:
+        lanes[1] = lanes[0] << 8
+    table = (lanes[1][:, None] ^ lanes[0][None, :]).reshape(-1)
     table.setflags(write=False)
     return table
 
@@ -243,16 +268,10 @@ class GF:
             raise ValueError(f"coefficient {bad[0]} is not an element of {self!r}")
         return a, b
 
-    def _product(self, a: np.ndarray, b: np.ndarray, out: np.ndarray, table_of) -> np.ndarray:
-        """a x b into out, from table_of(m, poly, coefs) per word and input row.
-
-        All tables of a call take the same number of index passes, so there
-        is one gather per (input row, word, pass, column block).
-        """
-        rows = 8 // self.element_bytes
-        width = 8 * self.element_bytes
-        # (output rows, packed tables per input row or None); all-zero words
-        # are zeroed and left out
+    def _words(self, a: np.ndarray, out: np.ndarray, rows: int, table_of) -> list:
+        """(output rows, table per input row or None) of each word of up to
+        rows output rows, from table_of(m, poly, coefs). An all-zero word is
+        zeroed in out and left out, as is the table of an all-zero column."""
         words = []
         for lo in range(0, a.shape[0], rows):
             coefs = a[lo : lo + rows].T.tolist()
@@ -263,8 +282,20 @@ class GF:
                 ]))
             else:
                 out[lo : lo + rows] = 0
+        return words
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(n, k) x (k, d) matrix product over the field.
+
+        One gather per (input row, word of output rows, symbol byte, column
+        block), from the word's packed byte tables; see the module docstring.
+        """
+        a, b = self._operands(a, b)
+        out = np.empty((a.shape[0], b.shape[1]), dtype=self.dtype)
+        words = self._words(a, out, 8 // self.element_bytes, _word_tables)
         if not words:
             return out
+        width = 8 * self.element_bytes
         passes = next(t for t in words[0][1] if t is not None).shape[0]
         # One index buffer per call, refilled per input row, pass and block: a
         # fresh 512 KiB array each time went back to the OS when freed and
@@ -291,26 +322,18 @@ class GF:
                     word >>= width
         return out
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(n, k) x (k, d) matrix product over the field.
-
-        One gather per (input row, word of output rows, symbol byte, column
-        block), from the word's packed byte tables; see the module docstring.
-        """
-        a, b = self._operands(a, b)
-        out = np.empty((a.shape[0], b.shape[1]), dtype=self.dtype)
-        return self._product(a, b, out, _word_tables)
-
     def matmul_fixed(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """(n, k) x (k, d) product by a coefficient matrix a that is reused
         across calls, such as a code's parity coefficients.
 
-        One gather per (input row, word of output rows, column block), from
-        packed tables indexed by the whole symbol and cached per word; see
-        the module docstring. out, when given, is an (n, d) array of the
-        field's dtype that receives the product.
+        Rows are read and written as 16-bit units: one gather per (input
+        row, word of 4 output rows, block of BLOCK units), from tables
+        indexed by the unit and cached per word, and lane i of the word's
+        XOR is output row i's units; see the module docstring. out, when
+        given, is an (n, d) array of the field's dtype that receives the
+        product. A symbol of b outside the field raises IndexError.
         """
         a, b = self._operands(a, b)
         shape = (a.shape[0], b.shape[1])
@@ -320,7 +343,51 @@ class GF:
             raise ValueError(
                 f"out must be a {shape} array of {self.dtype}, got {out.shape} {out.dtype}"
             )
-        return self._product(a, b, out, _symbol_tables)
+        if self.m < 8 and b.size and b.max() >= self.order:
+            bad = int(b[b >= self.order][0])
+            raise IndexError(f"index {bad} is out of bounds for axis 0 with size {self.order}")
+        b = np.ascontiguousarray(b)
+        dest = out if out.flags.c_contiguous else np.empty(shape, dtype=self.dtype)
+        words = self._words(a, dest, 4, _symbol_tables)
+        pairs = self.m <= 8
+        n = shape[1] // 2 if pairs else shape[1]
+
+        def units(row: np.ndarray) -> np.ndarray:
+            return row[: 2 * n].view("<u2") if pairs else row
+
+        # A unit is below 2^16, the length of every table, so the gathers
+        # need no bounds check.
+        buffer = np.empty(min(BLOCK, n), np.intp)
+        for start in range(0, n, BLOCK):
+            cols = slice(start, start + BLOCK)
+            idx = buffer[: min(BLOCK, n - start)]
+            acc = [None] * len(words)
+            for kk, row in enumerate(b):
+                idx[...] = units(row)[cols]
+                for w, (_, tables) in enumerate(words):
+                    if tables[kk] is None:
+                        continue
+                    if acc[w] is None:
+                        acc[w] = tables[kk].take(idx, mode="clip")
+                    else:
+                        acc[w] ^= tables[kk].take(idx, mode="clip")
+            for (rows, _), word in zip(words, acc):
+                lanes = word.view("<u2").reshape(len(idx), -1)
+                for i, row in enumerate(rows):
+                    units(row)[cols] = lanes[:, i]
+        if pairs and shape[1] % 2:
+            # the last symbol, as a unit whose high byte is zero
+            last = b[:, -1].tolist()
+            for rows, tables in words:
+                word = 0
+                for table, x in zip(tables, last):
+                    if table is not None:
+                        word ^= int(table[x])
+                for i, row in enumerate(rows):
+                    row[-1] = word >> (16 * i) & 0xFF
+        if dest is not out:
+            out[...] = dest
+        return out
 
     def xor_sum(self, rows: np.ndarray) -> np.ndarray:
         """Field sum (XOR) of the rows of a (rows, d) array, in a new array

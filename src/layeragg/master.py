@@ -127,6 +127,26 @@ class AverageCost:
         }
 
 
+def _stacked(entries: list[np.ndarray]) -> np.ndarray:
+    """The rows of entries, concatenated. A round's messages are already
+    consecutive C-contiguous row slices of one array, GroupSums.rows, in
+    helper order; that array is then read in place instead of copied."""
+    rows = entries[0].base
+    if not (
+        isinstance(rows, np.ndarray) and rows.flags.c_contiguous
+        and rows.dtype == entries[0].dtype
+        and rows.shape == (sum(map(len, entries)), entries[0].shape[1])
+    ):
+        return np.concatenate(entries)
+    address = rows.__array_interface__["data"][0]
+    for part in entries:
+        if (part.base is not rows or not part.flags.c_contiguous
+                or part.__array_interface__["data"][0] != address):
+            return np.concatenate(entries)
+        address += part.nbytes
+    return rows
+
+
 def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
     """Recover the sum of all edge gradients from the helper messages.
 
@@ -163,7 +183,7 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
         if len(msg) != m_j:
             raise ProtocolError(f"helper {j} sent {len(msg)} entries, schedule has {m_j}")
 
-    stacked = np.concatenate([m.entries for m in messages])
+    stacked = _stacked([m.entries for m in messages])
     layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
     for slots, (layers, rows) in plan.decode_patterns.items():
         solver = invert_matrix(field, code.generator[:, list(slots)].T)

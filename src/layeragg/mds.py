@@ -131,8 +131,9 @@ def fill_parity(code: MdsCode, codeword: np.ndarray) -> None:
     hold the message.
 
     Every codeword of a code multiplies by the same parity coefficients,
-    so the product reads tables indexed by the whole symbol, built once
-    per code (GF.matmul_fixed).
+    so the product reads tables indexed by 16-bit units of the rows (two
+    symbols at m <= 8, one at m = 16), built once per code
+    (GF.matmul_fixed).
     """
     code.field.matmul_fixed(
         code.generator[:, code.nu :].T, codeword[: code.nu], out=codeword[code.nu :]

@@ -177,30 +177,53 @@ def test_xor_sum_of_one_row_is_a_copy_of_that_row(m):
     assert not np.shares_memory(total, row)
 
 
+def placed(x: np.ndarray, layout: str) -> np.ndarray:
+    """A copy of x, C-contiguous at an odd byte address for "offset", and
+    with every other column of a wider array for "strided"."""
+    if layout == "offset":
+        y = np.empty(x.nbytes + 1, np.uint8)[1:].view(x.dtype).reshape(x.shape)
+    elif layout == "strided":
+        y = np.empty((x.shape[0], 2 * x.shape[1]), x.dtype)[:, ::2]
+    else:
+        y = np.empty_like(x)
+    y[...] = x
+    return y
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.sampled_from([4, 8, 16]),
     n=st.integers(1, 9),
     k=st.integers(1, 5),
-    d=st.sampled_from([0, 1, 7, BLOCK + 3]),
+    d=st.sampled_from([0, 1, 7, 2 * BLOCK + 2, BLOCK + 3]),
     zero=st.sampled_from(["none", "column", "word", "all"]),
+    layout=st.sampled_from(["fresh", "offset", "strided"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=4, n=9, k=5, d=BLOCK + 3, zero="word", seed=0)
-@example(m=8, n=9, k=5, d=BLOCK + 3, zero="column", seed=1)
-@example(m=16, n=2, k=4, d=BLOCK + 3, zero="none", seed=2)
-@example(m=16, n=9, k=3, d=BLOCK + 3, zero="word", seed=3)
-@example(m=16, n=5, k=2, d=7, zero="all", seed=4)
-def test_whole_symbol_product_equals_matmul(m, n, k, d, zero, seed):
+@example(m=4, n=9, k=5, d=BLOCK + 3, zero="word", layout="fresh", seed=0)
+@example(m=8, n=9, k=5, d=BLOCK + 3, zero="column", layout="fresh", seed=1)
+@example(m=16, n=2, k=4, d=BLOCK + 3, zero="none", layout="fresh", seed=2)
+@example(m=16, n=9, k=3, d=BLOCK + 3, zero="word", layout="fresh", seed=3)
+@example(m=16, n=5, k=2, d=7, zero="all", layout="fresh", seed=4)
+@example(m=8, n=2, k=3, d=2 * BLOCK + 2, zero="none", layout="fresh", seed=5)
+@example(m=4, n=5, k=3, d=2 * BLOCK + 2, zero="column", layout="fresh", seed=6)
+@example(m=8, n=3, k=4, d=7, zero="none", layout="fresh", seed=7)
+@example(m=8, n=6, k=3, d=BLOCK + 3, zero="none", layout="offset", seed=8)
+@example(m=16, n=3, k=2, d=7, zero="none", layout="offset", seed=9)
+@example(m=8, n=5, k=3, d=2 * BLOCK + 2, zero="none", layout="strided", seed=10)
+@example(m=16, n=2, k=2, d=7, zero="column", layout="strided", seed=11)
+def test_whole_symbol_product_equals_matmul(m, n, k, d, zero, layout, seed):
     """GF.matmul_fixed against GF.matmul, into a fresh array and into out:
-    coefficients 0 and 1, a zero word or input column, zero a, and more
-    than BLOCK columns."""
+    coefficients 0 and 1, a zero word or input column, zero a, more than
+    one block of units, odd rows (at m <= 8 their last symbol is half a
+    unit, and every other row starts at an odd byte), operands at an odd
+    byte address, and non-contiguous operands."""
     fld = GF(m)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, fld.order, size=(n, k), dtype=fld.dtype)
     a[rng.random((n, k)) < 0.2] = 0
     a[rng.random((n, k)) < 0.2] = 1
-    rows = 8 // fld.element_bytes
+    rows = 4  # output rows per word
     lo = rows * int(rng.integers(0, -(-n // rows)))
     if zero == "column":
         a[lo : lo + rows, int(rng.integers(0, k))] = 0
@@ -211,9 +234,10 @@ def test_whole_symbol_product_equals_matmul(m, n, k, d, zero, seed):
     b = rng.integers(0, fld.order, size=(k, d), dtype=fld.dtype)
     b[:, -1:] = fld.order - 1
     want = fld.matmul(a, b)
+    b = placed(b, layout)
     got = fld.matmul_fixed(a, b)
     assert got.dtype == fld.dtype and np.array_equal(got, want)
-    out = np.full((n, d), fld.order - 1, dtype=fld.dtype)  # stale values are overwritten
+    out = placed(np.full((n, d), fld.order - 1, dtype=fld.dtype), layout)  # stale values are overwritten
     assert fld.matmul_fixed(a, b, out=out) is out
     assert np.array_equal(out, want)
 
@@ -231,18 +255,23 @@ def test_whole_symbol_product_rejects_bad_operands():
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
-def test_symbol_tables_hold_packed_products_of_whole_symbols(m):
+def test_unit_tables_hold_the_products_of_each_symbol_of_the_unit(m):
     fld = GF(m)
-    width = 8 * fld.element_bytes
-    coefs = (fld.gen_pow(7), 0, 1)[: 8 // fld.element_bytes]
-    table = gf._symbol_tables(fld.m, fld.poly, coefs)
-    assert table.shape == (1, fld.order) and not table.flags.writeable
-    assert gf._symbol_tables(fld.m, fld.poly, coefs) is table
-    if m <= 8:
-        assert table is gf._word_tables(fld.m, fld.poly, coefs)
-    x = np.arange(fld.order)
-    for i, c in enumerate(coefs):
-        lanes = (table[0] >> (width * i)) & (fld.order - 1)
-        assert lanes.tolist() == [fld.mul(c, int(v)) for v in x]
+    units = np.arange(1 << 16)
+    # a unit is one symbol at m = 16, two at m <= 8, low byte first
+    symbols = [units] if m == 16 else [units & 0xFF, units >> 8]
+    for coefs in [(fld.gen_pow(5),), (1, 0), (fld.gen_pow(3), 0, 1), (2, 3, fld.order - 1, 1)]:
+        table = gf._symbol_tables(fld.m, fld.poly, coefs)
+        assert gf._symbol_tables(fld.m, fld.poly, coefs) is table
+        assert table.shape == (1 << 16,) and not table.flags.writeable
+        narrowest = next(bits for bits in (16, 32, 64) if bits >= 16 * len(coefs))
+        assert table.dtype == np.dtype(f"<u{narrowest // 8}")
+        entries = table.astype(np.uint64)
+        for i, c in enumerate(coefs):
+            products = np.array([fld.mul(c, x) for x in range(fld.order)] + [0] * (256 - fld.order))
+            lane = (entries >> np.uint64(16 * i)) & np.uint64(0xFFFF)
+            # at m = 4 a byte outside the field reads 0
+            want = sum(products[x] << (8 * t) for t, x in enumerate(symbols))
+            assert np.array_equal(lane, want), (m, coefs, i)
     # worst case of the cache: 2^16 entries of 8 bytes
     assert gf._symbol_tables.cache_info().maxsize * (1 << 16) * 8 <= 8 << 20

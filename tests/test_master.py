@@ -1,6 +1,7 @@
 """Master decode and cost accounting tests; oracle is direct gradient summation."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from reference_plan import lexmin_cover
 
-from layeragg.aggregate import AggregatedMessage, RoundPlan, aggregate_helper
+from layeragg.aggregate import AggregatedMessage, GroupSums, RoundPlan, aggregate_helper
 from layeragg.client import SchemeParams, encode_client, random_gradient
 from layeragg.erasure import (
     enumerate_all,
@@ -143,6 +144,34 @@ def test_encode_and_decode_reject_a_code_of_another_shape(gf8, nu, s):
         decode_global(messages, plan, code)
     with pytest.raises(ConfigurationError, match=message):
         encode_client(grads[0], params, code)
+
+
+def test_decode_reads_the_group_sums_of_a_round_in_place(gf8):
+    # many groups per layer, so the round's (sum m_j, d) rows outweigh the
+    # gradient, the decode solves and their kernel buffers; a decode that
+    # copied the rows would peak above them
+    params = SchemeParams(p=1 << 19, n_e=40, n_h=8, s=2, nu=3)
+    rng = np.random.default_rng(7)
+    grads = np.stack([random_gradient(rng, gf8, params.p) for _ in range(params.n_e)])
+    eps = sample_uniform(params.n_e, params.n_h, params.s, rng)
+    plan = RoundPlan(eps, params)
+    code = make_generator(gf8, params.nu, params.s)
+    sums = GroupSums(plan, gf8)
+    for i, g in enumerate(grads):
+        sums.fold(i, encode_client(g, params, code).codeword)
+    messages = [aggregate_helper(j, sums, plan, gf8) for j in range(params.n_h)]
+    want = decode_global(messages, plan, code)  # warm: the plan's tables and the solves' kernel tables
+    assert np.array_equal(want, np.bitwise_xor.reduce(grads, axis=0))
+    tracemalloc.start()
+    try:
+        decoded = decode_global(messages, plan, code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sums.rows.nbytes, (peak, sums.rows.nbytes)
+    assert decoded.tobytes() == want.tobytes()
+    copies = [AggregatedMessage(helper=m.helper, entries=m.entries.copy()) for m in messages]
+    assert decode_global(copies, plan, code).tobytes() == want.tobytes()
 
 
 def test_decode_names_a_message_in_the_wrong_slot(gf8):

@@ -1,5 +1,6 @@
 """MDS construction and codec tests; minors checked by a Laplace-expansion oracle."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from layeragg.mds import (
     MdsCode,
     decode_from,
     encode,
+    fill_parity,
     invert_matrix,
     make_generator,
     singular_minors,
@@ -175,3 +177,18 @@ def test_make_generator_rejects_nonpositive(gf8):
         make_generator(gf8, 0, 2)
     with pytest.raises(ConfigurationError):
         make_generator(gf8, 2, 0)
+
+
+def test_fill_parity_scratch_memory_stays_small(gf8):
+    # long_gf8's encode: (2, 3) x (3, 349552), tables built by the first call
+    code = make_generator(gf8, 3, 2)
+    codeword = np.random.default_rng(9).integers(0, 256, size=(5, 349552), dtype=np.uint8)
+    fill_parity(code, codeword)
+    tracemalloc.start()
+    try:
+        fill_parity(code, codeword)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (1 << 20), peak
+    assert np.array_equal(codeword[3:], gf8.matmul(code.generator[:, 3:].T, codeword[:3]))
