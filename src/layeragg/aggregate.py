@@ -456,12 +456,13 @@ def aggregate_helper(
 
     received is the round's GroupSums, or a mapping of edge index -> that
     edge's (b, d) column, present only for surviving links, folded here
-    into a fresh GroupSums. A key that is not an edge of the round, a
-    column of another shape or of a dtype other than the field's, or the
-    GroupSums of another plan or field, raises ProtocolError, as does a
-    cell feeding j's message over a link that was not folded: every group
-    sum only touches edges whose link to j survived. So does a j that is
-    not a helper of the round.
+    into a fresh GroupSums. The entries are a view of the round's rows, or
+    a copy of j's rows on the mapping path. A key that is not an edge of
+    the round, a column of another shape or of a dtype other than the
+    field's, or the GroupSums of another plan or field, raises
+    ProtocolError, as does a cell feeding j's message over a link that was
+    not folded: every group sum only touches edges whose link to j
+    survived. So does a j that is not a helper of the round.
     """
     params, sums = plan.params, received
     if not is_integer(j) or not 0 <= j < params.n_h:
@@ -496,4 +497,6 @@ def aggregate_helper(
             f"symbol of edge {i} but that link is erased"
         )
     start = int(plan.m_j[:j].sum())
-    return AggregatedMessage(helper=j, entries=sums.rows[start : start + int(plan.m_j[j])])
+    entries = sums.rows[start : start + int(plan.m_j[j])]
+    # a view of the fresh sums would pin every helper's rows
+    return AggregatedMessage(helper=j, entries=entries if sums is received else entries.copy())

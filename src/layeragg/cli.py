@@ -64,7 +64,7 @@ def _emit(args, text: str) -> None:
 
 def _cmd_encode(args) -> int:
     _non_negative(args.edge_index, "--edge-index")
-    params = SchemeParams(p=args.p, n_e=max(args.n_e, 1), n_h=args.n_h, s=args.s, nu=args.nu)
+    params = SchemeParams(p=args.p, n_e=args.n_e, n_h=args.n_h, s=args.s, nu=args.nu)
     fld = GF(m=args.field_bits)
     code = mds.make_generator(fld, params.nu, params.s)
     if args.gradient == "random":
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except sim.StageFailure as exc:

@@ -11,36 +11,38 @@ the other operand: c*y = XOR_t c*(y_t << 8t), with y_t byte t of y, and
 one table of c*(x << 8t) per byte position turns c*y into gathers (the
 split-table multiply of Plank, Greenan and Miller, FAST 2013).
 
-GF.matmul packs a word of 8 // element_bytes output rows (8 for m <= 8,
-4 for m = 16) into one integer of at most 64 bits. The word's table for
-input row k and byte t holds, at x, the products c_i*(x << 8t) of all
-its coefficients c_i = a[lo+i, k], each in its own lane of
-8*element_bytes bits. So there is one gather per (input row, word,
-symbol byte, column block), and row i of the output is the XOR of the
-word's gathers shifted right by 8*element_bytes*i bits. Columns go in
-blocks of BLOCK symbols, so that a block's gather indices and words stay
+Both GF.matmul and GF.matmul_fixed run one loop, GF._gather. It packs a
+word of output rows into one integer of at most 64 bits, one lane per
+row. The word's table for input row k holds, at each index x, the
+products of x by all its coefficients c_i = a[lo+i, k], each in its own
+lane. The input rows are read as gather indices in one pass or more,
+and the output rows as units of a lane's width. So there is one gather
+per (input row, word, pass, column block), and row i of the output is
+the XOR of the word's gathers shifted right by i lanes. Columns go in
+blocks of BLOCK units, so that a block's gather indices and words stay
 in L2. The log/antilog tables serve only to build the packed tables,
-once per word of coefficients.
+once per word of coefficients. The two products differ in their tables
+and units:
 
-GF.matmul_fixed is the same product for a coefficient matrix that is
-reused across many calls: a code's parity coefficients, which every
-edge of every round multiplies by (mds.fill_parity). It reads and writes
-rows as 16-bit units, '<u2' views of the rows: one symbol at m = 16, two
-adjacent symbols, low byte first, at m <= 8. Its tables hold, for a word
-of up to 4 output rows and one input row, the products of every 16-bit
-unit: 2^16 entries with one 16-bit lane per output row, laid out as the
-unit itself, so 256 KiB for a word of one or two rows (_symbol_tables).
-So a block of BLOCK units costs one index conversion per input row
-and one gather per input row and word, and lane i of the word's XOR is
-written straight into output row i's units. At m <= 8 that is one gather
-per two symbols; an odd row's last symbol is a unit whose high byte is
-zero. On a 2-vCPU Xeon host, in two runs of 300 interleaved calls,
-long_gf8's (2, 3) x (3, 349552) GF(2^8) encode took 1.68-1.84 ms
-against 2.46-2.54 ms for one gather per symbol, and layers_gf16's
-(2, 4) x (4, 13440) GF(2^16) encode, one gather per symbol either
-way, 157-214 against 158-232 us. A table takes 60-150 us to build, so
-it pays off only when its coefficients are reused; GF.matmul keeps byte
-tables for the one-off products (decode solves, make_generator).
+- GF.matmul, for one-off coefficients (decode solves, make_generator),
+  packs 8 // element_bytes rows a word (8 for m <= 8, 4 for m = 16), in
+  lanes of one symbol. Its tables (_word_tables) have 256 entries, one
+  per byte, and a symbol is read in one pass per byte.
+- GF.matmul_fixed, for a coefficient matrix that is reused across many
+  calls, such as a code's parity coefficients, which every edge of every
+  round multiplies by (mds.fill_parity), reads and writes rows as 16-bit
+  units, '<u2' views of the rows: one symbol at m = 16, two adjacent
+  symbols, low byte first, at m <= 8. Its tables (_symbol_tables) have
+  2^16 entries, one per unit, with 16-bit lanes for a word of up to 4
+  rows, laid out as the unit itself: 256 KiB for a word of one or two
+  rows. At m <= 8 that is one gather per two symbols; an odd row's last
+  symbol is a unit whose high byte is zero. On a 2-vCPU Xeon host, in
+  two runs of 300 interleaved calls, long_gf8's (2, 3) x (3, 349552)
+  GF(2^8) encode took 1.68-1.84 ms against 2.46-2.54 ms for one gather
+  per symbol, and layers_gf16's (2, 4) x (4, 13440) GF(2^16) encode, one
+  gather per symbol either way, 157-214 against 158-232 us. A table
+  takes 60-150 us to build, so it pays off only when its coefficients
+  are reused.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _log_exp_tables(m: int, poly: int) -> tuple[int, np.ndarray, np.ndarray]:
     )
 
 
-# Columns of b per block of GF.matmul, and 16-bit units of b per block of
+# Units of b per block of GF._gather: symbols in GF.matmul, 16-bit units in
 # GF.matmul_fixed. A block's gather indices (8 bytes per symbol or unit)
 # and its words (at most 8 bytes per symbol or unit) then take at most 512
 # KiB per array, so they stay in L2 and the kernel's scratch memory does
@@ -129,15 +131,15 @@ BLOCK = 1 << 16
 
 def _lane_tables(m: int, poly: int, coefs: tuple[int, ...], width: int, dtype) -> np.ndarray:
     """T[t][x] = XOR_i (c_i*(x << 8t)) << (width*i), of dtype: shape
-    (element_bytes, 256), or (1, 2^m) when m < 8."""
+    (element_bytes, 256), and 0 at any x outside the field."""
     _, exp, log = _log_exp_tables(m, poly)
     x = np.arange(1, min(1 << m, 256))
-    table = np.zeros(((m + 7) // 8, x.size + 1), dtype=dtype)
+    table = np.zeros(((m + 7) // 8, 256), dtype=dtype)
     for t in range(table.shape[0]):
         log_x = log[x << (8 * t)]
         for i, c in enumerate(coefs):
             if c:
-                table[t, 1:] |= exp[log[c] + log_x].astype(dtype) << (width * i)
+                table[t, 1 : x.size + 1] |= exp[log[c] + log_x].astype(dtype) << (width * i)
     return table
 
 
@@ -146,11 +148,9 @@ def _word_tables(m: int, poly: int, coefs: tuple[int, ...]) -> np.ndarray:
     """Packed product tables of one word of coefficients, read-only.
 
     W[t][x] = XOR_i (c_i*(x << 8t)) << (8*element_bytes*i), stored in the
-    narrowest of uint8/16/32/64 that holds len(coefs) elements. Shape
-    (element_bytes, 256), or (1, 2^m) when m < 8, so that a symbol outside
-    the field fails the gather instead of reading a product. At most 1024
-    are kept, so the cache holds at most 1024 * 2 * 256 * 8 B = 4 MiB
-    (element_bytes <= 2, entries <= 8 B).
+    narrowest of uint8/16/32/64 that holds len(coefs) elements, shape
+    (element_bytes, 256). At most 1024 are kept, so the cache holds at
+    most 1024 * 2 * 256 * 8 B = 4 MiB (element_bytes <= 2, entries <= 8 B).
     """
     width = 8 * ((m + 7) // 8)
     dtype = np.min_scalar_type((1 << (width * len(coefs))) - 1)
@@ -174,32 +174,16 @@ def _symbol_tables(m: int, poly: int, coefs: tuple[int, ...]) -> np.ndarray:
     c_i*(y & 0xFF), high byte c_i*(y >> 8) at m <= 8. Either way it is
     H[y >> 8] ^ T[y & 0xFF], with T the products of the low byte and H
     those of the high byte (c_i*(x << 8) at m = 16, (c_i*x) << 8 at
-    m <= 8). At m = 4 a byte outside the field reads 0; GF.matmul_fixed
+    m <= 8). At m = 4 a byte outside the field reads 0; GF._operands
     rejects such symbols first. Building one took 60-150 us on a 2-vCPU
     Xeon host.
     """
     dtype = np.dtype(np.min_scalar_type((1 << (16 * len(coefs))) - 1)).newbyteorder("<")
-    lanes = np.zeros((2, 256), dtype=dtype)
-    lanes[: (m + 7) // 8, : min(1 << m, 256)] = _lane_tables(m, poly, coefs, 16, dtype)
-    if m <= 8:
-        lanes[1] = lanes[0] << 8
-    table = (lanes[1][:, None] ^ lanes[0][None, :]).reshape(-1)
+    lanes = _lane_tables(m, poly, coefs, 16, dtype)
+    high = lanes[0] << 8 if m <= 8 else lanes[1]
+    table = (high[:, None] ^ lanes[0][None, :]).reshape(-1)
     table.setflags(write=False)
     return table
-
-
-def _indices(row: np.ndarray, t: int, passes: int, out: np.ndarray) -> None:
-    """Write the gather indices of pass t over row into out: the whole
-    symbol for one-pass tables, else byte t of every symbol.
-
-    Symbols are at most two bytes wide (m <= 16), so byte 1 needs no mask.
-    """
-    if passes == 1:
-        out[...] = row
-    elif t:
-        np.right_shift(row, 8, out=out)
-    else:
-        np.bitwise_and(row, 0xFF, out=out)
 
 
 class GF:
@@ -259,6 +243,9 @@ class GF:
     # -- array operations ----------------------------------------------------
 
     def _operands(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """a and b as field arrays, b C-contiguous. A coefficient outside
+        the field raises ValueError and a symbol outside it IndexError, as
+        a gather from a table of 2^m entries would."""
         a = np.asarray(a, dtype=self.dtype)
         b = np.asarray(b, dtype=self.dtype)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -266,23 +253,61 @@ class GF:
         bad = a[a >= self.order]
         if bad.size:
             raise ValueError(f"coefficient {bad[0]} is not an element of {self!r}")
-        return a, b
+        if self.m < 8 and b.size and b.max() >= self.order:
+            bad = int(b[b >= self.order][0])
+            raise IndexError(f"index {bad} is out of bounds for axis 0 with size {self.order}")
+        return a, np.ascontiguousarray(b)
 
-    def _words(self, a: np.ndarray, out: np.ndarray, rows: int, table_of) -> list:
-        """(output rows, table per input row or None) of each word of up to
-        rows output rows, from table_of(m, poly, coefs). An all-zero word is
-        zeroed in out and left out, as is the table of an all-zero column."""
+    def _gather(self, a: np.ndarray, src: np.ndarray, dst: np.ndarray, rows: int, table_of) -> None:
+        """dst = a x b, one block of BLOCK units at a time: the loop of
+        both products; see the module docstring.
+
+        src is b read as gather indices, shape (k, n, passes): pass t of
+        unit j of input row kk indexes table t of that row's tables,
+        table_of(m, poly, coefs) for each word of up to rows output rows.
+        dst is the output as n units per row, and lane i, 8 * dst.itemsize
+        bits, of a word's XOR is its output row i. A word of zero
+        coefficients is zeroed in dst and skipped, as is an input row with
+        no nonzero coefficient in a word.
+        """
+        k, n, passes = src.shape
         words = []
         for lo in range(0, a.shape[0], rows):
             coefs = a[lo : lo + rows].T.tolist()
             if any(map(any, coefs)):
-                words.append((out[lo : lo + rows], [
-                    table_of(self.m, self.poly, tuple(c)) if any(c) else None
+                words.append((dst[lo : lo + rows], [
+                    table_of(self.m, self.poly, tuple(c)).reshape(passes, -1) if any(c) else None
                     for c in coefs
                 ]))
             else:
-                out[lo : lo + rows] = 0
-        return words
+                dst[lo : lo + rows] = 0
+        bits = 8 * dst.itemsize
+        # One index buffer per call, refilled per input row, pass and block: a
+        # fresh 512 KiB array each time went back to the OS when freed and
+        # was faulted in again.
+        buffer = np.empty(min(BLOCK, n), np.intp)
+        for start in range(0, n, BLOCK):
+            cols = slice(start, start + BLOCK)
+            idx = buffer[: min(BLOCK, n - start)]
+            acc = [None] * len(words)
+            for kk in range(k):
+                for t in range(passes):
+                    idx[...] = src[kk, cols, t]
+                    for w, (_, tables) in enumerate(words):
+                        if tables[kk] is None:
+                            continue
+                        # Every index is below the table's width (_operands
+                        # checked the symbols), so the gathers need no bounds
+                        # check; no name holds a product, so each is freed
+                        # before the next.
+                        if acc[w] is None:
+                            acc[w] = tables[kk][t].take(idx, mode="clip")
+                        else:
+                            acc[w] ^= tables[kk][t].take(idx, mode="clip")
+            for (dest, _), word in zip(words, acc):
+                for row in dest:
+                    row[cols] = word
+                    word >>= bits
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(n, k) x (k, d) matrix product over the field.
@@ -292,34 +317,10 @@ class GF:
         """
         a, b = self._operands(a, b)
         out = np.empty((a.shape[0], b.shape[1]), dtype=self.dtype)
-        words = self._words(a, out, 8 // self.element_bytes, _word_tables)
-        if not words:
-            return out
-        width = 8 * self.element_bytes
-        passes = next(t for t in words[0][1] if t is not None).shape[0]
-        # One index buffer per call, refilled per input row, pass and block: a
-        # fresh 512 KiB array each time went back to the OS when freed and
-        # was faulted in again.
-        buffer = np.empty(min(BLOCK, b.shape[1]), np.intp)
-        for start in range(0, b.shape[1], BLOCK):
-            cols = slice(start, start + BLOCK)
-            idx = buffer[: min(BLOCK, b.shape[1] - start)]
-            acc = [None] * len(words)
-            for kk, row in enumerate(b):
-                for t in range(passes):
-                    _indices(row[cols], t, passes, idx)
-                    for w, (_, tables) in enumerate(words):
-                        if tables[kk] is None:
-                            continue
-                        # no name holds a product, so each is freed before the next
-                        if acc[w] is None:
-                            acc[w] = tables[kk][t].take(idx)
-                        else:
-                            acc[w] ^= tables[kk][t].take(idx)
-            for (dest, _), word in zip(words, acc):
-                for out_row in dest:
-                    out_row[cols] = word
-                    word >>= width
+        # pass t reads byte t of every symbol, low byte first
+        src = b.astype(self.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+        src = src.reshape(*b.shape, self.element_bytes)
+        self._gather(a, src, out, 8 // self.element_bytes, _word_tables)
         return out
 
     def matmul_fixed(
@@ -343,48 +344,18 @@ class GF:
             raise ValueError(
                 f"out must be a {shape} array of {self.dtype}, got {out.shape} {out.dtype}"
             )
-        if self.m < 8 and b.size and b.max() >= self.order:
-            bad = int(b[b >= self.order][0])
-            raise IndexError(f"index {bad} is out of bounds for axis 0 with size {self.order}")
-        b = np.ascontiguousarray(b)
         dest = out if out.flags.c_contiguous else np.empty(shape, dtype=self.dtype)
-        words = self._words(a, dest, 4, _symbol_tables)
         pairs = self.m <= 8
-        n = shape[1] // 2 if pairs else shape[1]
 
-        def units(row: np.ndarray) -> np.ndarray:
-            return row[: 2 * n].view("<u2") if pairs else row
+        def units(x: np.ndarray) -> np.ndarray:
+            return x[:, : shape[1] // 2 * 2].view("<u2") if pairs else x
 
-        # A unit is below 2^16, the length of every table, so the gathers
-        # need no bounds check.
-        buffer = np.empty(min(BLOCK, n), np.intp)
-        for start in range(0, n, BLOCK):
-            cols = slice(start, start + BLOCK)
-            idx = buffer[: min(BLOCK, n - start)]
-            acc = [None] * len(words)
-            for kk, row in enumerate(b):
-                idx[...] = units(row)[cols]
-                for w, (_, tables) in enumerate(words):
-                    if tables[kk] is None:
-                        continue
-                    if acc[w] is None:
-                        acc[w] = tables[kk].take(idx, mode="clip")
-                    else:
-                        acc[w] ^= tables[kk].take(idx, mode="clip")
-            for (rows, _), word in zip(words, acc):
-                lanes = word.view("<u2").reshape(len(idx), -1)
-                for i, row in enumerate(rows):
-                    units(row)[cols] = lanes[:, i]
+        self._gather(a, units(b)[:, :, None], units(dest), 4, _symbol_tables)
         if pairs and shape[1] % 2:
             # the last symbol, as a unit whose high byte is zero
-            last = b[:, -1].tolist()
-            for rows, tables in words:
-                word = 0
-                for table, x in zip(tables, last):
-                    if table is not None:
-                        word ^= int(table[x])
-                for i, row in enumerate(rows):
-                    row[-1] = word >> (16 * i) & 0xFF
+            last = np.empty((shape[0], 1), "<u2")
+            self._gather(a, b[:, -1:, None], last, 4, _symbol_tables)
+            dest[:, -1:] = last
         if dest is not out:
             out[...] = dest
         return out

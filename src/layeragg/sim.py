@@ -100,12 +100,15 @@ class Scenario:
             if name not in known:
                 raise ConfigurationError(f"scenario field '{name}' is not recognized")
         scenario = cls(**data)
-        _validate_spec(scenario.erasures, "erasures", {"matrix", "uniform", "worst_case", "exhaustive"})
-        _validate_spec(scenario.gradients, "gradients", {"random", "file", "zero"})
+        _validate_spec(scenario.erasures, "erasures")
+        _validate_spec(scenario.gradients, "gradients")
         if scenario.erasures["kind"] == "matrix" and "rows" not in scenario.erasures:
             raise ConfigurationError("scenario field 'erasures.rows' is missing")
-        if scenario.gradients["kind"] == "file" and "path" not in scenario.gradients:
-            raise ConfigurationError("scenario field 'gradients.path' is missing")
+        if scenario.gradients["kind"] == "file":
+            if "path" not in scenario.gradients:
+                raise ConfigurationError("scenario field 'gradients.path' is missing")
+            if not isinstance(scenario.gradients["path"], str):
+                raise ConfigurationError("scenario field 'gradients.path' must be a string")
         check_count(scenario.erasures.get("rounds", 1), "scenario field 'erasures.rounds'")
         scenario.params()  # range checks
         if scenario.erasures["kind"] == "matrix":
@@ -135,14 +138,33 @@ def _check_seed(value, name: str) -> None:
         raise ConfigurationError(f"scenario field '{name}' must be a non-negative integer")
 
 
-def _validate_spec(spec, name: str, kinds: set) -> None:
+# The keys each kind of erasures and gradients takes besides "kind", as the
+# Scenario docstring lists them.
+_SPEC_KEYS = {
+    "erasures": {
+        "matrix": {"rows", "rounds"},
+        "uniform": {"seed", "rounds"},
+        "worst_case": {"rounds"},
+        "exhaustive": set(),
+    },
+    "gradients": {"random": {"seed"}, "file": {"path"}, "zero": set()},
+}
+
+
+def _validate_spec(spec, name: str) -> None:
+    kinds = _SPEC_KEYS[name]
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigurationError(f"scenario field '{name}' needs a 'kind'")
-    if spec["kind"] not in kinds:
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
         raise ConfigurationError(
-            f"scenario field '{name}.kind' must be one of {sorted(kinds)}, "
-            f"got {spec['kind']!r}"
+            f"scenario field '{name}.kind' must be one of {sorted(kinds)}, got {kind!r}"
         )
+    for key in spec:
+        if key != "kind" and key not in kinds[kind]:
+            raise ConfigurationError(
+                f"scenario field '{name}.{key}' is not taken by the {kind!r} kind"
+            )
     if "seed" in spec:
         _check_seed(spec["seed"], f"{name}.seed")
 
@@ -286,15 +308,17 @@ def run_round(
 def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
     """Run the requested number of rounds (or every matrix when exhaustive).
 
-    A rounds count inside the erasure spec overrides the argument. A
-    gradient file is read once, before round 0, so a bad or missing file
-    raises ConfigurationError or FileNotFoundError rather than failing a
-    round.
+    A rounds count inside the erasure spec overrides the argument. The
+    code is built and a gradient file is read once, before round 0, so a
+    code the field cannot hold, or a bad or missing file, raises
+    ConfigurationError or OSError rather than failing a round.
     """
     check_count(rounds, "rounds")
     rounds = check_count(
         scenario.erasures.get("rounds", rounds), "scenario field 'erasures.rounds'"
     )
+    params = scenario.params()
+    mds.make_generator(scenario.field(), params.nu, params.s)
     gradient = _file_gradient(scenario)
     if scenario.erasures["kind"] == "exhaustive":
         results = []

@@ -33,6 +33,7 @@ from layeragg.client import (
 from layeragg.erasure import enumerate_all, from_erased_sets, sample_uniform, validate
 from layeragg.errors import ConfigurationError, ProtocolError
 from layeragg.gf import GF
+from layeragg.master import decode_global
 from layeragg.mds import make_generator
 from layeragg.sim import Scenario, run_round
 
@@ -61,6 +62,25 @@ def test_lexmin_cover_matches_scan_oracle():
                     for trapped in combinations(helpers, t_size):
                         want = next(S for S in subsets if set(trapped) <= set(S))
                         assert lexmin_cover(helpers, trapped, s) == want
+
+
+def test_every_cover_table_holds_the_lexmin_cover_of_every_mask():
+    """Every table of k <= TABLE_SLOTS slots, for every s < k and every
+    footprint mask: the id is -1 exactly when the mask weighs more than
+    s, and otherwise names the mask's lexmin cover (about 82,000 cases)."""
+    for k in range(2, aggregate.TABLE_SLOTS + 1):
+        slots = range(k)
+        masks = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(bool)
+        weight = masks.sum(axis=1)
+        for s in range(1, k):
+            covers = aggregate._Covers(k, s)
+            ids = covers.ids(masks)
+            assert np.array_equal(ids == -1, weight > s), (k, s)
+            light = weight <= s
+            got = covers.members(ids[light]).tolist()
+            for mask, member in zip(masks[light].tolist(), got):
+                want = lexmin_cover(slots, [t for t in slots if mask[t]], s)
+                assert tuple(t for t in slots if member[t]) == want, (k, s, mask)
 
 
 def test_plan_matches_seven_edge_example(gf8):
@@ -698,6 +718,29 @@ def test_a_round_holds_one_codeword_not_one_per_edge():
     finally:
         tracemalloc.stop()
     assert peak < params.n_e * codeword, (peak, params.n_e * codeword)
+
+
+def test_a_mapped_message_holds_only_its_own_rows():
+    # the mapping path folds into a fresh GroupSums of every helper's rows
+    # (1,479,828 bytes here); a view of j's rows would keep them all alive
+    scenario = Scenario(p=1 << 18, n_e=20, n_h=8, s=2, nu=3, field_bits=8, seed=1)
+    params, field = scenario.params(), scenario.field()
+    rng = np.random.default_rng(1)
+    eps = sample_uniform(params.n_e, params.n_h, params.s, rng)
+    code = make_generator(field, params.nu, params.s)
+    gradients = [random_gradient(rng, field, params.p) for _ in range(params.n_e)]
+    arrays = [encode_client(g, params, code) for g in gradients]
+    plan = RoundPlan(eps, params)
+    messages = []
+    for j in range(params.n_h):
+        columns = {i: arrays[i].column(j) for i in range(params.n_e) if not eps[i, j]}
+        message = aggregate_helper(j, columns, plan, field)
+        assert message.entries.base is None and message.entries.flags.owndata
+        assert message.entries.nbytes == int(plan.m_j[j]) * params.d * field.element_bytes
+        messages.append(message)
+    assert sum(m.entries.nbytes for m in messages) == int(plan.m_j.sum()) * params.d
+    decoded = decode_global(messages, plan, code)
+    assert np.array_equal(decoded, np.bitwise_xor.reduce(np.stack(gradients)))
 
 
 def test_group_sums_reject_a_codeword_of_another_shape_or_dtype(gf8):

@@ -87,6 +87,47 @@ def test_simulate_malformed_scenario_names_field(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(path)]) == 2
 
 
+@pytest.mark.parametrize("named", ["--output", "--gradient", "--scenario", "gradients.path"])
+def test_a_named_path_that_is_a_directory_exits_2_naming_it(tmp_path, named, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "p": 24, "n_e": 2, "n_h": 4, "s": 1, "nu": 2,
+        "gradients": {"kind": "file", "path": str(folder)},
+    }))
+    argv = {
+        "--output": ENCODE + ["--output", str(folder)],
+        "--gradient": ENCODE + ["--gradient", str(folder)],
+        "--scenario": ["simulate", "--scenario", str(folder)],
+        "gradients.path": ["simulate", "--scenario", str(scenario)],
+    }[named]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(folder) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (
+            ["simulate", "--p", "24", "--n-e", "3", "--n-h", "20", "--s", "9", "--nu", "11",
+             "--field-bits", "4"],
+            "error: code length nu+s=20 exceeds the 15 distinct nonzero evaluation points",
+        ),
+        (ENCODE + ["--n-e", "-3"], "error: n_e must be positive, got -3"),
+    ],
+    ids=["code-longer-than-the-field", "negative-edge-count"],
+)
+def test_a_configuration_fault_exits_2_before_round_0(argv, needle, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(needle) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_simulate_rejects_nonpositive_rounds(capsys):
     rc = main(
         [

@@ -93,6 +93,31 @@ def test_scenario_json_round_trip(tmp_path):
         ),
         ({"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "field_bits": 8.0}, "field_bits"),
         ({"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "field_poly": "x"}, "field_poly"),
+        (
+            {"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "gradients": {"kind": ["random"]}},
+            "gradients.kind",
+        ),
+        (
+            {
+                "p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1,
+                "gradients": {"kind": "file", "path": 5},
+            },
+            "gradients.path",
+        ),
+        (
+            {
+                "p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1,
+                "erasures": {"kind": "worst_case", "extra": 1},
+            },
+            "erasures.extra",
+        ),
+        (
+            {
+                "p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1,
+                "erasures": {"kind": "exhaustive", "rounds": 2},
+            },
+            "erasures.rounds",
+        ),
     ],
 )
 def test_scenario_validation_names_the_field(data, needle):
