@@ -9,6 +9,7 @@ the shape).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from typing import Iterator
@@ -19,6 +20,9 @@ from .errors import CapExceededError, ConfigurationError
 from .gf import is_integer
 
 ENUMERATION_CAP = 10**6
+# the largest population for which numpy's Generator.choice, without
+# replacement, runs Floyd's algorithm whatever the sample size
+FLOYD_MAX = 10_000
 
 
 def validate(eps, n_e: int, n_h: int, s: int) -> np.ndarray:
@@ -42,7 +46,8 @@ def validate(eps, n_e: int, n_h: int, s: int) -> np.ndarray:
 
 
 def from_erased_sets(rows, n_h: int) -> np.ndarray:
-    """Build a matrix from per-edge lists of erased helper indices (JSON form)."""
+    """Build a matrix from per-edge lists of erased helper indices (JSON form),
+    each index an integer in [0, n_h) named at most once per row."""
     eps = np.zeros((len(rows), n_h), dtype=np.uint8)
     for i, erased in enumerate(rows):
         for j in erased:
@@ -50,6 +55,8 @@ def from_erased_sets(rows, n_h: int) -> np.ndarray:
                 raise ConfigurationError(f"row {i}: helper index {j!r} is not an integer")
             if not 0 <= j < n_h:
                 raise ConfigurationError(f"row {i}: helper index {j} out of range [0, {n_h})")
+            if eps[i, j]:
+                raise ConfigurationError(f"row {i}: helper index {j} named twice")
             eps[i, j] = 1
     return eps
 
@@ -59,11 +66,71 @@ def erased_sets(eps: np.ndarray) -> list[list[int]]:
 
 
 def sample_uniform(n_e: int, n_h: int, s: int, seed) -> np.ndarray:
-    """Each row an independently uniform s-subset of helpers; exact weight s."""
+    """Each row an independently uniform s-subset of helpers; exact weight s.
+
+    The matrix is bit for bit the one that n_e calls of
+    rng.choice(n_h, size=s, replace=False) mark, row after row, and the
+    generator is left in the same state, pending 32-bit half included.
+    For n_h <= FLOYD_MAX, numpy's choice runs Floyd's algorithm: for j
+    from n_h-s to n_h-1 it takes a draw v in [0, j], or j when v is
+    already taken, and then shuffles the s picks with draws in [0, i]
+    for i from s-1 down to 1. Each draw in [0, r-1] is Lemire's method
+    on one 32-bit word w: v = (w*r) >> 32, drawn again only when the low
+    32 bits of w*r fall below 2^32 mod r. Floyd's j = 0, reached when
+    s = n_h, takes no word. So a whole matrix takes one call of
+    rng.integers(0, 2^32, dtype=uint32), which reads the same 32-bit
+    stream, and array arithmetic; the shuffle's words are read and
+    dropped, since the order of a row's picks leaves its set unchanged.
+
+    Per-row choice still draws the matrix when the bit generator is not
+    PCG64, when n_h > FLOYD_MAX, and when any word falls in Lemire's
+    redraw zone; in that last case the generator's state is restored
+    first. Raises ConfigurationError, before any draw, unless n_e and
+    n_h are non-negative integers and s an integer in [0, n_h].
+    """
+    for name, value in (("n_e", n_e), ("n_h", n_h)):
+        if not is_integer(value) or value < 0:
+            raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+    if not is_integer(s) or not 0 <= s <= n_h:
+        raise ConfigurationError(f"s must be an integer in [0, n_h] = [0, {n_h}], got {s!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    bits = rng.bit_generator
+    if type(bits) is np.random.PCG64 and n_h <= FLOYD_MAX:
+        state = bits.state
+        eps = _floyd_batch(rng, n_e, n_h, s)
+        if eps is not None:
+            return eps
+        bits.state = state
     eps = np.zeros((n_e, n_h), dtype=np.uint8)
     for i in range(n_e):
         eps[i, rng.choice(n_h, size=s, replace=False)] = 1
+    return eps
+
+
+@lru_cache(maxsize=64)
+def _draw_spans(n_h: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The range r of each bounded draw of one row, in draw order (Floyd's
+    j+1 for j >= 1, then the shuffle's i+1), and each one's Lemire
+    threshold 2^32 mod r."""
+    spans = np.r_[np.arange(max(n_h - s, 1), n_h), np.arange(s - 1, 0, -1)].astype(np.uint64) + 1
+    return spans, (1 << 32) % spans
+
+
+def _floyd_batch(rng: np.random.Generator, n_e: int, n_h: int, s: int):
+    """sample_uniform's matrix from one batch of 32-bit words, or None when
+    a word falls in Lemire's redraw zone (the generator is then advanced)."""
+    spans, thresholds = _draw_spans(n_h, s)
+    products = rng.integers(0, 1 << 32, size=(n_e, len(spans)), dtype=np.uint32) * spans
+    if ((products & 0xFFFFFFFF) < thresholds).any():
+        return None
+    if s == n_h:
+        return np.ones((n_e, n_h), dtype=np.uint8)
+    eps = np.zeros((n_e, n_h), dtype=np.uint8)
+    rows = np.arange(n_e)
+    picks = (products >> 32).astype(np.intp)
+    for t, j in enumerate(range(n_h - s, n_h)):
+        v = picks[:, t]
+        eps[rows, np.where(eps[rows, v] != 0, j, v)] = 1
     return eps
 
 

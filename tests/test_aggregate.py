@@ -83,6 +83,36 @@ def test_every_cover_table_holds_the_lexmin_cover_of_every_mask():
                 assert tuple(t for t in slots if member[t]) == want, (k, s, mask)
 
 
+def test_wide_layers_rank_every_light_mask_and_sampled_heavy_ones_to_the_lexmin_cover():
+    """Above TABLE_SLOTS, _Covers ranks footprints on the fly: for k = 13..20
+    slots and every s < k, on every mask of weight <= 2 and on 40 seeded
+    masks of each weight from 3 to k, the id is -1 exactly when the mask
+    weighs more than s, and otherwise names the mask's lexmin cover."""
+    rng = np.random.default_rng(13)
+    for k in range(aggregate.TABLE_SLOTS + 1, 21):
+        slots = range(k)
+        light = [()] + [(t,) for t in slots] + list(combinations(slots, 2))
+        masks = np.zeros((len(light), k), dtype=bool)
+        for row, members in enumerate(light):
+            masks[row, list(members)] = True
+        # 40 masks per weight w >= 3: the w slots of smallest random key
+        heavy = np.repeat(np.arange(3, k + 1), 40)
+        keys = rng.random((len(heavy), k)).argsort(axis=1).argsort(axis=1)
+        masks = np.vstack([masks, keys < heavy[:, None]])
+        weight = masks.sum(axis=1)
+        for s in range(1, k):
+            covers = aggregate._Covers(k, s)
+            assert covers._ids is None  # the rank path, not a table
+            ids = covers.ids(masks)
+            assert np.array_equal(ids == -1, weight > s), (k, s)
+            fits = weight <= s
+            assert ((ids[fits] >= 0) & (ids[fits] < comb(k, s))).all(), (k, s)
+            got = covers.members(ids[fits]).tolist()
+            for mask, member in zip(masks[fits].tolist(), got):
+                want = lexmin_cover(slots, [t for t in slots if mask[t]], s)
+                assert tuple(t for t in slots if member[t]) == want, (k, s, mask)
+
+
 def test_plan_matches_seven_edge_example(gf8):
     _, _, eps = seven_edge_setup(gf8)
     plan = plan_layer(0, (0, 1, 2, 3), eps, 2)

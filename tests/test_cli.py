@@ -346,8 +346,9 @@ def test_simulate_reads_a_gradient_file_once(tmp_path, monkeypatch, capsys):
         ([[9], [0]], "row 0: helper index 9 out of range [0, 6)"),
         ([[0, 1], [2]], "row 0 has weight 2, expected at most 1"),
         ([[0], [1], [2]], "must be a list of n_e = 2 rows, got 3 rows"),
+        ([[0, 0], [1]], "row 0: helper index 0 named twice"),
     ],
-    ids=["index-out-of-range", "row-heavier-than-s", "wrong-row-count"],
+    ids=["index-out-of-range", "row-heavier-than-s", "wrong-row-count", "helper-named-twice"],
 )
 def test_malformed_matrix_rows_in_a_scenario_exit_2_naming_the_row(tmp_path, rows, needle, capsys):
     path = tmp_path / "scenario.json"
@@ -357,8 +358,8 @@ def test_malformed_matrix_rows_in_a_scenario_exit_2_naming_the_row(tmp_path, row
     }))
     assert main(["simulate", "--scenario", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "scenario field 'erasures.rows'" in captured.err
-    assert needle in captured.err
+    assert captured.err.startswith("error: scenario field 'erasures.rows'")
+    assert needle in captured.err and captured.err.count("\n") == 1
     assert "round 0" not in captured.out
 
 

@@ -343,6 +343,24 @@ def test_monte_carlo_agrees_with_the_closed_form_where_enumeration_cannot_reach(
     assert abs(mc.value - float(closed_form_mean(params))) < 4 * mc.stderr
 
 
+@pytest.mark.parametrize(
+    "seed, value, stderr",
+    [
+        (0, 11.920833333333334, 0.14616614806769013),
+        (1, 11.80654761904762, 0.16505277277420555),
+        (2026, 11.70357142857143, 0.1592386272083684),
+    ],
+)
+def test_monte_carlo_values_are_pinned_per_seed(seed, value, stderr):
+    """Recorded while sample_uniform drew one rng.choice per row: a sampler
+    that draws other matrices from the same seed moves these values. The
+    round benchmark's cost oracle replays sample_uniform itself, so it
+    cannot see such a drift."""
+    params = SchemeParams(p=53760, n_e=50, n_h=10, s=2, nu=4)
+    mc = cost_average(params, mode="monte_carlo", trials=8, seed=seed)
+    assert (mc.value, mc.stderr) == pytest.approx((value, stderr), rel=1e-12, abs=0)
+
+
 def test_cost_api_faults_raise_configuration_error():
     params = SchemeParams(p=3, n_e=2, n_h=3, s=1, nu=1)
     with pytest.raises(ConfigurationError, match="unknown mode 'nope'; use exhaustive or monte_carlo"):

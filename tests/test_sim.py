@@ -118,6 +118,13 @@ def test_scenario_json_round_trip(tmp_path):
             },
             "erasures.rounds",
         ),
+        (
+            {
+                "p": 24, "n_e": 2, "n_h": 4, "s": 2, "nu": 2,
+                "erasures": {"kind": "matrix", "rows": [[0, 0], [1]]},
+            },
+            "^scenario field 'erasures.rows': row 0: helper index 0 named twice$",
+        ),
     ],
 )
 def test_scenario_validation_names_the_field(data, needle):
