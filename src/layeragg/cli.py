@@ -7,6 +7,7 @@ configuration error, 3 refusal (enumeration above the cap).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .client import (
     random_gradient,
 )
 from .errors import CapExceededError, ConfigurationError
-from .gf import GF
+from .gf import GF, check_count, check_non_negative
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -39,10 +40,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _non_negative(value, source: str) -> int:
-    """value as a non-negative integer, else a ConfigurationError naming source."""
-    if not str(value).strip().isdecimal():
-        raise ConfigurationError(f"{source} must be a non-negative integer, got {value!r}")
-    return int(value)
+    """value, an int or a decimal string, as a non-negative integer, else a
+    ConfigurationError naming source."""
+    text = str(value).strip()
+    return check_non_negative(int(text) if text.isdecimal() else value, source)
 
 
 def _default_seed(args) -> int:
@@ -101,7 +102,7 @@ def _scenario_from_args(args) -> sim.Scenario:
     if args.scenario is not None:
         scenario = sim.load_scenario(args.scenario)
         if args.seed is not None:
-            scenario.seed = _non_negative(args.seed, "--seed")
+            scenario = dataclasses.replace(scenario, seed=_non_negative(args.seed, "--seed"))
         return scenario
     for name in ("p", "n_e", "n_h", "s", "nu"):
         if getattr(args, name) is None:
@@ -120,8 +121,7 @@ def _scenario_from_args(args) -> sim.Scenario:
 
 
 def _cmd_simulate(args) -> int:
-    if args.rounds < 1:
-        raise ConfigurationError(f"--rounds must be a positive integer, got {args.rounds}")
+    check_count(args.rounds, "--rounds")
     scenario = _scenario_from_args(args)
     results = sim.run_scenario(scenario, rounds=args.rounds)
     records = []

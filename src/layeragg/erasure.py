@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceededError, ConfigurationError
-from .gf import is_integer
+from .gf import check_non_negative, is_integer
 
 ENUMERATION_CAP = 10**6
 # the largest population for which numpy's Generator.choice, without
@@ -65,6 +65,16 @@ def erased_sets(eps: np.ndarray) -> list[list[int]]:
     return [[int(j) for j in np.flatnonzero(row)] for row in np.asarray(eps)]
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """seed itself when it is a numpy Generator, else a generator seeded
+    with it, which must be a non-negative integer."""
+    if isinstance(seed, np.random.Generator):  # first: Monte Carlo passes one per draw
+        return seed
+    if not is_integer(seed) or seed < 0:
+        raise ConfigurationError(f"seed must be a numpy Generator or a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def sample_uniform(n_e: int, n_h: int, s: int, seed) -> np.ndarray:
     """Each row an independently uniform s-subset of helpers; exact weight s.
 
@@ -86,14 +96,14 @@ def sample_uniform(n_e: int, n_h: int, s: int, seed) -> np.ndarray:
     PCG64, when n_h > FLOYD_MAX, and when any word falls in Lemire's
     redraw zone; in that last case the generator's state is restored
     first. Raises ConfigurationError, before any draw, unless n_e and
-    n_h are non-negative integers and s an integer in [0, n_h].
+    n_h are non-negative integers, s an integer in [0, n_h] and seed
+    what seeded_rng takes.
     """
-    for name, value in (("n_e", n_e), ("n_h", n_h)):
-        if not is_integer(value) or value < 0:
-            raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+    check_non_negative(n_e, "n_e")
+    check_non_negative(n_h, "n_h")
     if not is_integer(s) or not 0 <= s <= n_h:
         raise ConfigurationError(f"s must be an integer in [0, n_h] = [0, {n_h}], got {s!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     bits = rng.bit_generator
     if type(bits) is np.random.PCG64 and n_h <= FLOYD_MAX:
         state = bits.state

@@ -74,6 +74,13 @@ def check_count(value, name: str) -> int:
     return value
 
 
+def check_non_negative(value, name: str) -> int:
+    """value, when it is a non-negative integer; else ConfigurationError naming name."""
+    if not is_integer(value) or value < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _poly_mul(a: int, b: int, m: int, poly: int) -> int:
     """Schoolbook multiply-and-reduce; only used to bootstrap the tables."""
     acc = 0

@@ -35,10 +35,11 @@ from .erasure import (
     enumerate_row_sets,
     omega_size,
     sample_uniform,
+    seeded_rng,
     worst_case_pattern,
 )
 from .errors import ConfigurationError, ProtocolError
-from .gf import check_count, is_integer
+from .gf import check_count
 from .mds import MdsCode, invert_matrix
 
 
@@ -309,11 +310,7 @@ def cost_average(
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)
     if mode == "monte_carlo":
         check_count(trials, "trials")
-        if not (isinstance(seed, np.random.Generator) or is_integer(seed) and seed >= 0):
-            raise ConfigurationError(
-                f"seed must be a numpy Generator or a non-negative integer, got {seed!r}"
-            )
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         matrices = (
             sample_uniform(params.n_e, params.n_h, params.s, rng) for _ in range(trials)
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb
@@ -28,7 +28,7 @@ from .client import (
     random_gradient,
 )
 from .errors import ConfigurationError, ProtocolError
-from .gf import GF, check_count, is_integer
+from .gf import GF, check_count, check_non_negative, is_integer
 
 _GRADIENT_STREAM = 0
 _ERASURE_STREAM = 1
@@ -44,7 +44,70 @@ class StageFailure(RuntimeError):
         self.stage = stage
 
 
-@dataclass
+def _must_be(test, what: str):
+    """A rule: ConfigurationError, naming the field, unless test(value)."""
+
+    def rule(value, name: str) -> None:
+        if not test(value):
+            raise ConfigurationError(f"{name} must be {what}")
+
+    return rule
+
+
+_INTEGER = _must_be(is_integer, "an integer")
+_SEED = _must_be(lambda v: is_integer(v) and v >= 0, "a non-negative integer")
+_REQUIRED = ("p", "n_e", "n_h", "s", "nu")
+# Each field's type, in the order Scenario checks them, before erasures and
+# gradients; the ranges of the integers are SchemeParams' and GF's.
+_FIELD_RULES = {
+    **dict.fromkeys(_REQUIRED, _INTEGER),
+    "seed": _SEED,
+    "field_bits": _INTEGER,
+    "field_poly": _must_be(lambda v: v is None or is_integer(v), "an integer or null"),
+}
+# The keys each kind of erasures and gradients takes besides "kind", as
+# the Scenario docstring lists them: each key's rule and whether it must
+# be given. A matrix's rows are read against the params by _check_rows.
+_SPEC_RULES = {
+    "erasures": {
+        "matrix": {"rows": (None, True), "rounds": (check_count, False)},
+        "uniform": {"seed": (_SEED, False), "rounds": (check_count, False)},
+        "worst_case": {"rounds": (check_count, False)},
+        "exhaustive": {},
+    },
+    "gradients": {
+        "random": {"seed": (_SEED, False)},
+        "file": {"path": (_must_be(lambda v: isinstance(v, str), "a string"), True)},
+        "zero": {},
+    },
+}
+
+
+def _check_spec(spec, name: str) -> None:
+    """Check erasures or gradients: a dict of a known kind, with the keys
+    that kind requires and none it does not take, each passing its rule."""
+    kinds = _SPEC_RULES[name]
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigurationError(f"scenario field '{name}' needs a 'kind'")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(
+            f"scenario field '{name}.kind' must be one of {sorted(kinds)}, got {kind!r}"
+        )
+    for key in spec:
+        if key != "kind" and key not in kinds[kind]:
+            raise ConfigurationError(
+                f"scenario field {f'{name}.{key}'!r} is not taken by the {kind!r} kind"
+            )
+    for key, (rule, required) in kinds[kind].items():
+        if key not in spec:
+            if required:
+                raise ConfigurationError(f"scenario field '{name}.{key}' is missing")
+        elif rule is not None:
+            rule(spec[key], f"scenario field '{name}.{key}'")
+
+
+@dataclass(frozen=True)
 class Scenario:
     """A self-contained experiment description (JSON round-trippable).
 
@@ -53,6 +116,11 @@ class Scenario:
               (all but exhaustive take an optional "rounds": n >= 1)
     gradients: {"kind": "random"[, "seed": n]} | {"kind": "file", "path": p}
                | {"kind": "zero"}
+
+    Every field is checked when the scenario is built, and a fault raises
+    ConfigurationError naming it. A scenario is frozen: change one with
+    dataclasses.replace, which checks again. Mutating its erasures or
+    gradients dict after construction is unsupported.
     """
 
     p: int
@@ -66,6 +134,16 @@ class Scenario:
     seed: int = 0
     field_poly: int | None = None
 
+    def __post_init__(self):
+        for name, rule in _FIELD_RULES.items():
+            rule(getattr(self, name), f"scenario field '{name}'")
+        for name in _SPEC_RULES:
+            _check_spec(getattr(self, name), name)
+        self.params()
+        self.field()
+        if self.erasures["kind"] == "matrix":
+            _check_rows(self.erasures["rows"], self)
+
     def params(self) -> SchemeParams:
         return SchemeParams(p=self.p, n_e=self.n_e, n_h=self.n_h, s=self.s, nu=self.nu)
 
@@ -73,47 +151,25 @@ class Scenario:
         return GF(m=self.field_bits, poly=self.field_poly)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = asdict(self)  # copies the spec dicts, which the scenario keeps checked
         if self.field_poly is None:
             del out["field_poly"]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Checks what only JSON gets wrong (not an object, a missing or
+        unknown field); the constructor checks the rest."""
         if not isinstance(data, dict):
             raise ConfigurationError("scenario must be a JSON object")
-        for name in ("p", "n_e", "n_h", "s", "nu"):
+        for name in _REQUIRED:
             if name not in data:
                 raise ConfigurationError(f"scenario field '{name}' is missing")
-            if not is_integer(data[name]):
-                raise ConfigurationError(f"scenario field '{name}' must be an integer")
-        if "seed" in data:
-            _check_seed(data["seed"], "seed")
-        if "field_bits" in data and not is_integer(data["field_bits"]):
-            raise ConfigurationError("scenario field 'field_bits' must be an integer")
-        if data.get("field_poly") is not None and not is_integer(data["field_poly"]):
-            raise ConfigurationError(
-                "scenario field 'field_poly' must be an integer or null"
-            )
         known = {f.name for f in fields(cls)}
         for name in data:
             if name not in known:
-                raise ConfigurationError(f"scenario field '{name}' is not recognized")
-        scenario = cls(**data)
-        _validate_spec(scenario.erasures, "erasures")
-        _validate_spec(scenario.gradients, "gradients")
-        if scenario.erasures["kind"] == "matrix" and "rows" not in scenario.erasures:
-            raise ConfigurationError("scenario field 'erasures.rows' is missing")
-        if scenario.gradients["kind"] == "file":
-            if "path" not in scenario.gradients:
-                raise ConfigurationError("scenario field 'gradients.path' is missing")
-            if not isinstance(scenario.gradients["path"], str):
-                raise ConfigurationError("scenario field 'gradients.path' must be a string")
-        check_count(scenario.erasures.get("rounds", 1), "scenario field 'erasures.rounds'")
-        scenario.params()  # range checks
-        if scenario.erasures["kind"] == "matrix":
-            _check_rows(scenario.erasures["rows"], scenario)
-        return scenario
+                raise ConfigurationError(f"scenario field {name!r} is not recognized")
+        return cls(**data)
 
 
 def _check_rows(rows, scenario: Scenario) -> None:
@@ -131,42 +187,6 @@ def _check_rows(rows, scenario: Scenario) -> None:
         erasure.validate(eps, scenario.n_e, scenario.n_h, scenario.s)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{name}: {exc}") from None
-
-
-def _check_seed(value, name: str) -> None:
-    if not is_integer(value) or value < 0:
-        raise ConfigurationError(f"scenario field '{name}' must be a non-negative integer")
-
-
-# The keys each kind of erasures and gradients takes besides "kind", as the
-# Scenario docstring lists them.
-_SPEC_KEYS = {
-    "erasures": {
-        "matrix": {"rows", "rounds"},
-        "uniform": {"seed", "rounds"},
-        "worst_case": {"rounds"},
-        "exhaustive": set(),
-    },
-    "gradients": {"random": {"seed"}, "file": {"path"}, "zero": set()},
-}
-
-
-def _validate_spec(spec, name: str) -> None:
-    kinds = _SPEC_KEYS[name]
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError(f"scenario field '{name}' needs a 'kind'")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigurationError(
-            f"scenario field '{name}.kind' must be one of {sorted(kinds)}, got {kind!r}"
-        )
-    for key in spec:
-        if key != "kind" and key not in kinds[kind]:
-            raise ConfigurationError(
-                f"scenario field '{name}.{key}' is not taken by the {kind!r} kind"
-            )
-    if "seed" in spec:
-        _check_seed(spec["seed"], f"{name}.seed")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -314,20 +334,14 @@ def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
     ConfigurationError or OSError rather than failing a round.
     """
     check_count(rounds, "rounds")
-    rounds = check_count(
-        scenario.erasures.get("rounds", rounds), "scenario field 'erasures.rounds'"
-    )
-    params = scenario.params()
-    mds.make_generator(scenario.field(), params.nu, params.s)
+    rounds = scenario.erasures.get("rounds", rounds)
+    mds.make_generator(scenario.field(), scenario.nu, scenario.s)
     gradient = _file_gradient(scenario)
     if scenario.erasures["kind"] == "exhaustive":
-        results = []
-        for idx, eps in enumerate(
-            erasure.enumerate_all(scenario.n_e, scenario.n_h, scenario.s)
-        ):
-            results.append(run_round(scenario, round_index=idx, eps=eps, gradient=gradient))
-        return results
-    return [run_round(scenario, round_index=r, gradient=gradient) for r in range(rounds)]
+        matrices = enumerate(erasure.enumerate_all(scenario.n_e, scenario.n_h, scenario.s))
+    else:
+        matrices = zip(range(rounds), repeat(None))
+    return [run_round(scenario, round_index=r, eps=eps, gradient=gradient) for r, eps in matrices]
 
 
 # -- tradeoff sweep ----------------------------------------------------------
@@ -398,6 +412,7 @@ def sweep_nu(
 ) -> TradeoffTable:
     """Theoretical cost tradeoff per nu; optionally simulate under the
     adversarial pattern and record the measured helper-to-master cost."""
+    check_non_negative(seed, "seed")
     if nu_range is None:
         nu_range = range(1, n_h - s + 1)
     if not nu_range:
@@ -408,21 +423,13 @@ def sweep_nu(
             raise ConfigurationError(
                 f"nu={nu} outside [1, n_h-s] = [1, {n_h - s}]"
             )
-        params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu)
-        worst = master.cost_worst_case(params, mode="theorem")
+        scenario = Scenario(
+            p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu, field_bits=field_bits,
+            erasures={"kind": "worst_case"}, seed=seed,
+        )
+        worst = master.cost_worst_case(scenario.params(), mode="theorem")
         measured = None
         if measure:
-            scenario = Scenario(
-                p=params.p,
-                n_e=n_e,
-                n_h=n_h,
-                s=s,
-                nu=nu,
-                field_bits=field_bits,
-                erasures={"kind": "worst_case"},
-                gradients={"kind": "random"},
-                seed=seed,
-            )
             result = run_round(scenario)
             if not result.passed:
                 raise StageFailure("sweep", AssertionError(f"decode failed at nu={nu}"))
@@ -503,13 +510,16 @@ def verify_scheme(
     end-to-end decoding against the direct gradient sum.
     """
     check_count(trials, "trials")
+    check_non_negative(seed, "seed")
     nus = range(1, n_h - s + 1) if nu is None else [nu]
-    fld = GF(m=field_bits)
     checks: list[CheckResult] = []
     for v in nus:
         tag = f"[nu={v}] "
-        params = SchemeParams(p=comb(n_h, v + s) * v * 2, n_e=n_e, n_h=n_h, s=s, nu=v)
-        code = mds.make_generator(fld, v, s)
+        scenario = Scenario(
+            p=comb(n_h, v + s) * v * 2, n_e=n_e, n_h=n_h, s=s, nu=v, field_bits=field_bits, seed=seed
+        )
+        params = scenario.params()
+        code = mds.make_generator(scenario.field(), v, s)
         rng = np.random.default_rng(np.random.SeedSequence([seed, v]))
 
         bad = mds.singular_minors(code)
@@ -548,9 +558,6 @@ def verify_scheme(
         checks.append(avail)
         checks.append(double)
 
-        scenario = Scenario(
-            p=params.p, n_e=n_e, n_h=n_h, s=s, nu=v, field_bits=field_bits, seed=seed
-        )
         e2e = CheckResult(tag + "end_to_end", True)
         for t in range(trials):
             result = run_round(scenario, round_index=t)

@@ -374,6 +374,9 @@ def test_cost_api_faults_raise_configuration_error():
         message = f"seed must be a numpy Generator or a non-negative integer, got {seed!r}"
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             cost_average(params, mode="monte_carlo", trials=2, seed=seed)
+        # sample_uniform takes a seed by the same rule
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            sample_uniform(2, 3, 1, seed)
     same = cost_average(params, mode="monte_carlo", trials=5, seed=3)
     assert cost_average(params, mode="monte_carlo", trials=5, seed=np.int64(3)) == same
     generator = np.random.default_rng(3)

@@ -2,9 +2,12 @@
 and the symbols on both links match the closed-form counts.
 
 Fields, shapes, padding and lax erasure matrices are drawn; the master
-decodes the messages the helpers emit.
+decodes the messages the helpers emit. A last test feeds mutated
+scenario files to the command line, which must answer each with an exit
+code, never a traceback.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
 from layeragg import master  # noqa: E402
 from layeragg.aggregate import (  # noqa: E402
@@ -25,6 +28,7 @@ from layeragg.aggregate import (  # noqa: E402
     count_groups,
     plan_layer,
 )
+from layeragg.cli import main  # noqa: E402
 from layeragg.client import SchemeParams, encode_client  # noqa: E402
 from layeragg.erasure import from_erased_sets, sample_uniform, validate  # noqa: E402
 from layeragg.gf import GF  # noqa: E402
@@ -231,3 +235,82 @@ def test_monte_carlo_is_bit_identical_to_per_matrix_costs_across_chunks(seed, tr
     assert got.value == float(samples.mean())
     assert got.stderr == (float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0)
     assert cost_average(params, "monte_carlo", trials=trials, seed=seed) == got
+
+
+# what a mutation puts in place of a value: any JSON type but a larger
+# integer, since sizes are not capped before they are allocated
+JUNK = st.one_of(
+    st.text(max_size=3),
+    st.floats(),
+    st.booleans(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+    st.none(),
+    st.integers(-50, -1),
+)
+GRADIENT_FILE = "gradient.json"
+
+
+@st.composite
+def small_scenarios(draw):
+    """A valid scenario dict with n_h <= 5, n_e <= 3 and p <= 64."""
+    n_h = draw(st.integers(2, 5))
+    s = draw(st.integers(1, n_h - 1))
+    n_e = draw(st.integers(1, 3))
+    kinds = ["matrix", "uniform", "worst_case"] + ["exhaustive"] * (comb(n_h, s) ** n_e <= 16)
+    erasures = {"kind": draw(st.sampled_from(kinds))}
+    if erasures["kind"] == "matrix":
+        row = st.lists(st.integers(0, n_h - 1), max_size=s, unique=True)
+        erasures["rows"] = draw(st.lists(row, min_size=n_e, max_size=n_e))
+    if erasures["kind"] == "uniform" and draw(st.booleans()):
+        erasures["seed"] = draw(st.integers(0, 99))
+    if erasures["kind"] != "exhaustive" and draw(st.booleans()):
+        erasures["rounds"] = draw(st.integers(1, 2))
+    gradients = draw(
+        st.sampled_from(
+            [{"kind": "random"}, {"kind": "random", "seed": 3}, {"kind": "zero"},
+             {"kind": "file", "path": GRADIENT_FILE}]
+        )
+    )
+    return {
+        "p": draw(st.integers(1, 64)), "n_e": n_e, "n_h": n_h, "s": s,
+        "nu": draw(st.integers(1, n_h - s)), "field_bits": draw(st.sampled_from([4, 8, 16])),
+        "erasures": erasures, "gradients": gradients, "seed": draw(st.integers(0, 99)),
+    }
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A small valid scenario with one value swapped for junk, or one
+    extra key, at its top level, in a spec or in a matrix row; and the
+    valid scenario's p, the length of the gradient file."""
+    data = draw(small_scenarios())
+    p = data["p"]
+    places = [data, data["erasures"], data["gradients"]] + data["erasures"].get("rows", [])
+    place = draw(st.sampled_from(places))
+    if isinstance(place, list):
+        if place and draw(st.booleans()):
+            place[draw(st.integers(0, len(place) - 1))] = draw(JUNK)
+        else:
+            place.append(draw(JUNK))
+    elif draw(st.booleans()):
+        place[draw(st.sampled_from(sorted(place)))] = draw(JUNK)
+    else:
+        place[draw(st.text(min_size=1, max_size=5))] = draw(JUNK)
+    return data, p
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_scenarios())
+def test_a_mutated_scenario_file_gets_an_exit_code_not_a_traceback(case, tmp_path, capsys, monkeypatch):
+    data, p = case
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / GRADIENT_FILE).write_text(json.dumps(list(range(p))))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["simulate", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith(("error: ", "refused: ")), err

@@ -1,5 +1,6 @@
 """Scenario harness tests: rounds, the nu sweep, and the verifier."""
 
+import dataclasses
 import json
 import re
 import weakref
@@ -125,11 +126,46 @@ def test_scenario_json_round_trip(tmp_path):
             },
             "^scenario field 'erasures.rows': row 0: helper index 0 named twice$",
         ),
+        (
+            {
+                "p": 6, "n_e": 2, "n_h": 3, "s": 1, "nu": 1,
+                "erasures": {"kind": "exhaustive", "rounds": 2},
+            },
+            "^scenario field 'erasures.rounds' is not taken by the 'exhaustive' kind$",
+        ),
+        (
+            {"p": 8, "n_e": 1, "n_h": 4, "s": 1, "nu": 1, "seed": -5},
+            "^scenario field 'seed' must be a non-negative integer$",
+        ),
+        (
+            {
+                "p": 24, "n_e": 2, "n_h": 4, "s": 1, "nu": 2,
+                "erasures": {"kind": "matrix", "rows": [[0, 1], [2]]},
+            },
+            "^scenario field 'erasures.rows': row 0 has weight 2, expected at most 1$",
+        ),
     ],
 )
 def test_scenario_validation_names_the_field(data, needle):
     with pytest.raises(ConfigurationError, match=needle):
         Scenario.from_dict(data)
+    # the same fields, passed in code, fail the same way when they are a valid call
+    names = {f.name for f in dataclasses.fields(Scenario)}
+    if isinstance(data, dict) and {"p", "n_e", "n_h", "s", "nu"} <= data.keys() <= names:
+        with pytest.raises(ConfigurationError, match=needle):
+            Scenario(**data)
+
+
+def test_a_scenario_is_frozen_and_replace_checks_it_again():
+    scenario = Scenario(p=8, n_e=1, n_h=4, s=1, nu=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.seed = 3
+    assert dataclasses.replace(scenario, seed=3).seed == 3
+    # to_dict hands out copies, so its output cannot unsettle a checked scenario
+    scenario.to_dict()["erasures"]["kind"] = "meteor"
+    assert scenario.erasures == {"kind": "uniform"}
+    with pytest.raises(ConfigurationError, match="^scenario field 'seed' must be a non-negative integer$"):
+        dataclasses.replace(scenario, seed=-1)
 
 def test_load_scenario_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
@@ -291,16 +327,10 @@ def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_e
 
 
 def test_invalid_matrix_fails_in_validate_stage():
-    scenario = Scenario(
-        p=24,
-        n_e=2,
-        n_h=4,
-        s=1,
-        nu=2,
-        erasures={"kind": "matrix", "rows": [[0, 1], [2]]},  # weight 2 > s=1
-    )
+    scenario = Scenario(p=24, n_e=2, n_h=4, s=1, nu=2)
+    heavy = [[1, 1, 0, 0], [0, 0, 1, 0]]  # row 0 has weight 2 > s=1
     with pytest.raises(StageFailure) as info:
-        run_round(scenario)
+        run_round(scenario, eps=heavy)
     assert info.value.stage == "validate"
 
 
@@ -362,9 +392,9 @@ def test_rounds_count_in_erasure_spec_wins():
     ],
 )
 def test_run_scenario_rejects_a_bad_round_count(erasures, rounds, needle):
-    scenario = Scenario(p=24, n_e=2, n_h=4, s=1, nu=2, erasures=erasures)
+    # a bad count in the spec is refused as the scenario is built
     with pytest.raises(ConfigurationError, match=needle):
-        run_scenario(scenario, rounds=rounds)
+        run_scenario(Scenario(p=24, n_e=2, n_h=4, s=1, nu=2, erasures=erasures), rounds=rounds)
 
 
 def test_exhaustive_scenario_runs_every_matrix():
@@ -481,3 +511,22 @@ def test_verify_scheme_reports_a_group_that_reads_an_erased_link(monkeypatch):
 def test_verify_scheme_rejects_nonpositive_trials(trials):
     with pytest.raises(ConfigurationError, match="trials must be a positive integer"):
         verify_scheme(n_e=5, n_h=4, s=1, trials=trials)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: verify_scheme(n_e=5, n_h=4, s=1, seed=seed),
+        lambda seed: sweep_nu(5, 4, 1, measure=True, seed=seed),
+    ],
+    ids=["verify_scheme", "sweep_nu"],
+)
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_a_bad_seed_is_refused_before_any_work(call, seed, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(sim.mds, "make_generator", work)
+    monkeypatch.setattr(sim.master, "cost_worst_case", work)
+    with pytest.raises(ConfigurationError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+        call(seed)
