@@ -6,8 +6,9 @@ lexicographically smallest s-subset of the layer's helpers that contains
 its footprint; edges sharing a cover form one group, and every helper
 outside the cover emits that group's symbol sum. Covers are numbered in
 lexicographic order, so a layer's plan is one cover id per edge and a
-round's plan is one (n_e, L) array of them, from which everything else
-is derived with array operations. Helpers and the master derive
+round's plan is one (n_e, L) array of them, looked up for every layer
+at once (cover_ids), from which everything else is derived with array
+operations. Helpers and the master derive
 identical plans from the erasure matrix alone, so a message is its group
 sums with no per-entry metadata; RoundPlan builds that plan once per
 matrix for all of them.
@@ -31,13 +32,24 @@ from .gf import GF, is_integer
 # Layers of at most this many slots read cover ids from one table over
 # all 2^k footprint masks and cover slots from one over all C(k, s) ids;
 # wider layers run the arithmetic that fills those tables on each lookup.
-# On a 2-vCPU x86 host a lookup of 50 footprints takes ~3 us from the
-# table and ~40 us by rank at every k; building the table takes ~3.5 ms
-# and 1.7 MiB of transient memory at k = 12, and doubles with each slot
-# beyond (54 ms and 36 MiB at k = 16), so up to 12 slots it is repaid
-# within ~100 lookups, less than half of one 210-layer plan. Its ids fit
-# int16 (C(12, 6) = 924), which makes stable sorts of them radix sorts.
+# A table lookup ORs the footprints' slot planes into masks, with no BLAS
+# call. On a 2-vCPU x86 host the 10,500 footprints of one layers_gf16
+# round (210 layers of 6 slots, one lookup) take ~60 us from the table
+# (~100 us at k = 12) and 2-4.5 ms by rank, ~0.3 us a footprint at every
+# k; building the table takes 2-3 ms and 1.7 MiB of transient memory at
+# k = 12, and doubles with each slot beyond (54 ms and 36 MiB at k = 16),
+# so up to 12 slots it is repaid within ~10,000 footprints, about one such
+# round. Its ids fit int16 (C(12, 6) = 924), which makes stable sorts of
+# them radix sorts.
 TABLE_SLOTS = 12
+
+# cover_ids looks up at most this many (row, layer slot) cells in one
+# plan_layer call, and cost analysis counts chunks of at most this many
+# (edge, layer, slot) cells: 2^20 bounds a call's footprints, cover ids
+# and cover members, and the int64 temporaries of ranking layers wider
+# than TABLE_SLOTS, to a few MiB, and holds 16 matrices of the cost_mc
+# shape (50 edges, 210 layers of 6 slots).
+COUNT_CELLS = 1 << 20
 
 
 class _Covers:
@@ -60,9 +72,6 @@ class _Covers:
         )
         self._ids = self._members = None
         if k <= TABLE_SLOTS:
-            # footprint masks by a float32 dot, which numpy runs as BLAS;
-            # sums of distinct powers of two below 2^12 are exact in it
-            self._weights = (1 << np.arange(k)).astype(np.float32)
             masks = np.arange(1 << k)[:, None] >> np.arange(k) & 1
             self._ids = self._rank(masks.astype(bool)).astype(np.int16)
             self._members = self._unrank(np.arange(comb(k, s)))
@@ -93,7 +102,13 @@ class _Covers:
     def ids(self, footprints: np.ndarray) -> np.ndarray:
         if self._ids is None:
             return self._rank(footprints)
-        return self._ids[footprints.dot(self._weights).astype(np.intp)]
+        # each footprint's mask, one slot's column at a time: the columns
+        # of plan_layer's footprints are contiguous planes
+        mask = np.zeros(len(footprints), dtype=np.uint16)
+        plane = np.empty_like(mask)
+        for t in range(self.k):
+            mask |= np.multiply(footprints[:, t], np.uint16(1 << t), out=plane)
+        return self._ids.take(mask)
 
     def members(self, ids) -> np.ndarray:
         if self._members is None:
@@ -172,10 +187,14 @@ def plan_layer(
     other tuple raises ConfigurationError. Each edge's footprint (any nonzero
     entry counts as erased) is looked up in the cover table shared by
     every layer of this shape. An edge's cover id depends on its own row
-    alone, so eps may stack the rows of several matrices, and the ids of
-    each matrix's rows are the ids it would get planned alone; "edge" in
-    an error then counts rows of the stack. Raises ConfigurationError for
-    an edge that erases more than s of the layer's helpers.
+    alone, so eps may stack the rows of several matrices, or the
+    footprint rows of many layers (cover_ids plans every layer of a
+    matrix in one call so), and each row gets the id it would get planned
+    alone; "edge" in an error then counts rows of the stack. Footprints
+    are gathered a helper's column at a time into contiguous planes, so
+    an eps that is the transpose of a C-ordered array reads fastest.
+    Raises ConfigurationError for an edge that erases more than s of the
+    layer's helpers.
     """
     if not (
         s < len(helpers)
@@ -187,7 +206,7 @@ def plan_layer(
             f"layer {layer}: helpers {tuple(helpers)} are not strictly increasing "
             f"within [0, {eps.shape[1]}), or number s={s} or fewer"
         )
-    footprints = eps.take(helpers, axis=1) != 0
+    footprints = (eps.T.take(helpers, axis=0) != 0).T
     cover = _cover_table(len(helpers), s).ids(footprints)
     if cover.min(initial=0) < 0:
         edge = int(np.argmax(cover < 0))
@@ -197,6 +216,35 @@ def plan_layer(
             f"of {tuple(helpers)}, more than s={s}"
         )
     return LayerAggregationPlan(layer, tuple(helpers), s, footprints, cover)
+
+
+def cover_ids(eps: np.ndarray, params: SchemeParams) -> np.ndarray:
+    """(n, L): the cover id of each of eps's n rows in every layer.
+
+    eps stacks the rows of one or more erasure matrices of params, each
+    of weight at most s (a heavier row raises plan_layer's error, which
+    counts rows of the call's stack). A row's cover id in a layer depends on its
+    footprint alone, so one plan_layer call plans many layers: its rows
+    are every (layer, row) footprint, layer-major, and its helpers the
+    nu+s slots. Slot t's plane is the eps column of each layer's t-th
+    helper (LayerMap.slot_helpers), gathered contiguously. A call takes
+    as many layers as fit in COUNT_CELLS (row, slot) cells, and at least
+    one.
+    """
+    n, k = len(eps), params.nu + params.s
+    columns = np.ascontiguousarray(eps.T)
+    slot_helpers = params.layer_map.slot_helpers
+    step = max(1, COUNT_CELLS // (n * k))
+    cover = [
+        plan_layer(
+            start,
+            tuple(range(k)),
+            columns.take(slot_helpers[start : start + step].T, axis=0).reshape(k, -1).T,
+            params.s,
+        ).cover
+        for start in range(0, params.layers, step)
+    ]
+    return np.concatenate(cover).reshape(-1, n).T
 
 
 class RoundGroups(NamedTuple):
@@ -260,9 +308,11 @@ class RoundPlan:
     """The aggregation plan of one erasure matrix, built once and shared by
     every helper, the master and the cost accounting.
 
-    layer_plans      one LayerAggregationPlan per layer, in layer order
-    cover            (n_e, L) every edge's cover id in every layer, stacked
-                     from layer_plans; the rest is derived from it
+    cover            (n_e, L) every edge's cover id in every layer, from
+                     one cover_ids call; the rest is derived from it
+    layer_plans      one LayerAggregationPlan per layer, in layer order,
+                     planned one plan_layer call per layer on first read;
+                     a view for checks and tests that no round reads
     groups           the RoundGroups of the round, the runs of each
                      layer's sorted ids
     group_of         (L, n_e) each edge's group in each layer
@@ -291,11 +341,14 @@ class RoundPlan:
     def __init__(self, eps: np.ndarray, params: SchemeParams):
         self.eps = eps = erasure.validate(eps, params.n_e, params.n_h, params.s)
         self.params = params
-        self.layer_plans = tuple(
-            plan_layer(layer, subset, eps, params.s)
-            for layer, subset in enumerate(params.layer_map)
+        self.cover = cover_ids(eps, params)
+
+    @cached_property
+    def layer_plans(self) -> tuple[LayerAggregationPlan, ...]:
+        return tuple(
+            plan_layer(layer, subset, self.eps, self.params.s)
+            for layer, subset in enumerate(self.params.layer_map)
         )
-        self.cover = np.stack([lp.cover for lp in self.layer_plans]).T
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

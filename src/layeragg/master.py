@@ -13,8 +13,9 @@ Costs are exact rationals. The primary c_eh / c_hm_realized fields are
 normalized by the padded gradient length, which makes the closed forms
 (nu+s)/nu and mean(beta) hold identically; the *_declared variants
 divide by the declared p instead and differ only when padding occurred.
-Cost analysis counts many matrices at a time (aggregate.count_groups),
-and calls cost_realized on each matrix's counts.
+Cost analysis plans many matrices at a time, every layer of them in one
+plan_layer call (aggregate.cover_ids), counts them together
+(aggregate.count_groups), and calls cost_realized on each matrix's counts.
 """
 
 from __future__ import annotations
@@ -41,13 +42,6 @@ from .erasure import (
 from .errors import ConfigurationError, ProtocolError
 from .gf import check_count
 from .mds import MdsCode, invert_matrix
-
-
-# Cost analysis counts at most this many (edge, layer, slot) cells at a
-# time: 2^20 bounds a chunk's cover ids, footprints and cover members to a
-# few MiB, and holds 16 matrices of the cost_mc shape (50 edges, 210 layers
-# of 6 slots).
-COUNT_CELLS = 1 << 20
 
 
 def _rational_dict(x: Fraction) -> dict:
@@ -227,22 +221,18 @@ def cost_realized(plan: RoundPlan | GroupCounts) -> CostReport:
 def _costs(matrices: Iterable[np.ndarray], params: SchemeParams) -> Iterator[CostReport]:
     """cost_realized of each matrix, in order, planned and counted in chunks.
 
-    Cover ids are row-wise, so one plan_layer call per layer on the
-    stacked rows of a chunk plans every matrix in it. A chunk holds at
-    most COUNT_CELLS (edge, layer, slot) cells, or one matrix, which
-    bounds the memory of a count whatever the number of matrices.
+    Cover ids are row-wise, so one cover_ids call on the stacked rows of
+    a chunk plans every layer of every matrix in it, with one plan_layer
+    call. A chunk holds at most aggregate.COUNT_CELLS (edge, layer, slot)
+    cells, or one matrix, which bounds the memory of a count whatever the
+    number of matrices; cover_ids plans a matrix of more cells a slice of
+    layers at a time.
     """
-    chunk = max(1, COUNT_CELLS // (params.n_e * params.layers * (params.nu + params.s)))
+    cells = params.n_e * params.layers * (params.nu + params.s)
+    chunk = max(1, aggregate.COUNT_CELLS // cells)
     matrices = iter(matrices)
     while batch := list(islice(matrices, chunk)):
-        eps = np.concatenate(batch)
-        cover = np.stack(
-            [
-                aggregate.plan_layer(layer, helpers, eps, params.s).cover
-                for layer, helpers in enumerate(params.layer_map)
-            ],
-            axis=1,
-        )
+        cover = aggregate.cover_ids(np.concatenate(batch), params)
         counts = aggregate.count_groups(cover.reshape(len(batch), params.n_e, -1), params)
         for beta, m_j in zip(counts.beta, counts.m_j):
             yield cost_realized(GroupCounts(params, beta, m_j))

@@ -401,6 +401,19 @@ class TradeoffTable:
         }
 
 
+def _nu_range(n_e: int, n_h: int, s: int, nu_range=None):
+    """nu_range, or every nu in [1, n_h-s] when None, once each nu passes
+    SchemeParams' checks with n_e, n_h and s, before any work. An empty
+    range, or a parameter a SchemeParams rejects, raises ConfigurationError."""
+    if nu_range is None:
+        nu_range = range(1, n_h - s + 1)
+    if not nu_range:
+        raise ConfigurationError(f"nu range {nu_range!r} is empty; n_h-s = {n_h - s}")
+    for nu in nu_range:
+        SchemeParams(p=1, n_e=n_e, n_h=n_h, s=s, nu=nu)
+    return nu_range
+
+
 def sweep_nu(
     n_e: int,
     n_h: int,
@@ -413,16 +426,8 @@ def sweep_nu(
     """Theoretical cost tradeoff per nu; optionally simulate under the
     adversarial pattern and record the measured helper-to-master cost."""
     check_non_negative(seed, "seed")
-    if nu_range is None:
-        nu_range = range(1, n_h - s + 1)
-    if not nu_range:
-        raise ConfigurationError(f"nu range {nu_range!r} is empty; n_h-s = {n_h - s}")
     rows = []
-    for nu in nu_range:
-        if not 1 <= nu <= n_h - s:
-            raise ConfigurationError(
-                f"nu={nu} outside [1, n_h-s] = [1, {n_h - s}]"
-            )
+    for nu in _nu_range(n_e, n_h, s, nu_range):
         scenario = Scenario(
             p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu, field_bits=field_bits,
             erasures={"kind": "worst_case"}, seed=seed,
@@ -507,13 +512,14 @@ def verify_scheme(
     Covers: MDS minors, any-nu per-layer decodability, the availability
     invariant (no emitted sum touches an erased edge), the double-count
     identity between per-helper and per-layer emission counts, and
-    end-to-end decoding against the direct gradient sum.
+    end-to-end decoding against the direct gradient sum. Every nu in
+    [1, n_h-s] is checked when nu is None; a nu outside it, or an empty
+    range, raises ConfigurationError before any check runs.
     """
     check_count(trials, "trials")
     check_non_negative(seed, "seed")
-    nus = range(1, n_h - s + 1) if nu is None else [nu]
     checks: list[CheckResult] = []
-    for v in nus:
+    for v in _nu_range(n_e, n_h, s, None if nu is None else [nu]):
         tag = f"[nu={v}] "
         scenario = Scenario(
             p=comb(n_h, v + s) * v * 2, n_e=n_e, n_h=n_h, s=s, nu=v, field_bits=field_bits, seed=seed

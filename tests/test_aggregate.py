@@ -250,6 +250,73 @@ def test_malformed_erasure_inputs_raise_configuration_error():
         RoundPlan(np.zeros((2, 3), dtype=np.uint8), SchemeParams(p=24, n_e=2, n_h=4, s=1, nu=2))
 
 
+def every_row(n_h: int, s: int) -> np.ndarray:
+    """Every 0/1 row of n_h entries and weight at most s, as one matrix."""
+    return from_erased_sets(
+        [list(c) for w in range(s + 1) for c in combinations(range(n_h), w)], n_h
+    )
+
+
+def per_layer_ids(eps, params) -> np.ndarray:
+    return np.stack(
+        [plan_layer(layer, h, eps, params.s).cover for layer, h in enumerate(params.layer_map)],
+        axis=1,
+    )
+
+
+def test_one_call_cover_ids_equal_per_layer_plans_on_every_row(monkeypatch):
+    """A cover id depends on one row alone, so every row of weight <= s
+    covers every matrix: for every (n_h, s, nu) with n_h <= 8, the ids
+    of one cover_ids call, and of calls sliced two layers at a time,
+    equal one plan_layer call per layer."""
+    default = aggregate.COUNT_CELLS
+    for n_h in range(2, 9):
+        for s in range(1, n_h):
+            eps = every_row(n_h, s)
+            for nu in range(1, n_h - s + 1):
+                params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=len(eps), n_h=n_h, s=s, nu=nu)
+                want = per_layer_ids(eps, params)
+                for cells in (default, 2 * len(eps) * (nu + s) + 1):
+                    monkeypatch.setattr(aggregate, "COUNT_CELLS", cells)
+                    got = aggregate.cover_ids(eps, params)
+                    assert got.shape == (len(eps), params.layers)
+                    assert np.array_equal(got, want), (n_h, s, nu, cells)
+
+
+@pytest.mark.parametrize("k", [aggregate.TABLE_SLOTS, aggregate.TABLE_SLOTS + 1])
+@pytest.mark.parametrize("s", [1, 3])
+def test_one_call_cover_ids_equal_per_layer_plans_beside_table_slots(k, s, monkeypatch):
+    # 14 helpers: 91 layers of 12 slots read a table, 14 of 13 rank
+    eps = every_row(14, s)
+    params = SchemeParams(p=comb(14, k) * (k - s), n_e=len(eps), n_h=14, s=s, nu=k - s)
+    want = per_layer_ids(eps, params)
+    assert np.array_equal(aggregate.cover_ids(eps, params), want)
+    monkeypatch.setattr(aggregate, "COUNT_CELLS", 4 * len(eps) * k)
+    assert np.array_equal(aggregate.cover_ids(eps, params), want)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_lazy_layer_plans_equal_plans_of_each_layer(strict):
+    params = SchemeParams(p=120, n_e=9, n_h=6, s=2, nu=2)
+    rng = np.random.default_rng(4)
+    if strict:
+        eps = sample_uniform(params.n_e, params.n_h, params.s, rng)
+    else:
+        weights = rng.integers(0, params.s + 1, size=params.n_e)
+        eps = from_erased_sets(
+            [rng.choice(params.n_h, w, replace=False).tolist() for w in weights], params.n_h
+        )
+        assert set(weights.tolist()) == {0, 1, 2}
+    plan = RoundPlan(eps, params)
+    assert len(plan.layer_plans) == params.layers
+    for layer, (lazy, helpers) in enumerate(zip(plan.layer_plans, params.layer_map)):
+        eager = plan_layer(layer, helpers, eps, params.s)
+        assert views(lazy) == views(eager)
+        assert lazy.beta == eager.beta == plan.beta[layer]
+        assert np.array_equal(lazy.footprints, eager.footprints)
+        assert np.array_equal(lazy.cover, plan.cover[:, layer])
+
+
 def test_cover_table_is_shared_per_shape_and_not_built_at_import():
     src = str(Path(layeragg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -267,8 +334,8 @@ def test_cover_table_is_shared_per_shape_and_not_built_at_import():
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    # one table for all 20 layers of both plans
-    assert out.stdout.split() == ["0", "1", "1", "19"]
+    # one table, read once by each plan for all its layers
+    assert out.stdout.split() == ["0", "1", "1", "1"]
 
 
 def test_plan_collapses_without_relevant_erasures():

@@ -285,6 +285,32 @@ def test_sweep_rejects_empty_nu_range(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, needle",
+    [
+        # n_h - s = 0 leaves no nu to check, which used to pass with no checks
+        (["--n-e", "5", "--n-h", "2", "--s", "2"], "error: nu range range(1, 1) is empty; n_h-s = 0"),
+        # a nu outside [1, n_h-s] used to surface as p = C(n_h, nu+s) * nu * 2 = 0
+        (["--n-e", "3", "--n-h", "4", "--s", "1", "--nu", "5"], "error: nu must lie in [1, n_h-s] = [1, 3], got 5"),
+        (["--n-e", "3", "--n-h", "4", "--s", "1", "--nu", "0"], "error: nu must lie in [1, n_h-s] = [1, 3], got 0"),
+    ],
+)
+def test_verify_rejects_a_nu_range_without_a_valid_nu(argv, needle, capsys):
+    assert main(["verify", "--trials", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == needle + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["verify", "--trials", "1"], ["sweep"]])
+def test_a_negative_s_exits_2_naming_s(command, capsys):
+    # n_h - s then exceeds n_h, and C(n_h, nu+s) used to raise a bare ValueError
+    assert main([*command, "--n-e", "2", "--n-h", "2", "--s", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: s must lie in [1, n_h-1] = [1, 1], got -2\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "values, needle", [([1.7, 2, 3], "entry 0 is 1.7"), ([1, "a", 3], "entry 1 is 'a'")]
 )
 def test_encode_rejects_non_integer_gradient_entries(tmp_path, values, needle, capsys):

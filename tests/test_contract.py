@@ -1,9 +1,10 @@
 """The calls roundbench's map measures: every target it names exists in
 layeragg and is reached on each workload that expects it. Planning
-reaches aggregate.plan_layer once per layer of each erasure matrix in a
-round, and once per layer of each chunk of matrices in cost analysis,
-so plan_useful_ratio stays defined. The field kernels keep the call
-shape that roundbench's argument counters read."""
+reaches aggregate.plan_layer once per erasure matrix in a round, and
+once per chunk of matrices in cost analysis, each call planning every
+layer (aggregate.cover_ids), so plan_useful_ratio stays defined: L on
+a round, and L times the matrices of a chunk in cost analysis. The field
+kernels keep the call shape that roundbench's argument counters read."""
 
 import importlib
 import importlib.util
@@ -55,11 +56,15 @@ def counting_plan_layer(monkeypatch) -> list:
 
 
 def test_a_round_plan_plans_each_layer_once(monkeypatch):
+    # every layer in one plan_layer call; the per-layer plans, which no
+    # round reads, are planned one call per layer when first read
     calls = counting_plan_layer(monkeypatch)
     params = SchemeParams(p=53760, n_e=50, n_h=10, s=2, nu=4)
     plan = aggregate.RoundPlan(sample_uniform(50, 10, 2, 7), params)
-    plan.feeds, plan.decode_patterns, plan.m_j
-    assert calls == list(range(params.layers))
+    plan.feeds, plan.decode_patterns, plan.m_j, plan.schedules
+    assert calls == [0]
+    plan.layer_plans
+    assert calls == [0] + list(range(params.layers))
 
 
 def test_monte_carlo_plans_each_layer_once_per_chunk_and_costs_each_trial(monkeypatch):
@@ -67,16 +72,33 @@ def test_monte_carlo_plans_each_layer_once_per_chunk_and_costs_each_trial(monkey
     costed = counting(monkeypatch, "layeragg.master:cost_realized")
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
     master.cost_average(params, mode="monte_carlo", trials=3, seed=np.random.default_rng(1))
-    assert calls == list(range(params.layers))
+    assert calls == [0]
     assert len(costed) == 3
     # chunks of two matrices: 5 trials make 3 chunks
     cells = params.n_e * params.layers * (params.nu + params.s)
-    monkeypatch.setattr(master, "COUNT_CELLS", 2 * cells + 1)
+    monkeypatch.setattr(aggregate, "COUNT_CELLS", 2 * cells + 1)
     calls.clear()
     costed.clear()
     master.cost_average(params, mode="monte_carlo", trials=5, seed=1)
-    assert calls == list(range(params.layers)) * 3
+    assert calls == [0] * 3
     assert len(costed) == 5
+
+
+def test_layers_wider_than_count_cells_are_planned_in_slices(monkeypatch):
+    # a matrix of more than COUNT_CELLS cells is one chunk, planned in
+    # slices of as many layers as fit, at least one
+    calls = counting_plan_layer(monkeypatch)
+    params = SchemeParams(p=60, n_e=7, n_h=6, s=2, nu=2)  # 15 layers of 4 slots
+    eps = sample_uniform(7, 6, 2, 3)
+    whole = aggregate.RoundPlan(eps, params).cover
+    for cells, starts in [(4 * 7 * 4, [0, 4, 8, 12]), (1, list(range(15)))]:
+        monkeypatch.setattr(aggregate, "COUNT_CELLS", cells)
+        calls.clear()
+        assert np.array_equal(aggregate.RoundPlan(eps, params).cover, whole)
+        assert calls == starts
+        calls.clear()
+        assert master.cost_average(params, "monte_carlo", trials=2, seed=5).trials == 2
+        assert calls == starts * 2
 
 
 def test_every_map_target_resolves_to_a_callable():

@@ -2,9 +2,9 @@
 and the symbols on both links match the closed-form counts.
 
 Fields, shapes, padding and lax erasure matrices are drawn; the master
-decodes the messages the helpers emit. A last test feeds mutated
-scenario files to the command line, which must answer each with an exit
-code, never a traceback.
+decodes the messages the helpers emit. The last tests feed mutated
+scenario files, and mutated verify and sweep argv, to the command line,
+which must answer each with an exit code, never a traceback.
 """
 
 import json
@@ -19,13 +19,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
-from layeragg import master  # noqa: E402
+from layeragg import aggregate  # noqa: E402
 from layeragg.aggregate import (  # noqa: E402
     TABLE_SLOTS,
     GroupCounts,
     RoundPlan,
     aggregate_helper,
     count_groups,
+    cover_ids,
     plan_layer,
 )
 from layeragg.cli import main  # noqa: E402
@@ -183,15 +184,14 @@ def matrix_stacks(draw, shapes):
 
 
 def check_batched_counts(params, matrices):
-    """Count the matrices together, as cost analysis does: one plan_layer
-    call per layer on their stacked rows, then count_groups. Each matrix's
-    counts equal its own round plan's per-layer images and the reference
-    schedules, and cost the same."""
+    """Count the matrices together, as cost analysis does: one cover_ids
+    call on their stacked rows, which equals one plan_layer call per layer,
+    then count_groups. Each matrix's counts equal its own round plan's
+    per-layer images and the reference schedules, and cost the same."""
     eps = np.concatenate(matrices)
-    cover = np.stack(
-        [plan_layer(layer, h, eps, params.s).cover for layer, h in enumerate(params.layer_map)],
-        axis=1,
-    )
+    cover = cover_ids(eps, params)
+    per_layer = [plan_layer(layer, h, eps, params.s).cover for layer, h in enumerate(params.layer_map)]
+    assert np.array_equal(cover, np.stack(per_layer, axis=1))
     counts = count_groups(cover.reshape(len(matrices), params.n_e, -1), params)
     assert counts.beta.shape == (len(matrices), params.layers)
     assert counts.m_j.shape == (len(matrices), params.n_h)
@@ -230,7 +230,7 @@ def test_monte_carlo_is_bit_identical_to_per_matrix_costs_across_chunks(seed, tr
         samples.append(float(Fraction(params.nu * params.d * beta_total, params.p_padded)))
     samples = np.array(samples)
     cells = params.n_e * params.layers * (params.nu + params.s)
-    with patch.object(master, "COUNT_CELLS", chunk * cells):
+    with patch.object(aggregate, "COUNT_CELLS", chunk * cells):
         got = cost_average(params, "monte_carlo", trials=trials, seed=seed)
     assert got.value == float(samples.mean())
     assert got.stderr == (float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0)
@@ -314,3 +314,44 @@ def test_a_mutated_scenario_file_gets_an_exit_code_not_a_traceback(case, tmp_pat
     assert code in (0, 2, 3), err
     if code:
         assert len(err.splitlines()) == 1 and err.startswith(("error: ", "refused: ")), err
+
+
+@st.composite
+def mutated_argv(draw):
+    """verify or sweep argv with --n-h <= 6 and --n-e <= 4, whose --s and
+    --nu (--nu-min and --nu-max on sweep) are valid, swapped, negative or
+    oversized."""
+    n_h = draw(st.integers(2, 6))
+    s = draw(st.integers(1, n_h - 1))
+    nus = [draw(st.integers(1, n_h - s)) for _ in range(2)]
+    values = {"s": s, "nu": nus[0], "nu-min": min(nus), "nu-max": max(nus)}
+    mutation = draw(st.sampled_from(["none", "swap", "negative", "oversized"]))
+    command = draw(st.sampled_from(["verify", "sweep"]))
+    names = ["s"] + (["nu"] if command == "verify" else ["nu-min", "nu-max"])
+    if mutation == "swap":
+        a, b = draw(st.permutations(names))[:2]
+        values[a], values[b] = values[b], values[a]
+    elif mutation == "negative":
+        name = draw(st.sampled_from(names))
+        values[name] = -draw(st.integers(0, 3))
+    elif mutation == "oversized":
+        name = draw(st.sampled_from(names))
+        values[name] = draw(st.integers(n_h - 1, 2 * n_h))
+    argv = [command, "--n-e", str(draw(st.integers(-1, 4))), "--n-h", str(n_h)]
+    argv += ["--s", str(values["s"])]
+    optional = ["nu", "--brute-force"] if command == "verify" else ["nu-min", "nu-max", "--measure"]
+    for flag in draw(st.lists(st.sampled_from(optional), unique=True)):
+        argv += [flag] if flag.startswith("--") else [f"--{flag}", str(values[flag])]
+    return argv + (["--trials", "1"] if command == "verify" else [])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=mutated_argv())
+def test_a_mutated_argv_gets_an_exit_code_not_a_traceback(argv, capsys):
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, err)
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (argv, err)
+    if code == 0 and argv[0] == "verify":
+        assert json.loads(out)["checks"], argv

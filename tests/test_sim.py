@@ -292,7 +292,8 @@ def test_round_plans_each_layer_once(monkeypatch):
     monkeypatch.setattr(aggregate, "plan_layer", counting)
     scenario = Scenario(p=120, n_e=7, n_h=6, s=2, nu=2, seed=3)
     assert run_round(scenario).passed
-    assert sorted(calls) == list(range(scenario.params().layers))
+    # one call plans every layer of the round's matrix
+    assert calls == [0]
 
 def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_edge(monkeypatch):
     # GF.matmul: one decode solve per distinct emitter-slot pattern, and
