@@ -1,7 +1,8 @@
 """Command-line interface: encode, simulate, sweep, verify.
 
 Exit codes: 0 success, 1 verification or decode failure, 2 usage or
-configuration error, 3 refusal (enumeration above the cap).
+configuration error, 3 refusal (enumeration or estimated memory above
+its cap).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from . import erasure, master, mds, sim
 from .client import (
     SchemeParams,
+    check_memory,
     encode_client,
     format_layer_grid,
     load_gradient,
@@ -67,6 +69,7 @@ def _cmd_encode(args) -> int:
     _non_negative(args.edge_index, "--edge-index")
     params = SchemeParams(p=args.p, n_e=args.n_e, n_h=args.n_h, s=args.s, nu=args.nu)
     fld = GF(m=args.field_bits)
+    check_memory(params, fld, grid=True)
     code = mds.make_generator(fld, params.nu, params.s)
     if args.gradient == "random":
         rng = np.random.default_rng(np.random.SeedSequence([_default_seed(args), args.edge_index]))

@@ -20,9 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import CapExceededError, ConfigurationError
 from .gf import GF, is_integer
 from .mds import MdsCode, fill_parity
+
+# encode and simulate refuse parameters whose estimated memory
+# (check_memory) is above this many bytes. The cap is fixed, like the
+# enumeration cap, so that the same parameters get the same exit code on
+# every host; runs above it are refused even where they would fit.
+MEMORY_CAP = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -247,6 +253,33 @@ def format_layer_grid(params: SchemeParams) -> str:
         for row in rows
     ]
     return "\n".join(lines)
+
+
+def check_memory(params: SchemeParams, field: GF, grid: bool = False) -> None:
+    """Raise CapExceededError, carrying the estimate, when what a command
+    holds for params is estimated above MEMORY_CAP bytes: a gradient, a
+    codeword and one more array of its size (the helper columns, or a
+    round's group sums), the layer map's tables (about 72 bytes per
+    layer slot), a plan's per-edge cells (8 bytes per edge and layer
+    slot) and, with grid, format_layer_grid's rows and text (about 12
+    bytes per cell: a pointer and the padded text). Reads only params'
+    closed forms, so nothing is allocated or planned first. The message
+    gives the estimate as a power of two, since it may have more digits
+    than an int may print.
+    """
+    slots = params.layers * (params.nu + params.s)
+    estimate = (
+        (params.p + 2 * slots * params.d) * field.element_bytes
+        + 72 * slots
+        + 8 * params.n_e * slots
+        + grid * 12 * (params.layers + 1) * (params.n_h + 1)
+    )
+    if estimate > MEMORY_CAP:
+        raise CapExceededError(
+            f"{params} would take at least 2^{estimate.bit_length() - 1} bytes, "
+            f"above the cap of 2^{MEMORY_CAP.bit_length() - 1}",
+            estimate=estimate,
+        )
 
 
 def random_gradient(rng: np.random.Generator, field: GF, p: int) -> np.ndarray:

@@ -19,7 +19,7 @@ class ProtocolError(RuntimeError):
 
 
 class CapExceededError(RuntimeError):
-    """Requested enumeration is larger than the configured cap."""
+    """Requested enumeration, or estimated memory, is larger than its cap."""
 
     def __init__(self, message: str, estimate: int):
         super().__init__(message)

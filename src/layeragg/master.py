@@ -16,6 +16,8 @@ divide by the declared p instead and differ only when padding occurred.
 Cost analysis plans many matrices at a time, every layer of them in one
 plan_layer call (aggregate.cover_ids), counts them together
 (aggregate.count_groups), and calls cost_realized on each matrix's counts.
+It plans each distinct row of a chunk once, since a row's cover ids
+depend on that row alone.
 """
 
 from __future__ import annotations
@@ -221,18 +223,30 @@ def cost_realized(plan: RoundPlan | GroupCounts) -> CostReport:
 def _costs(matrices: Iterable[np.ndarray], params: SchemeParams) -> Iterator[CostReport]:
     """cost_realized of each matrix, in order, planned and counted in chunks.
 
-    Cover ids are row-wise, so one cover_ids call on the stacked rows of
-    a chunk plans every layer of every matrix in it, with one plan_layer
-    call. A chunk holds at most aggregate.COUNT_CELLS (edge, layer, slot)
-    cells, or one matrix, which bounds the memory of a count whatever the
-    number of matrices; cover_ids plans a matrix of more cells a slice of
-    layers at a time.
+    Cover ids are row-wise, so one cover_ids call plans every layer of
+    every matrix of a chunk, with one plan_layer call. It plans only the
+    chunk's distinct rows, keyed by their packed bits (any n_h), and
+    each stacked row reads its ids back through the unique inverse: a
+    chunk of strict rows holds at most C(n_h, s) distinct ones. A row
+    heavier than s would be reported by its number among the distinct
+    rows; no caller passes one, since every matrix here is enumerated
+    or sampled from Omega(s). A chunk holds at most
+    aggregate.COUNT_CELLS (edge, layer, slot) cells, or one matrix,
+    which bounds the memory of a count whatever the number of matrices;
+    cover_ids plans a matrix of more cells a slice of layers at a time.
     """
     cells = params.n_e * params.layers * (params.nu + params.s)
     chunk = max(1, aggregate.COUNT_CELLS // cells)
     matrices = iter(matrices)
     while batch := list(islice(matrices, chunk)):
-        cover = aggregate.cover_ids(np.concatenate(batch), params)
+        stacked = np.concatenate(batch)
+        keys = np.packbits(stacked != 0, axis=1)
+        _, first, inverse = np.unique(
+            keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+        cover = aggregate.cover_ids(stacked[first], params)[inverse]
         counts = aggregate.count_groups(cover.reshape(len(batch), params.n_e, -1), params)
         for beta, m_j in zip(counts.beta, counts.m_j):
             yield cost_realized(GroupCounts(params, beta, m_j))

@@ -23,6 +23,7 @@ import numpy as np
 from . import aggregate, erasure, master, mds
 from .client import (
     SchemeParams,
+    check_memory,
     encode_client,
     load_gradient,
     random_gradient,
@@ -328,13 +329,16 @@ def run_round(
 def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
     """Run the requested number of rounds (or every matrix when exhaustive).
 
-    A rounds count inside the erasure spec overrides the argument. The
-    code is built and a gradient file is read once, before round 0, so a
-    code the field cannot hold, or a bad or missing file, raises
+    A rounds count inside the erasure spec overrides the argument. A
+    scenario whose arrays client.check_memory estimates above its cap
+    raises CapExceededError before anything is allocated. The code is
+    built and a gradient file is read once, before round 0, so a code
+    the field cannot hold, or a bad or missing file, raises
     ConfigurationError or OSError rather than failing a round.
     """
     check_count(rounds, "rounds")
     rounds = scenario.erasures.get("rounds", rounds)
+    check_memory(scenario.params(), scenario.field())
     mds.make_generator(scenario.field(), scenario.nu, scenario.s)
     gradient = _file_gradient(scenario)
     if scenario.erasures["kind"] == "exhaustive":

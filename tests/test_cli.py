@@ -2,11 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from layeragg import sim
+from layeragg import client, sim
 from layeragg.cli import main
+from layeragg.client import SchemeParams, check_memory
+from layeragg.errors import CapExceededError
+from layeragg.gf import GF
 
 SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
 ENCODE = ["encode", "--p", "24", "--n-h", "4", "--s", "1", "--nu", "2"]
@@ -433,3 +440,54 @@ def test_simulate_json_output_is_pinned(m, capsys):
         "--rounds", "3", "--seed", "7", "--field-bits", str(m), "--format", "json",
     ]
     assert _stdout_sha256(argv, capsys) == SIMULATE_DIGESTS[m]
+
+
+# Each would allocate far past the memory cap: a 931 GiB gradient, the
+# C(300, 3) = 4,455,100-row layer grid, a 931 GiB reference sum.
+OVERSIZED = {
+    "huge-p-encode": ["encode", "--p", "1000000000000", "--n-h", "4", "--s", "1", "--nu", "2"],
+    "huge-grid-encode": ["encode", "--p", "24", "--n-h", "300", "--s", "1", "--nu", "2"],
+    "huge-p-simulate": [
+        "simulate", "--p", "1000000000000", "--n-e", "2", "--n-h", "4", "--s", "1", "--nu", "2",
+    ],
+}
+# the child's address space: room for the interpreter and numpy, far
+# below any of the inputs above, so a missing cap ends in MemoryError
+ADDRESS_SPACE = 1 << 30
+CHILD = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))
+from layeragg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", list(OVERSIZED.values()), ids=list(OVERSIZED))
+def test_oversized_encode_and_simulate_are_refused_before_allocating(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("refused: "), done.stderr
+    assert "above the cap of 2^31" in done.stderr and client.MEMORY_CAP == 1 << 31
+
+
+def test_the_memory_estimate_is_carried_and_grows_with_the_grid():
+    params = SchemeParams(p=24, n_e=1, n_h=300, s=1, nu=2)
+    check_memory(params, GF(8))  # the tables alone fit
+    with pytest.raises(CapExceededError) as refused:
+        check_memory(params, GF(8), grid=True)
+    estimate = refused.value.estimate
+    assert 1 << 34 <= estimate < 1 << 35
+    assert "would take at least 2^34 bytes, above the cap of 2^31" in str(refused.value)
+
+
+def test_an_estimate_of_more_digits_than_an_int_prints_is_refused_in_one_line(capsys):
+    # C(15000, 7501) layers: the estimate has about 4500 decimal digits
+    assert main(["encode", "--p", "1", "--n-h", "15000", "--s", "1", "--nu", "7500"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("refused: ")

@@ -2,8 +2,9 @@
 layeragg and is reached on each workload that expects it. Planning
 reaches aggregate.plan_layer once per erasure matrix in a round, and
 once per chunk of matrices in cost analysis, each call planning every
-layer (aggregate.cover_ids), so plan_useful_ratio stays defined: L on
-a round, and L times the matrices of a chunk in cost analysis. The field
+layer (aggregate.cover_ids) of the round's rows or of the chunk's
+distinct rows, so plan_useful_ratio stays defined: L on a round, and L
+times the matrices of a chunk in cost analysis. The field
 kernels keep the call shape that roundbench's argument counters read."""
 
 import importlib
@@ -24,11 +25,11 @@ from layeragg.erasure import sample_uniform
 MAP = json.loads((Path(__file__).resolve().parents[1] / "roundbench" / "map.json").read_text())
 
 
-def counting(monkeypatch, target: str) -> list:
-    """Record the first argument of every call to a "module:attr" or
-    "module:Class.attr" target. A method is wrapped on its class, a
-    function at every binding site inside layeragg, so a module that did
-    `from .x import f` cannot call f past the count."""
+def counting(monkeypatch, target: str, read=lambda args: args[0] if args else None) -> list:
+    """Record read(args), by default the first argument, of every call to
+    a "module:attr" or "module:Class.attr" target. A method is wrapped on
+    its class, a function at every binding site inside layeragg, so a
+    module that did `from .x import f` cannot call f past the count."""
     module, _, path = target.partition(":")
     owner_path, _, attr = path.rpartition(".")
     owner = importlib.import_module(module)
@@ -38,7 +39,7 @@ def counting(monkeypatch, target: str) -> list:
     calls = []
 
     def count(*args, **kwargs):
-        calls.append(args[0] if args else None)
+        calls.append(read(args))
         return original(*args, **kwargs)
 
     if owner_path:
@@ -68,11 +69,21 @@ def test_a_round_plan_plans_each_layer_once(monkeypatch):
 
 
 def test_monte_carlo_plans_each_layer_once_per_chunk_and_costs_each_trial(monkeypatch):
-    calls = counting_plan_layer(monkeypatch)
+    # each call's layer and footprint rows: one per distinct row of the
+    # chunk and layer, never one per stacked row
+    calls = counting(monkeypatch, "layeragg.aggregate:plan_layer", lambda args: (args[0], len(args[2])))
     costed = counting(monkeypatch, "layeragg.master:cost_realized")
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
+
+    def distinct_rows(trials, chunk):
+        rng = np.random.default_rng(1)
+        stacked = np.concatenate([sample_uniform(7, 6, 2, rng) for _ in range(trials)])
+        rows = [len(np.unique(stacked[at : at + chunk * 7], axis=0)) for at in range(0, len(stacked), chunk * 7)]
+        assert sum(rows) < len(stacked)
+        return rows
+
     master.cost_average(params, mode="monte_carlo", trials=3, seed=np.random.default_rng(1))
-    assert calls == [0]
+    assert calls == [(0, rows * params.layers) for rows in distinct_rows(3, 3)]
     assert len(costed) == 3
     # chunks of two matrices: 5 trials make 3 chunks
     cells = params.n_e * params.layers * (params.nu + params.s)
@@ -80,7 +91,8 @@ def test_monte_carlo_plans_each_layer_once_per_chunk_and_costs_each_trial(monkey
     calls.clear()
     costed.clear()
     master.cost_average(params, mode="monte_carlo", trials=5, seed=1)
-    assert calls == [0] * 3
+    assert calls == [(0, rows * params.layers) for rows in distinct_rows(5, 2)]
+    assert len(calls) == 3
     assert len(costed) == 5
 
 

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from reference_plan import lexmin_cover
 
+from layeragg import aggregate, master
 from layeragg.aggregate import AggregatedMessage, GroupSums, RoundPlan, aggregate_helper
 from layeragg.client import SchemeParams, encode_client, random_gradient
 from layeragg.erasure import (
     enumerate_all,
+    enumerate_row_sets,
     from_erased_sets,
     sample_uniform,
     worst_case_pattern,
@@ -496,3 +498,106 @@ def test_costs_match_an_independent_count_on_every_small_system():
                     else:
                         non_tight[key] = exact
     assert non_tight == NON_TIGHT_WORST_CASE
+
+
+# -- cost analysis plans each distinct row of a chunk once ---------------------
+
+
+def planned_rows(monkeypatch) -> list:
+    """The number of rows of every cover_ids call from here on."""
+    rows = []
+    cover_ids = aggregate.cover_ids
+
+    def counting(eps, params):
+        rows.append(len(eps))
+        return cover_ids(eps, params)
+
+    monkeypatch.setattr(aggregate, "cover_ids", counting)
+    return rows
+
+
+def alone(matrices, params) -> list:
+    """Each matrix costed alone, from its own RoundPlan."""
+    return [cost_realized(RoundPlan(eps, params)) for eps in matrices]
+
+
+def distinct(matrices) -> int:
+    return len(np.unique(np.concatenate(matrices), axis=0))
+
+
+def check_cost_modes(monkeypatch, params, seed, trials, exhaustive=True):
+    """cost_average (Monte Carlo, and exhaustive when asked) and
+    cost_worst_case(brute_force) equal costing each matrix alone, while
+    cover_ids plans each Monte Carlo chunk's distinct rows only. Returns
+    the rows of every cover_ids call, in the order of the modes above."""
+    cells = params.n_e * params.layers * (params.nu + params.s)
+    chunk = max(1, aggregate.COUNT_CELLS // cells)
+    rng = np.random.default_rng(seed)
+    drawn = [sample_uniform(params.n_e, params.n_h, params.s, rng) for _ in range(trials)]
+    samples = np.array([float(r.c_hm_realized) for r in alone(drawn, params)])
+    if exhaustive:
+        matrices = list(enumerate_all(params.n_e, params.n_h, params.s))
+        mean = sum(r.c_hm_realized for r in alone(matrices, params)) / len(matrices)
+    row_sets = list(enumerate_row_sets(params.n_e, params.n_h, params.s))
+    worst = max(r.c_hm_realized for r in alone(row_sets, params))
+    rows = planned_rows(monkeypatch)
+    mc = cost_average(params, "monte_carlo", trials=trials, seed=seed)
+    assert mc.value == float(samples.mean())
+    assert mc.stderr == float(samples.std(ddof=1) / np.sqrt(trials))
+    chunks = [drawn[start : start + chunk] for start in range(0, trials, chunk)]
+    assert rows == [distinct(part) for part in chunks]
+    if exhaustive:
+        assert cost_average(params, "exhaustive").value == mean
+    assert cost_worst_case(params, "brute_force").value == worst
+    return rows
+
+
+def test_cost_modes_equal_per_matrix_costs_on_chunks_of_heavy_repeats(monkeypatch):
+    # 5 edges on 3 helpers: one chunk a mode, each of 3 distinct rows
+    params = SchemeParams(p=7, n_e=5, n_h=3, s=1, nu=1)
+    assert check_cost_modes(monkeypatch, params, seed=11, trials=20) == [3] * 3
+
+
+def test_cost_modes_equal_per_matrix_costs_on_chunks_without_repeats(monkeypatch):
+    # one matrix a chunk, of 1 edge (exhaustive, Monte Carlo) or of 2
+    # distinct rows (brute force), so every row a chunk plans is its own
+    params = SchemeParams(p=30, n_e=1, n_h=6, s=2, nu=2)
+    monkeypatch.setattr(aggregate, "COUNT_CELLS", params.layers * (params.nu + params.s))
+    assert check_cost_modes(monkeypatch, params, seed=4, trials=5) == [1] * (5 + 15 + 15)
+    params = SchemeParams(p=30, n_e=2, n_h=6, s=2, nu=2)
+    rows = check_cost_modes(monkeypatch, params, seed=4, trials=5, exhaustive=False)
+    assert rows[5:] == [2] * comb(15, 2)
+
+
+def test_cost_modes_equal_per_matrix_costs_past_64_helpers(monkeypatch):
+    # 70 layers of 69 slots, wider than TABLE_SLOTS, and row keys of 9
+    # bytes: rows that differ only past helper 63 must not share a plan
+    params = SchemeParams(p=70 * 68, n_e=3, n_h=70, s=1, nu=68)
+    rng = np.random.default_rng(5)
+    drawn = alone([sample_uniform(3, 70, 1, rng) for _ in range(4)], params)
+    matrices = [from_erased_sets(m, 70) for m in ([[64], [65], [64]], [[69], [0], [65]], [[8], [64], [69]])]
+    expected = alone(matrices, params)
+    mc = cost_average(params, "monte_carlo", trials=4, seed=5)
+    assert mc.value == float(np.mean([float(r.c_hm_realized) for r in drawn]))
+    rows = planned_rows(monkeypatch)
+    assert list(master._costs(matrices, params)) == expected
+    assert rows == [5]
+
+
+def test_costs_of_lax_chunks_with_all_zero_rows_equal_per_matrix_costs(monkeypatch):
+    params = SchemeParams(p=40, n_e=4, n_h=5, s=2, nu=2)
+    rng = np.random.default_rng(8)
+    matrices = [np.zeros((4, 5), dtype=np.uint8)]
+    for _ in range(7):
+        rows = [rng.choice(5, size=rng.integers(0, 3), replace=False).tolist() for _ in range(4)]
+        matrices.append(from_erased_sets(rows, 5))
+    expected = alone(matrices, params)
+    rows = planned_rows(monkeypatch)
+    assert list(master._costs(matrices, params)) == expected
+    assert rows == [distinct(matrices)]
+    # chunks of three matrices, each its own distinct rows
+    cells = params.n_e * params.layers * (params.nu + params.s)
+    monkeypatch.setattr(aggregate, "COUNT_CELLS", 3 * cells)
+    rows.clear()
+    assert list(master._costs(matrices, params)) == expected
+    assert rows == [distinct(matrices[start : start + 3]) for start in (0, 3, 6)]

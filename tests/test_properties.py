@@ -3,8 +3,9 @@ and the symbols on both links match the closed-form counts.
 
 Fields, shapes, padding and lax erasure matrices are drawn; the master
 decodes the messages the helpers emit. The last tests feed mutated
-scenario files, and mutated verify and sweep argv, to the command line,
-which must answer each with an exit code, never a traceback.
+scenario files, and mutated encode, simulate, verify and sweep argv, to
+the command line, which must answer each with an exit code, never a
+traceback.
 """
 
 import json
@@ -318,16 +319,18 @@ def test_a_mutated_scenario_file_gets_an_exit_code_not_a_traceback(case, tmp_pat
 
 @st.composite
 def mutated_argv(draw):
-    """verify or sweep argv with --n-h <= 6 and --n-e <= 4, whose --s and
-    --nu (--nu-min and --nu-max on sweep) are valid, swapped, negative or
-    oversized."""
+    """encode, simulate, verify or sweep argv with --n-h <= 6 and --n-e in
+    [-1, 4], whose --s and --nu (--nu-min and --nu-max on sweep) are
+    valid, swapped, negative or oversized. encode and simulate also take
+    a --p of at most 64 and any --field-bits, and simulate a --rounds in
+    [-1, 3]."""
     n_h = draw(st.integers(2, 6))
     s = draw(st.integers(1, n_h - 1))
     nus = [draw(st.integers(1, n_h - s)) for _ in range(2)]
     values = {"s": s, "nu": nus[0], "nu-min": min(nus), "nu-max": max(nus)}
     mutation = draw(st.sampled_from(["none", "swap", "negative", "oversized"]))
-    command = draw(st.sampled_from(["verify", "sweep"]))
-    names = ["s"] + (["nu"] if command == "verify" else ["nu-min", "nu-max"])
+    command = draw(st.sampled_from(["encode", "simulate", "verify", "sweep"]))
+    names = ["s"] + (["nu-min", "nu-max"] if command == "sweep" else ["nu"])
     if mutation == "swap":
         a, b = draw(st.permutations(names))[:2]
         values[a], values[b] = values[b], values[a]
@@ -339,19 +342,27 @@ def mutated_argv(draw):
         values[name] = draw(st.integers(n_h - 1, 2 * n_h))
     argv = [command, "--n-e", str(draw(st.integers(-1, 4))), "--n-h", str(n_h)]
     argv += ["--s", str(values["s"])]
+    if command in ("encode", "simulate"):
+        argv += ["--p", str(draw(st.integers(-1, 64)))]
+        argv += ["--field-bits", str(draw(st.sampled_from([4, 8, 16])))]
+        if command == "encode" or draw(st.booleans()):
+            argv += ["--nu", str(values["nu"])]
+        if command == "simulate":
+            argv += ["--rounds", str(draw(st.integers(-1, 3)))]
+        return argv
     optional = ["nu", "--brute-force"] if command == "verify" else ["nu-min", "nu-max", "--measure"]
     for flag in draw(st.lists(st.sampled_from(optional), unique=True)):
         argv += [flag] if flag.startswith("--") else [f"--{flag}", str(values[flag])]
     return argv + (["--trials", "1"] if command == "verify" else [])
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=mutated_argv())
 def test_a_mutated_argv_gets_an_exit_code_not_a_traceback(argv, capsys):
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 2, 3), (argv, err)
-    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, (argv, err)
+    assert sum(line.startswith(("error:", "refused:")) for line in err.splitlines()) <= 1, (argv, err)
     if code == 0 and argv[0] == "verify":
         assert json.loads(out)["checks"], argv
