@@ -247,17 +247,6 @@ def cover_ids(eps: np.ndarray, params: SchemeParams) -> np.ndarray:
     return np.concatenate(cover).reshape(-1, n).T
 
 
-class RoundGroups(NamedTuple):
-    """Every group of a round, numbered layer-major in image order.
-
-    layer  (groups,) the group's layer
-    cover  (groups,) its cover id
-    """
-
-    layer: np.ndarray
-    cover: np.ndarray
-
-
 def _run_starts(ranked: np.ndarray) -> np.ndarray:
     """Rows of sorted ids -> a mask of the first position of every run of
     equal ids in a row."""
@@ -313,15 +302,14 @@ class RoundPlan:
     layer_plans      one LayerAggregationPlan per layer, in layer order,
                      planned one plan_layer call per layer on first read;
                      a view for checks and tests that no round reads
-    groups           the RoundGroups of the round, the runs of each
-                     layer's sorted ids
-    group_of         (L, n_e) each edge's group in each layer
+    group_of         (L, n_e) each edge's group in each layer; the groups
+                     are the runs of each layer's sorted ids, layer-major
     emitters         (groups, nu+s) per group and layer slot, the helper
                      that emits it, -1 in the slots of its cover
-    beta             (L,) groups per layer, counted off groups
-    m_j              (n_h,) each helper's message length, its cells in
-                     emitters; count_groups counts beta and m_j of many
-                     matrices at once by the same rule
+    beta             (L,) groups per layer, by count_groups
+    m_j              (n_h,) each helper's message length, by count_groups;
+                     the message rows are built only where it agrees
+                     with each helper's cells in emitters
     schedules        per helper, the (layer, image index) pairs it emits;
                      a tuple view for checks and tests
     feeds            (n_e, (nu+s)*L) per edge and codeword cell
@@ -331,11 +319,12 @@ class RoundPlan:
                      the master decodes with one solve
 
     A helper emits its groups in group order: layers ascending, image
-    index ascending. All but cover are built on first use, from one sort
-    of the ids and one lookup of the covers' members, so callers that
-    only count never build group_of or feeds. eps is any array-like; one
-    that erasure.validate rejects (a shape other than (n_e, n_h), an entry
-    other than 0 or 1, a row heavier than s) raises its ConfigurationError.
+    index ascending. All but cover are built on first use: the groups
+    from one sort of each layer's ids, the message rows from one sort of
+    the emitting cells by helper, so callers that only count never build
+    group_of or feeds. eps is any array-like; one that erasure.validate
+    rejects (a shape other than (n_e, n_h), an entry other than 0 or 1, a
+    row heavier than s) raises its ConfigurationError.
     """
 
     def __init__(self, eps: np.ndarray, params: SchemeParams):
@@ -351,71 +340,75 @@ class RoundPlan:
         )
 
     @cached_property
-    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The one sort of the (L, n_e) cover ids that groups and group_of
-        share: the stable order of each layer's edges, the sorted ids, the
-        flat start of every run of equal ids, and each position's run."""
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one sort of the (L, n_e) cover ids, whose runs in each layer
+        are its groups: group_of, and each group's layer and cover id."""
         ids = self.cover.T
         order = np.argsort(ids, axis=1, kind="stable")
         ranked = np.take_along_axis(ids, order, axis=1)
         new = _run_starts(ranked)
-        return order, ranked, np.flatnonzero(new), np.cumsum(new) - 1
-
-    @cached_property
-    def groups(self) -> RoundGroups:
-        _, ranked, starts, _ = self._ranked
-        return RoundGroups(
-            layer=starts // self.params.n_e,
-            cover=ranked.ravel()[starts],
-        )
-
-    @cached_property
-    def group_of(self) -> np.ndarray:
-        order, ranked, _, number = self._ranked
         group_of = np.empty_like(order)
-        group_of[np.arange(ranked.shape[0])[:, None], order] = number.reshape(ranked.shape)
-        return group_of
+        np.put_along_axis(group_of, order, np.cumsum(new).reshape(new.shape) - 1, axis=1)
+        starts = np.flatnonzero(new)
+        return group_of, starts // self.params.n_e, ranked.ravel()[starts]
+
+    @property
+    def group_of(self) -> np.ndarray:
+        return self._ranked[0]
 
     @cached_property
     def emitters(self) -> np.ndarray:
         params = self.params
-        inside = _cover_table(params.nu + params.s, params.s).members(self.groups.cover)
-        return np.where(inside, -1, params.layer_map.slot_helpers[self.groups.layer])
+        _, layer, cover = self._ranked
+        inside = _cover_table(params.nu + params.s, params.s).members(cover)
+        return np.where(inside, -1, params.layer_map.slot_helpers[layer])
 
     @cached_property
+    def _counts(self) -> GroupCounts:
+        return count_groups(self.cover[None], self.params)
+
+    @property
     def beta(self) -> np.ndarray:
-        return np.bincount(self.groups.layer, minlength=self.params.layers)
+        return self._counts.beta[0]
 
-    @cached_property
+    @property
     def m_j(self) -> np.ndarray:
-        emitters = self.emitters
-        return np.bincount(emitters[emitters >= 0], minlength=self.params.n_h)
+        return self._counts.m_j[0]
 
     @cached_property
-    def _message_rows(self) -> np.ndarray:
+    def _message_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(groups, nu+s): the row of each group's entry in the messages
-        concatenated in helper order, at its emitter's slot; -1 in the
-        slots of its cover."""
+        concatenated in helper order, at its emitter's slot, -1 in the
+        slots of its cover; and (sum m_j,) the group of each row.
+
+        emitters and count_groups count each helper's entries by two
+        rules; a row past sum m_j would escape GroupSums.fold's clipped
+        gathers, so a disagreement raises ProtocolError."""
         emitters = self.emitters
         g, slot = np.nonzero(emitters >= 0)
         # helper ids in the narrowest dtype, so the stable sort is a radix sort
         helper = emitters[g, slot].astype(np.min_scalar_type(self.params.n_h))
+        emitted = np.bincount(helper, minlength=self.params.n_h)
+        if not np.array_equal(emitted, self.m_j):
+            j = int(np.argmax(emitted != self.m_j))
+            raise ProtocolError(
+                f"plan emission count broken: helper {j} emits {emitted[j]} entries, "
+                f"count_groups counts m_j = {self.m_j[j]}"
+            )
         by_helper = np.argsort(helper, kind="stable")
         rows = np.full(emitters.shape, -1, dtype=np.intp)
         rows[g[by_helper], slot[by_helper]] = np.arange(len(g))
-        return rows
+        return rows, g[by_helper]
 
     @cached_property
     def feeds(self) -> np.ndarray:
-        rows = self._message_rows[self.group_of]
+        rows = self._message_rows[0][self.group_of]
         return rows.transpose(1, 2, 0).reshape(self.params.n_e, -1)
 
     @cached_property
     def schedules(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        rows = self._message_rows
-        entries = int(self.m_j.sum())
-        g = np.argsort(rows, axis=None)[rows.size - entries :] // rows.shape[1]
-        layer = self.groups.layer[g]
+        _, g = self._message_rows
+        layer = self._ranked[1][g]
         image = g - (np.cumsum(self.beta) - self.beta)[layer]
         pairs = list(zip(layer.tolist(), image.tolist()))
         ends = np.cumsum(self.m_j).tolist()
@@ -424,7 +417,7 @@ class RoundPlan:
     @cached_property
     def decode_patterns(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
         """Emitter-slot pattern -> (layer ids, (nu, groups) message rows),
-        patterns in order of first appearance.
+        patterns in ascending order of their cover ids.
 
         Column g of the rows holds the nu entries of the pattern's g-th
         group, emitter slots ascending, as rows of the messages concatenated
@@ -432,16 +425,12 @@ class RoundPlan:
         so groups with one cover id share it; covers inside a layer are
         distinct, so a pattern holds at most one group per layer.
         """
-        rows = self._message_rows
-        layer = self.groups.layer
-        _, first, pattern = np.unique(
-            self.groups.cover, return_index=True, return_inverse=True
-        )
-        by_pattern = np.argsort(pattern, kind="stable")
-        bounds = np.append(0, np.cumsum(np.bincount(pattern))).tolist()
+        rows, _ = self._message_rows
+        _, layer, cover = self._ranked
+        by_cover = np.argsort(cover, kind="stable")
+        ranked = cover[by_cover]
         patterns = {}
-        for p in np.argsort(first).tolist():
-            groups = by_pattern[bounds[p] : bounds[p + 1]]
+        for groups in np.split(by_cover, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
             slots = np.flatnonzero(rows[groups[0]] >= 0)
             patterns[tuple(slots.tolist())] = (layer[groups], rows[groups][:, slots].T)
         return patterns

@@ -14,8 +14,8 @@ normalized by the padded gradient length, which makes the closed forms
 (nu+s)/nu and mean(beta) hold identically; the *_declared variants
 divide by the declared p instead and differ only when padding occurred.
 Cost analysis plans many matrices at a time, every layer of them in one
-plan_layer call (aggregate.cover_ids), counts them together
-(aggregate.count_groups), and calls cost_realized on each matrix's counts.
+plan_layer call (aggregate.cover_ids), counts them together by RoundPlan's
+own rule (aggregate.count_groups), and costs each matrix's counts.
 It plans each distinct row of a chunk once, since a row's cover ids
 depend on that row alone.
 """

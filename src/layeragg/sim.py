@@ -515,7 +515,7 @@ def verify_scheme(
 
     Covers: MDS minors, any-nu per-layer decodability, the availability
     invariant (no emitted sum touches an erased edge), the double-count
-    identity between per-helper and per-layer emission counts, and
+    identities between per-helper, per-layer and per-cell emission counts, and
     end-to-end decoding against the direct gradient sum. Every nu in
     [1, n_h-s] is checked when nu is None; a nu outside it, or an empty
     range, raises ConfigurationError before any check runs.
@@ -562,6 +562,7 @@ def verify_scheme(
                     f"uses an erased link to helper {emitters[layer, i, slot]}",
                 )
             try:
+                plan.feeds
                 master.cost_realized(plan)
             except ProtocolError as exc:
                 double = CheckResult(tag + "double_count", False, f"trial {t}: {exc}")

@@ -1,7 +1,7 @@
 """Readable reference planners that the fast ones in layeragg.aggregate are
 diffed against: one tuple key per edge per layer, covers filled by set
-arithmetic, and a per-helper scan of its column's layers for the
-schedules."""
+arithmetic, a per-helper scan of its column's layers for the schedules,
+and the feeds and decode rows read off the schedules entry by entry."""
 
 from typing import NamedTuple
 
@@ -70,3 +70,40 @@ def reference_schedules(params, layer_plans):
                     schedule.append((layer, a))
         schedules.append(tuple(schedule))
     return tuple(schedules)
+
+
+def schedule_entries(schedules):
+    """The (helper, layer, image index) of each row of the messages
+    concatenated in helper order."""
+    return [(j, layer, a) for j, schedule in enumerate(schedules) for layer, a in schedule]
+
+
+def reference_feeds(params, layer_plans, schedules):
+    """Per edge and codeword cell slot*L + layer, the message row the cell
+    feeds, -1 where it feeds none: row r of the concatenated schedules is
+    helper j's entry (layer, a), and every edge of that layer's group a
+    feeds r at j's slot of the layer."""
+    L = params.layers
+    feeds = [[-1] * ((params.nu + params.s) * L) for _ in range(params.n_e)]
+    for r, (j, layer, a) in enumerate(schedule_entries(schedules)):
+        cell = params.layer_map[layer].index(j) * L + layer
+        for i in layer_plans[layer].groups[a]:
+            feeds[i][cell] = r
+    return feeds
+
+
+def check_decode_patterns(params, plan, schedules):
+    """Each decode row is the position of its (layer, image) entry in the
+    concatenated reference schedules, at the emitter of its slot, and the
+    patterns hold every row once."""
+    entries = schedule_entries(schedules)
+    seen = []
+    for slots, (layers, rows) in plan.decode_patterns.items():
+        assert rows.shape == (params.nu, len(layers))
+        for layer, column in zip(layers.tolist(), rows.T.tolist()):
+            helpers = params.layer_map[layer]
+            got = [entries[r] for r in column]
+            assert [(j, lay) for j, lay, _ in got] == [(helpers[t], layer) for t in slots]
+            assert len({a for *_, a in got}) == 1
+            seen += column
+    assert sorted(seen) == list(range(len(entries)))

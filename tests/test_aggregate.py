@@ -6,13 +6,20 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_plan import lexmin_cover, reference_plan_layer, reference_schedules, views
+from reference_plan import (
+    check_decode_patterns,
+    lexmin_cover,
+    reference_feeds,
+    reference_plan_layer,
+    reference_schedules,
+    views,
+)
 
 import layeragg
 from layeragg import aggregate, sim
@@ -604,29 +611,56 @@ def test_each_erasure_matrix_fault_reads_the_same_from_every_entry_point(eps):
 
 
 def test_reading_every_table_of_a_round_plan_groups_once(monkeypatch, gf8):
-    """One sort of the ids gives the groups, and one lookup of their
-    covers' members the emitters, from which beta and m_j are counted;
-    the batched counter of cost analysis is never run."""
+    """Three sorts build every table: each layer's ids for the groups, the
+    emitting cells by helper for the message rows, the groups by cover id
+    for the decode patterns. beta and m_j come from one count_groups call,
+    and no table runs np.unique."""
     calls = []
-    members, count_groups = aggregate._Covers.members, aggregate.count_groups
 
-    def counted_members(self, ids):
-        calls.append("members")
-        return members(self, ids)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    def counted_count_groups(*args):
-        calls.append("count_groups")
-        return count_groups(*args)
+        return call
 
-    monkeypatch.setattr(aggregate._Covers, "members", counted_members)
-    monkeypatch.setattr(aggregate, "count_groups", counted_count_groups)
+    monkeypatch.setattr(aggregate, "count_groups", counted("count_groups", aggregate.count_groups))
+    monkeypatch.setattr(np, "argsort", counted("argsort", np.argsort))
+    monkeypatch.setattr(np, "unique", counted("unique", np.unique))
     params, _, eps = seven_edge_setup(gf8)
     plan = RoundPlan(eps, params)
     for table in ("feeds", "decode_patterns", "m_j", "beta", "emitters", "group_of", "schedules"):
         getattr(plan, table)
-    assert calls == ["members"]
+    assert sorted(calls) == ["argsort"] * 3 + ["count_groups"]
     assert plan.beta.tolist() == [lp.beta for lp in plan.layer_plans]
     assert plan.m_j.tolist() == [len(entries) for entries in plan.schedules]
+
+
+def test_counts_that_disagree_with_the_emitters_table_raise(monkeypatch, gf8):
+    """count_groups and the emitters table count each helper's entries by
+    two rules; the message-row table is built only where they agree, so
+    the folds' clipped gathers stay inside the rows."""
+    params, _, eps = seven_edge_setup(gf8)
+    emitted = int(RoundPlan(eps, params).m_j[0])
+    count_groups = aggregate.count_groups
+
+    def miscounted(cover, params):
+        counts = count_groups(cover, params)
+        counts.m_j[:, 0] += 1
+        return counts
+
+    monkeypatch.setattr(aggregate, "count_groups", miscounted)
+    message = (
+        f"plan emission count broken: helper 0 emits {emitted} entries, "
+        f"count_groups counts m_j = {emitted + 1}"
+    )
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+        RoundPlan(eps, params).feeds
+    scenario = Scenario(p=120, n_e=7, n_h=6, s=2, nu=2)
+    with pytest.raises(sim.StageFailure) as failed:
+        run_round(scenario, eps=eps)
+    assert isinstance(failed.value.__cause__, ProtocolError)
+    assert str(failed.value) == f"deliver: {message}"
 
 
 def reference_aggregate(j, received, plan, field):
@@ -740,6 +774,30 @@ def test_feeds_stay_in_the_message_rows_and_no_edge_feeds_a_row_twice(kind):
                 fed = edge[edge >= 0]
                 assert len(fed) == nu * params.layers
                 assert len(np.unique(fed)) == len(fed)
+
+
+@pytest.mark.parametrize("n_h, most_edges", [(2, 3), (3, 3), (4, 3), (5, 2)])
+def test_round_layout_equals_the_reference_on_every_small_matrix(n_h, most_edges):
+    """Encode, fold and decode are linear, so a round's layout depends on
+    its plan alone. On every strict and lax matrix of n_h helpers and at
+    most most_edges edges, for every (s, nu), the schedules, decode
+    patterns and feeds equal those of the reference layer plans."""
+    for s in range(1, n_h):
+        erased = [c for w in range(s + 1) for c in combinations(range(n_h), w)]
+        rows = from_erased_sets(erased, n_h)
+        for nu, n_e in product(range(1, n_h - s + 1), range(1, most_edges + 1)):
+            params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=n_e, n_h=n_h, s=s, nu=nu)
+            for chosen in product(range(len(rows)), repeat=n_e):
+                eps = rows[list(chosen)]
+                want = [
+                    reference_plan_layer(layer, helpers, eps, s)
+                    for layer, helpers in enumerate(params.layer_map)
+                ]
+                plan = RoundPlan(eps, params)
+                schedules = reference_schedules(params, want)
+                assert plan.schedules == schedules, eps.tolist()
+                check_decode_patterns(params, plan, schedules)
+                assert plan.feeds.tolist() == reference_feeds(params, want, schedules), eps.tolist()
 
 
 def emitted_by_round(monkeypatch, scenario, eps):

@@ -36,7 +36,11 @@ from layeragg.erasure import from_erased_sets, sample_uniform, validate  # noqa:
 from layeragg.gf import GF  # noqa: E402
 from layeragg.master import cost_average, cost_realized, decode_global  # noqa: E402
 from layeragg.mds import make_generator  # noqa: E402
-from reference_plan import reference_plan_layer, reference_schedules  # noqa: E402
+from reference_plan import (  # noqa: E402
+    check_decode_patterns,
+    reference_plan_layer,
+    reference_schedules,
+)
 
 
 @st.composite
@@ -126,19 +130,7 @@ def test_plan_and_schedules_equal_the_reference(case):
             assert getattr(got, name) == getattr(want, name), (name, layer)
     schedules = reference_schedules(params, plan.layer_plans)
     assert plan.schedules == schedules
-    # each decode row is the position of its (layer, image) entry in the
-    # concatenated reference schedules, at the emitter of its slot
-    entries = [(j, layer, a) for j, schedule in enumerate(schedules) for layer, a in schedule]
-    seen = []
-    for slots, (layers, rows) in plan.decode_patterns.items():
-        assert rows.shape == (params.nu, len(layers))
-        for layer, column in zip(layers.tolist(), rows.T.tolist()):
-            helpers = params.layer_map[layer]
-            got = [entries[r] for r in column]
-            assert [(j, lay) for j, lay, _ in got] == [(helpers[t], layer) for t in slots]
-            assert len({a for *_, a in got}) == 1
-            seen += column
-    assert sorted(seen) == list(range(len(entries)))
+    check_decode_patterns(params, plan, schedules)
 
 
 @settings(max_examples=100, deadline=None)

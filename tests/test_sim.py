@@ -508,6 +508,29 @@ def test_verify_scheme_reports_a_group_that_reads_an_erased_link(monkeypatch):
     assert seen[t][:, j].any()
 
 
+def test_verify_scheme_reports_counts_that_disagree_with_the_emitters_table(monkeypatch):
+    # count_groups counts one entry too many for helper 0, which the
+    # message-row table's cross-check refuses
+    count_groups = aggregate.count_groups
+
+    def miscounted(cover, params):
+        counts = count_groups(cover, params)
+        counts.m_j[:, 0] += 1
+        return counts
+
+    monkeypatch.setattr(aggregate, "count_groups", miscounted)
+    # the rounds would fail on the same plan; only the plan checks run
+    monkeypatch.setattr(sim, "run_round", lambda scenario, round_index: SimpleNamespace(passed=True))
+    report = verify_scheme(n_e=5, n_h=4, s=1, nu=2, trials=3, seed=0)
+    checks = {c.name: c for c in report.checks}
+    assert [name for name, c in checks.items() if not c.passed] == ["[nu=2] double_count"]
+    assert re.fullmatch(
+        r"trial \d: plan emission count broken: helper 0 emits \d+ entries, "
+        r"count_groups counts m_j = \d+",
+        checks["[nu=2] double_count"].detail,
+    )
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_scheme_rejects_nonpositive_trials(trials):
     with pytest.raises(ConfigurationError, match="trials must be a positive integer"):
