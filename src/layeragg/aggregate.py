@@ -122,6 +122,15 @@ def _cover_table(k: int, s: int) -> _Covers:
     return _Covers(k, s)
 
 
+@lru_cache(maxsize=None)
+def _slot_masks(k: int, s: int) -> np.ndarray:
+    """(k,) count_groups' presence masks: bit c of slot t's is set when
+    cover c takes t, in the narrowest unsigned dtype of C(k, s) <= 64 bits."""
+    bits = np.left_shift(1, np.arange(comb(k, s), dtype=np.uint64))
+    inside = _cover_table(k, s).members(np.arange(len(bits)))
+    return np.where(inside, bits[:, None], 0).sum(axis=0).astype(np.min_scalar_type(bits[-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class LayerAggregationPlan:
     """Who aggregates what for one layer, for a fixed erasure matrix.
@@ -274,23 +283,43 @@ class GroupCounts(NamedTuple):
 def count_groups(cover: np.ndarray, params: SchemeParams) -> GroupCounts:
     """Count the groups of T matrices from their (T, n_e, L) cover ids.
 
-    A layer's groups are its distinct cover ids, so beta_l is the number
-    of runs in the layer's sorted ids. Every group is emitted by the
-    layer's helpers outside its cover: slot t of layer l emits beta_l
-    minus the number of distinct covers holding t, and m_j sums that over
-    helper j's (layer, slot) cells, LayerMap.positions[j].
+    A layer's groups are its distinct cover ids. Every group is emitted
+    by the layer's helpers outside its cover: slot t of layer l emits
+    beta_l minus the number of distinct covers holding t, and m_j sums
+    that over helper j's (layer, slot) cells, LayerMap.positions[j].
+    While alpha = C(nu+s, s) <= 64, a (matrix, layer)'s distinct covers
+    are the bits set in one presence word of the narrowest unsigned dtype
+    of alpha bits, with no per-id temporary wider (_count_present); above,
+    they are the runs of its sorted ids (_count_sorted).
     """
-    trials = cover.shape[0]
+    rule = _count_present if params.alpha <= 64 else _count_sorted
+    beta, covered = rule(cover, params)
+    emitted = (beta[:, None] - covered).reshape(len(cover), -1)
+    m_j = emitted[:, params.layer_map.positions].sum(axis=2)
+    return GroupCounts(params, beta.reshape(len(cover), -1), m_j)
+
+
+def _count_present(cover: np.ndarray, params: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
+    """(T*L,) beta and (T*L, nu+s) distinct covers holding each slot: the
+    popcounts of one word per (matrix, layer), the OR of 1 << id over its
+    n_e ids, alone and under each slot's mask. The shifted ids stay in the
+    word's dtype: wide words or intp indices cost more in fresh pages."""
+    masks = _slot_masks(params.nu + params.s, params.s)
+    bits = np.left_shift(masks.dtype.type(1), cover, dtype=masks.dtype, casting="unsafe")
+    word = np.bitwise_or.reduce(bits, axis=1).ravel()
+    return np.bitwise_count(word).astype(np.intp), np.bitwise_count(word[:, None] & masks)
+
+
+def _count_sorted(cover: np.ndarray, params: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
+    """_count_present's counts for any alpha, from each (matrix, layer)'s
+    sorted ids: a group per run, its cover's members summed per slot."""
     # a C-order copy: the sort runs on contiguous rows and leaves cover alone
     ranked = np.array(cover.transpose(0, 2, 1), order="C").reshape(-1, params.n_e)
     ranked.sort(axis=1)
     first = np.flatnonzero(_run_starts(ranked))
     beta = np.bincount(first // params.n_e, minlength=len(ranked))
     members = _cover_table(params.nu + params.s, params.s).members(ranked.ravel()[first])
-    covered = np.add.reduceat(members, np.cumsum(beta) - beta, axis=0)
-    emitted = (beta[:, None] - covered).reshape(trials, -1)
-    m_j = emitted[:, params.layer_map.positions].sum(axis=2)
-    return GroupCounts(params, beta.reshape(trials, -1), m_j)
+    return beta, np.add.reduceat(members, np.cumsum(beta) - beta, axis=0)
 
 
 class RoundPlan:

@@ -17,7 +17,10 @@ Cost analysis plans many matrices at a time, every layer of them in one
 plan_layer call (aggregate.cover_ids), counts them together by RoundPlan's
 own rule (aggregate.count_groups), and costs each matrix's counts.
 It plans each distinct row of a chunk once, since a row's cover ids
-depend on that row alone.
+depend on that row alone. count_groups counts a chunk by one presence
+word per (matrix, layer) while alpha = C(nu+s, s) <= 64, in the narrowest
+unsigned dtype of alpha bits, with no per-id temporary wider than the
+word, and by sorting each (matrix, layer)'s ids above that.
 """
 
 from __future__ import annotations

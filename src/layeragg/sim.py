@@ -516,7 +516,9 @@ def verify_scheme(
     Covers: MDS minors, any-nu per-layer decodability, the availability
     invariant (no emitted sum touches an erased edge), the double-count
     identities between per-helper, per-layer and per-cell emission counts, and
-    end-to-end decoding against the direct gradient sum. Every nu in
+    end-to-end decoding against the direct gradient sum (a round that fails
+    in a stage fails it too, naming the stage). Each check names its first
+    failing trial or round. Every nu in
     [1, n_h-s] is checked when nu is None; a nu outside it, or an empty
     range, raises ConfigurationError before any check runs.
     """
@@ -565,20 +567,24 @@ def verify_scheme(
                 plan.feeds
                 master.cost_realized(plan)
             except ProtocolError as exc:
-                double = CheckResult(tag + "double_count", False, f"trial {t}: {exc}")
+                if double.passed:
+                    double = CheckResult(tag + "double_count", False, f"trial {t}: {exc}")
         checks.append(avail)
         checks.append(double)
 
         e2e = CheckResult(tag + "end_to_end", True)
         for t in range(trials):
-            result = run_round(scenario, round_index=t)
-            if not result.passed:
-                e2e = CheckResult(
-                    tag + "end_to_end",
-                    False,
-                    f"round {t}: decoded sum disagrees with the direct sum "
-                    f"(erasures {erasure.erased_sets(result.eps)})",
-                )
-                break
+            try:
+                result = run_round(scenario, round_index=t)
+            except StageFailure as exc:
+                detail, eps = f"stage {exc}", _round_erasure(scenario, t)
+            else:
+                if result.passed:
+                    continue
+                detail, eps = "decoded sum disagrees with the direct sum", result.eps
+            e2e = CheckResult(
+                tag + "end_to_end", False, f"round {t}: {detail} (erasures {erasure.erased_sets(eps)})"
+            )
+            break
         checks.append(e2e)
     return VerificationReport(checks=checks)

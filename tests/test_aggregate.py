@@ -875,6 +875,26 @@ def test_a_round_holds_one_codeword_not_one_per_edge():
     assert peak < params.n_e * codeword, (peak, params.n_e * codeword)
 
 
+def test_counting_a_cost_chunk_makes_no_wide_copy_of_its_cover_ids():
+    # one 8-matrix chunk of the cost_mc shape (alpha = 15, uint16 presence
+    # words); a sort of the ids, or a copy of them as wide words or intp
+    # indices, would peak at several times their bytes
+    params = SchemeParams(p=53760, n_e=50, n_h=10, s=2, nu=4)
+    rng = np.random.default_rng(11)
+    eps = np.concatenate([sample_uniform(params.n_e, params.n_h, params.s, rng) for _ in range(8)])
+    cover = np.ascontiguousarray(aggregate.cover_ids(eps, params)).reshape(8, params.n_e, -1)
+    assert cover.shape == (8, 50, 210)
+    want = aggregate.count_groups(cover, params)  # warm: the slot masks and positions
+    tracemalloc.start()
+    try:
+        counts = aggregate.count_groups(cover, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * cover.nbytes, (peak, cover.nbytes)
+    assert np.array_equal(counts.beta, want.beta) and np.array_equal(counts.m_j, want.m_j)
+
+
 def test_a_mapped_message_holds_only_its_own_rows():
     # the mapping path folds into a fresh GroupSums of every helper's rows
     # (1,479,828 bytes here); a view of j's rows would keep them all alive

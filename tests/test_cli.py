@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from layeragg import client, sim
+from layeragg import aggregate, client, sim
 from layeragg.cli import main
 from layeragg.client import SchemeParams, check_memory
 from layeragg.errors import CapExceededError
@@ -195,6 +195,24 @@ def test_verify_defaults_pass(capsys):
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] is True
+
+
+def test_verify_prints_its_report_when_a_round_fails_in_a_stage(capsys, monkeypatch):
+    # count_groups miscounts helper 0, which breaks the plan checks and every round
+    count_groups = aggregate.count_groups
+
+    def miscounted(cover, params):
+        counts = count_groups(cover, params)
+        counts.m_j[:, 0] += 1
+        return counts
+
+    monkeypatch.setattr(aggregate, "count_groups", miscounted)
+    assert main(["verify", "--n-e", "5", "--n-h", "4", "--s", "1", "--nu", "2", "--trials", "2"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    failed = {c["name"]: c["detail"] for c in data["checks"] if not c["passed"]}
+    assert data["passed"] is False
+    assert list(failed) == ["[nu=2] double_count", "[nu=2] end_to_end"]
+    assert failed["[nu=2] end_to_end"].startswith("round 0: stage ")
 
 
 def test_verify_brute_force_cross_check(capsys):

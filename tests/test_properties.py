@@ -156,7 +156,9 @@ WIDE_SHAPES = st.sampled_from([TABLE_SLOTS + 1, TABLE_SLOTS + 2]).flatmap(
         lambda shape: (shape[0], shape[1], k - shape[1])
     )
 )
-WORD_SHAPES = st.sampled_from([(66, 1, 65), (68, 34, 34)])
+# alpha = C(nu+s, s) = 64, 65, 66 and C(68, 34): count_groups counts the first
+# by presence words and the rest by sorting
+WORD_SHAPES = st.sampled_from([(64, 1, 63), (65, 1, 64), (66, 1, 65), (68, 34, 34)])
 
 
 @st.composite
@@ -180,12 +182,19 @@ def check_batched_counts(params, matrices):
     """Count the matrices together, as cost analysis does: one cover_ids
     call on their stacked rows, which equals one plan_layer call per layer,
     then count_groups. Each matrix's counts equal its own round plan's
-    per-layer images and the reference schedules, and cost the same."""
+    per-layer images and the reference schedules, and cost the same; where
+    alpha <= 64 they also equal the sort rule's on the same stack."""
     eps = np.concatenate(matrices)
     cover = cover_ids(eps, params)
     per_layer = [plan_layer(layer, h, eps, params.s).cover for layer, h in enumerate(params.layer_map)]
     assert np.array_equal(cover, np.stack(per_layer, axis=1))
-    counts = count_groups(cover.reshape(len(matrices), params.n_e, -1), params)
+    stack = cover.reshape(len(matrices), params.n_e, -1)
+    counts = count_groups(stack, params)
+    if params.alpha <= 64:
+        # count_groups counts by presence words here: the sort rule's counts
+        beta, covered = aggregate._count_sorted(stack, params)
+        assert np.array_equal(counts.beta.ravel(), beta)
+        assert np.array_equal(aggregate._count_present(stack, params)[1], covered)
     assert counts.beta.shape == (len(matrices), params.layers)
     assert counts.m_j.shape == (len(matrices), params.n_h)
     for one, beta, m_j in zip(matrices, counts.beta, counts.m_j):
@@ -207,6 +216,13 @@ def test_batched_counts_equal_per_matrix_plans(case):
 @given(matrix_stacks(WIDE_SHAPES | WORD_SHAPES))
 def test_batched_counts_equal_per_matrix_plans_on_ranked_layers(case):
     check_batched_counts(*case)
+
+
+@pytest.mark.parametrize("n_h, s, nu", [(64, 1, 63), (65, 1, 64)], ids=["alpha64", "alpha65"])
+def test_batched_counts_on_both_sides_of_64_covers(n_h, s, nu):
+    rng = np.random.default_rng(n_h)
+    params = SchemeParams(p=comb(n_h, nu + s) * nu, n_e=6, n_h=n_h, s=s, nu=nu)
+    check_batched_counts(params, [sample_uniform(params.n_e, n_h, s, rng) for _ in range(3)])
 
 
 @settings(max_examples=30, deadline=None)

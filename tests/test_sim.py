@@ -524,11 +524,38 @@ def test_verify_scheme_reports_counts_that_disagree_with_the_emitters_table(monk
     report = verify_scheme(n_e=5, n_h=4, s=1, nu=2, trials=3, seed=0)
     checks = {c.name: c for c in report.checks}
     assert [name for name, c in checks.items() if not c.passed] == ["[nu=2] double_count"]
+    # every trial fails; the first is named, as availability names its first
     assert re.fullmatch(
-        r"trial \d: plan emission count broken: helper 0 emits \d+ entries, "
+        r"trial 0: plan emission count broken: helper 0 emits \d+ entries, "
         r"count_groups counts m_j = \d+",
         checks["[nu=2] double_count"].detail,
     )
+
+
+def test_verify_scheme_records_a_round_that_fails_in_a_stage(monkeypatch):
+    # the same miscount also breaks every round, which raises StageFailure
+    count_groups = aggregate.count_groups
+
+    def miscounted(cover, params):
+        counts = count_groups(cover, params)
+        counts.m_j[:, 0] += 1
+        return counts
+
+    monkeypatch.setattr(aggregate, "count_groups", miscounted)
+    report = verify_scheme(n_e=5, n_h=4, s=1, nu=2, trials=3, seed=0)
+    checks = {c.name: c for c in report.checks}
+    failed = [name for name, c in checks.items() if not c.passed]
+    assert failed == ["[nu=2] double_count", "[nu=2] end_to_end"]
+    scenario = Scenario(p=16, n_e=5, n_h=4, s=1, nu=2, seed=0)
+    erased = sim.erasure.erased_sets(sim._round_erasure(scenario, 0))
+    found = re.fullmatch(
+        r"round 0: stage (\w+): plan emission count broken: helper 0 emits \d+ entries, "
+        r"count_groups counts m_j = \d+ \(erasures (.+)\)",
+        checks["[nu=2] end_to_end"].detail,
+    )
+    assert found and found[2] == str(erased)
+    with pytest.raises(StageFailure, match=f"^{found[1]}: plan emission count broken"):
+        run_round(scenario, round_index=0)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
