@@ -13,14 +13,17 @@ Costs are exact rationals. The primary c_eh / c_hm_realized fields are
 normalized by the padded gradient length, which makes the closed forms
 (nu+s)/nu and mean(beta) hold identically; the *_declared variants
 divide by the declared p instead and differ only when padding occurred.
-Cost analysis plans many matrices at a time, every layer of them in one
-plan_layer call (aggregate.cover_ids), counts them together by RoundPlan's
-own rule (aggregate.count_groups), and costs each matrix's counts.
-It plans each distinct row of a chunk once, since a row's cover ids
-depend on that row alone. count_groups counts a chunk by one presence
-word per (matrix, layer) while alpha = C(nu+s, s) <= 64, in the narrowest
-unsigned dtype of alpha bits, with no per-id temporary wider than the
-word, and by sorting each (matrix, layer)'s ids above that.
+Cost analysis plans a chunk of matrices at a time, stacked into one
+block of rows, every layer of them in one plan_layer call
+(aggregate.cover_ids), counts them together by RoundPlan's own rule
+(aggregate.count_groups), and costs each matrix's counts. Monte Carlo
+draws each chunk's block with one sample_uniform call, which is exact
+because sample_uniform draws row after row. It plans each distinct row
+of a chunk once, since a row's cover ids depend on that row alone.
+count_groups counts a chunk by one presence word per (matrix, layer)
+while alpha = C(nu+s, s) <= 64, in the narrowest unsigned dtype of
+alpha bits, with no per-id temporary wider than the word, and by
+sorting each (matrix, layer)'s ids above that.
 """
 
 from __future__ import annotations
@@ -223,26 +226,36 @@ def cost_realized(plan: RoundPlan | GroupCounts) -> CostReport:
     )
 
 
-def _costs(matrices: Iterable[np.ndarray], params: SchemeParams) -> Iterator[CostReport]:
-    """cost_realized of each matrix, in order, planned and counted in chunks.
+def _chunk(params: SchemeParams) -> int:
+    """Matrices per cost chunk: as many as fit in aggregate.COUNT_CELLS
+    (edge, layer, slot) cells, and at least one, which bounds the memory
+    of a count whatever the number of matrices."""
+    cells = params.n_e * params.layers * (params.nu + params.s)
+    return max(1, aggregate.COUNT_CELLS // cells)
+
+
+def _blocks(matrices: Iterable[np.ndarray], params: SchemeParams) -> Iterator[np.ndarray]:
+    """The matrices, in order, stacked into blocks of _chunk(params)."""
+    matrices = iter(matrices)
+    while batch := list(islice(matrices, _chunk(params))):
+        yield np.concatenate(batch)
+
+
+def _costs(blocks: Iterable[np.ndarray], params: SchemeParams) -> Iterator[CostReport]:
+    """cost_realized of each matrix, in order, from (k * n_e, n_h) blocks
+    of k <= _chunk(params) stacked matrices.
 
     Cover ids are row-wise, so one cover_ids call plans every layer of
-    every matrix of a chunk, with one plan_layer call. It plans only the
-    chunk's distinct rows, keyed by their packed bits (any n_h), and
+    every matrix of a block, with one plan_layer call. It plans only the
+    block's distinct rows, keyed by their packed bits (any n_h), and
     each stacked row reads its ids back through the unique inverse: a
-    chunk of strict rows holds at most C(n_h, s) distinct ones. A row
+    block of strict rows holds at most C(n_h, s) distinct ones. A row
     heavier than s would be reported by its number among the distinct
     rows; no caller passes one, since every matrix here is enumerated
-    or sampled from Omega(s). A chunk holds at most
-    aggregate.COUNT_CELLS (edge, layer, slot) cells, or one matrix,
-    which bounds the memory of a count whatever the number of matrices;
-    cover_ids plans a matrix of more cells a slice of layers at a time.
+    or sampled from Omega(s). cover_ids plans a matrix of more than
+    aggregate.COUNT_CELLS cells a slice of layers at a time.
     """
-    cells = params.n_e * params.layers * (params.nu + params.s)
-    chunk = max(1, aggregate.COUNT_CELLS // cells)
-    matrices = iter(matrices)
-    while batch := list(islice(matrices, chunk)):
-        stacked = np.concatenate(batch)
+    for stacked in blocks:
         keys = np.packbits(stacked != 0, axis=1)
         _, first, inverse = np.unique(
             keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
@@ -250,7 +263,7 @@ def _costs(matrices: Iterable[np.ndarray], params: SchemeParams) -> Iterator[Cos
             return_inverse=True,
         )
         cover = aggregate.cover_ids(stacked[first], params)[inverse]
-        counts = aggregate.count_groups(cover.reshape(len(batch), params.n_e, -1), params)
+        counts = aggregate.count_groups(cover.reshape(-1, params.n_e, cover.shape[1]), params)
         for beta, m_j in zip(counts.beta, counts.m_j):
             yield cost_realized(GroupCounts(params, beta, m_j))
 
@@ -293,8 +306,8 @@ def cost_worst_case(params: SchemeParams, mode: str = "theorem") -> WorstCaseCos
             value=bound, tight=star == bound, lower_bound=star, mode=mode
         )
     if mode == "brute_force":
-        matrices = enumerate_row_sets(params.n_e, params.n_h, params.s)
-        best = max(report.c_hm_realized for report in _costs(matrices, params))
+        blocks = _blocks(enumerate_row_sets(params.n_e, params.n_h, params.s), params)
+        best = max(report.c_hm_realized for report in _costs(blocks, params))
         return WorstCaseCost(value=best, tight=True, lower_bound=best, mode=mode)
     raise ConfigurationError(f"unknown mode {mode!r}; use theorem or brute_force")
 
@@ -307,22 +320,28 @@ def cost_average(
 ) -> AverageCost:
     """Mean realized cost over Omega(s): exact enumeration or Monte Carlo.
 
-    Monte Carlo draws trials matrices with sample_uniform from seed, a
-    numpy Generator or a non-negative integer, one after another.
+    Monte Carlo draws trials matrices from seed, a numpy Generator or a
+    non-negative integer, a cost chunk of k matrices at a time: one
+    sample_uniform call of k * n_e rows, costed as drawn. That block is
+    exactly the k matrices that k calls of n_e rows would draw one after
+    another, and leaves the generator in the same state, since
+    sample_uniform's matrix is bit for bit one rng.choice per row.
     """
     if mode == "exhaustive":
-        matrices = enumerate_all(params.n_e, params.n_h, params.s)
-        total = sum((report.c_hm_realized for report in _costs(matrices, params)), Fraction(0))
+        blocks = _blocks(enumerate_all(params.n_e, params.n_h, params.s), params)
+        total = sum((report.c_hm_realized for report in _costs(blocks, params)), Fraction(0))
         count = omega_size(params.n_e, params.n_h, params.s)
         return AverageCost(value=total / count, stderr=None, mode=mode, trials=None)
     if mode == "monte_carlo":
         check_count(trials, "trials")
         rng = seeded_rng(seed)
-        matrices = (
-            sample_uniform(params.n_e, params.n_h, params.s, rng) for _ in range(trials)
+        chunk = _chunk(params)
+        blocks = (
+            sample_uniform(params.n_e * min(chunk, trials - done), params.n_h, params.s, rng)
+            for done in range(0, trials, chunk)
         )
         samples = np.fromiter(
-            (float(report.c_hm_realized) for report in _costs(matrices, params)),
+            (float(report.c_hm_realized) for report in _costs(blocks, params)),
             dtype=float,
             count=trials,
         )

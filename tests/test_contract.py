@@ -4,7 +4,8 @@ reaches aggregate.plan_layer once per erasure matrix in a round, and
 once per chunk of matrices in cost analysis, each call planning every
 layer (aggregate.cover_ids) of the round's rows or of the chunk's
 distinct rows, so plan_useful_ratio stays defined: L on a round, and L
-times the matrices of a chunk in cost analysis. The field
+times the matrices of a chunk in cost analysis. Monte Carlo draws each
+chunk with one erasure.sample_uniform call. The field
 kernels keep the call shape that roundbench's argument counters read."""
 
 import importlib
@@ -73,6 +74,7 @@ def test_monte_carlo_plans_each_layer_once_per_chunk_and_costs_each_trial(monkey
     # chunk and layer, never one per stacked row
     calls = counting(monkeypatch, "layeragg.aggregate:plan_layer", lambda args: (args[0], len(args[2])))
     costed = counting(monkeypatch, "layeragg.master:cost_realized")
+    sampled = counting(monkeypatch, "layeragg.erasure:sample_uniform")  # rows drawn per call
     params = SchemeParams(p=120, n_e=7, n_h=6, s=2, nu=2)
 
     def distinct_rows(trials, chunk):
@@ -85,15 +87,18 @@ def test_monte_carlo_plans_each_layer_once_per_chunk_and_costs_each_trial(monkey
     master.cost_average(params, mode="monte_carlo", trials=3, seed=np.random.default_rng(1))
     assert calls == [(0, rows * params.layers) for rows in distinct_rows(3, 3)]
     assert len(costed) == 3
+    assert sampled == [3 * 7]
     # chunks of two matrices: 5 trials make 3 chunks
     cells = params.n_e * params.layers * (params.nu + params.s)
     monkeypatch.setattr(aggregate, "COUNT_CELLS", 2 * cells + 1)
     calls.clear()
     costed.clear()
+    sampled.clear()
     master.cost_average(params, mode="monte_carlo", trials=5, seed=1)
     assert calls == [(0, rows * params.layers) for rows in distinct_rows(5, 2)]
     assert len(calls) == 3
     assert len(costed) == 5
+    assert sampled == [2 * 7, 2 * 7, 7]
 
 
 def test_layers_wider_than_count_cells_are_planned_in_slices(monkeypatch):

@@ -1,5 +1,8 @@
 """Field arithmetic tests: independent schoolbook oracle, axioms, tables."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,15 @@ def test_constructor_rejects_bad_parameters():
     with pytest.raises(ConfigurationError, match="polynomial"):
         GF(8, poly="x")
     assert GF(np.int64(8)) == GF(8)
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_a_field_pickles_and_copies_as_its_degree_and_polynomial(m):
+    field = GF(m)
+    for other in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field), copy.copy(field)):
+        assert other == field and other.dtype == field.dtype
+        assert other.mul(3, field.order - 1) == field.mul(3, field.order - 1)
+        assert other.inv(7) == field.inv(7) and other.gen_pow(5) == field.gen_pow(5)
 
 
 def test_matmul_against_scalar_loops(gf8):

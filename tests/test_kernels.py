@@ -179,6 +179,24 @@ def test_xor_sum_of_one_row_is_a_copy_of_that_row(m):
     assert not np.shares_memory(total, row)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+@pytest.mark.parametrize("m", [8, 16])
+def test_xor_sum_equals_the_xor_reduce_of_the_rows(m, layout):
+    field = GF(m)
+    rng = np.random.default_rng(m)
+    for r in range(6):
+        x = rng.integers(0, field.order, size=(r, 2 * 37), dtype=field.dtype)
+        if layout == "strided":
+            x = x[:, ::2]
+        elif layout == "transposed":
+            x = np.ascontiguousarray(x.T).T
+        before = x.copy()
+        total = field.xor_sum(x)
+        assert total.dtype == field.dtype and total.shape == (x.shape[1],)
+        assert np.array_equal(total, np.bitwise_xor.reduce(x, axis=0)), r
+        assert np.array_equal(x, before) and not np.shares_memory(total, x)
+
+
 def placed(x: np.ndarray, layout: str) -> np.ndarray:
     """A copy of x, C-contiguous at an odd byte address for "offset", and
     with every other column of a wider array for "strided"."""

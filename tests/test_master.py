@@ -363,6 +363,48 @@ def test_monte_carlo_values_are_pinned_per_seed(seed, value, stderr):
     assert (mc.value, mc.stderr) == pytest.approx((value, stderr), rel=1e-12, abs=0)
 
 
+def generator(bits, pending: bool) -> np.random.Generator:
+    rng = np.random.Generator(bits(12))
+    if pending:
+        # one 32-bit draw leaves the other half of a 64-bit output pending
+        rng.integers(0, 1 << 32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("chunk, sizes", [(None, [5]), (2, [2, 2, 1])], ids=["one-chunk", "chunks-of-2"])
+@pytest.mark.parametrize(
+    "bits, pending",
+    [(np.random.PCG64, False), (np.random.PCG64, True), (np.random.MT19937, False)],
+    ids=["pcg64", "pcg64-pending-half", "mt19937"],
+)
+def test_monte_carlo_costs_the_matrices_that_sequential_draws_give(monkeypatch, bits, pending, chunk, sizes):
+    """One sample_uniform call per chunk of k matrices, of k * n_e rows,
+    draws the matrices that trials calls of n_e rows draw one after
+    another, and leaves the passed generator in the same state."""
+    params = SchemeParams(p=115, n_e=7, n_h=6, s=2, nu=2)
+    replay = generator(bits, pending)
+    drawn = [sample_uniform(params.n_e, params.n_h, params.s, replay) for _ in range(5)]
+    samples = np.array([float(cost_realized(RoundPlan(eps, params)).c_hm_realized) for eps in drawn])
+    if chunk:
+        cells = params.n_e * params.layers * (params.nu + params.s)
+        monkeypatch.setattr(aggregate, "COUNT_CELLS", chunk * cells + 1)
+    blocks = []
+
+    def sampling(*args):
+        blocks.append(sample_uniform(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(master, "sample_uniform", sampling)
+    rng = generator(bits, pending)
+    mc = cost_average(params, "monte_carlo", trials=5, seed=rng)
+    assert [len(block) for block in blocks] == [params.n_e * k for k in sizes]
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(drawn))
+    np.testing.assert_equal(rng.bit_generator.state, replay.bit_generator.state)
+    assert mc.value == float(samples.mean())
+    assert mc.stderr == float(samples.std(ddof=1) / np.sqrt(5))
+
+
 def test_cost_api_faults_raise_configuration_error():
     params = SchemeParams(p=3, n_e=2, n_h=3, s=1, nu=1)
     with pytest.raises(ConfigurationError, match="unknown mode 'nope'; use exhaustive or monte_carlo"):
@@ -580,7 +622,7 @@ def test_cost_modes_equal_per_matrix_costs_past_64_helpers(monkeypatch):
     mc = cost_average(params, "monte_carlo", trials=4, seed=5)
     assert mc.value == float(np.mean([float(r.c_hm_realized) for r in drawn]))
     rows = planned_rows(monkeypatch)
-    assert list(master._costs(matrices, params)) == expected
+    assert list(master._costs(master._blocks(matrices, params), params)) == expected
     assert rows == [5]
 
 
@@ -593,11 +635,11 @@ def test_costs_of_lax_chunks_with_all_zero_rows_equal_per_matrix_costs(monkeypat
         matrices.append(from_erased_sets(rows, 5))
     expected = alone(matrices, params)
     rows = planned_rows(monkeypatch)
-    assert list(master._costs(matrices, params)) == expected
+    assert list(master._costs(master._blocks(matrices, params), params)) == expected
     assert rows == [distinct(matrices)]
     # chunks of three matrices, each its own distinct rows
     cells = params.n_e * params.layers * (params.nu + params.s)
     monkeypatch.setattr(aggregate, "COUNT_CELLS", 3 * cells)
     rows.clear()
-    assert list(master._costs(matrices, params)) == expected
+    assert list(master._costs(master._blocks(matrices, params), params)) == expected
     assert rows == [distinct(matrices[start : start + 3]) for start in (0, 3, 6)]

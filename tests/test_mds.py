@@ -162,6 +162,48 @@ def test_invert_matrix_round_trip_and_singular(gf8):
         invert_matrix(gf8, np.zeros((2, 3), dtype=np.uint8))
 
 
+def invertible(field, k, rng) -> np.ndarray:
+    """P * L * U: a row permutation of a unit lower triangle times an upper
+    triangle with a nonzero diagonal, so invertible by construction."""
+    draw = lambda low: rng.integers(low, field.order, size=(k, k), dtype=field.dtype)
+    lower = np.tril(draw(0), -1) + np.eye(k, dtype=field.dtype)
+    upper = np.triu(draw(0), 1) + np.diag(np.diag(draw(1)))
+    return field.matmul(lower, upper)[rng.permutation(k)]
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_invert_matrix_gives_the_inverse_of_random_matrices(m):
+    field = GF(m)
+    rng = np.random.default_rng(m)
+    for k in range(1, 9):
+        for _ in range(3):
+            a = invertible(field, k, rng)
+            inv = invert_matrix(field, a)
+            assert inv.dtype == field.dtype and inv.shape == (k, k)
+            eye = np.eye(k, dtype=field.dtype)
+            assert np.array_equal(field.matmul(a, inv), eye), (k, a.tolist())
+            assert np.array_equal(field.matmul(inv, a), eye), (k, a.tolist())
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_invert_matrix_rejects_singular_and_non_square_matrices(m):
+    field = GF(m)
+    rng = np.random.default_rng(m + 1)
+    for k in range(2, 9):
+        a = invertible(field, k, rng)
+        # the last row a field combination of the others: rank k - 1
+        c = rng.integers(1, field.order, size=(1, k - 1), dtype=field.dtype)
+        a[-1] = field.matmul(c, a[:-1])[0]
+        with pytest.raises(ValueError, match="^singular matrix: no pivot in column "):
+            invert_matrix(field, a)
+    with pytest.raises(ValueError, match=r"^singular matrix: no pivot in column 0$"):
+        invert_matrix(field, np.zeros((3, 3), dtype=field.dtype))
+    with pytest.raises(ValueError, match=r"^singular matrix: no pivot in column 1$"):
+        invert_matrix(field, np.array([[1, 2], [0, 0]], dtype=field.dtype))
+    with pytest.raises(ValueError, match=r"^matrix is not square: \(2, 3\)$"):
+        invert_matrix(field, np.zeros((2, 3), dtype=field.dtype))
+
+
 def test_singular_minors_flags_corrupt_generator(gf8):
     good = make_generator(gf8, 2, 2)
     assert singular_minors(good) == []
