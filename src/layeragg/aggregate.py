@@ -497,12 +497,16 @@ class GroupSums:
 
     def fold(self, i: int, symbols: np.ndarray, helper: int | None = None) -> None:
         """Add edge i's (nu+s, L*d) codeword into the sums it feeds, or with
-        helper j given, the (b, d) column it sent j, which aggregate_helper
-        checks. An i that is not an edge of the round, or a codeword of
-        another shape or dtype, raises ProtocolError."""
+        helper j given, the (b, d) column it sent j. An i that is not an
+        edge of the round, a j that is not a helper of it, or a codeword or
+        column of another shape or of a dtype other than the field's, raises
+        ProtocolError."""
         params, d = self.plan.params, self.plan.params.d
+        if helper is not None and not (is_integer(helper) and 0 <= helper < params.n_h):
+            raise ProtocolError(f"fold got {helper!r}, not a helper of the round")
         if not is_integer(i) or not 0 <= i < params.n_e:
-            raise ProtocolError(f"fold got {i!r}, not an edge of the round")
+            sender = "fold got" if helper is None else f"helper {helper} got a column from"
+            raise ProtocolError(f"{sender} {i!r}, not an edge of the round")
         if helper is None:
             shape, dtype = (params.nu + params.s, params.layers * d), self.field.dtype
             if np.shape(symbols) != shape or getattr(symbols, "dtype", None) != dtype:
@@ -510,6 +514,17 @@ class GroupSums:
             feeds = self.plan.feeds[i]
             self.folded[i] = self.plan.eps[i] == 0
         else:
+            if np.shape(symbols) != (params.b, d):
+                raise ProtocolError(
+                    f"helper {helper} got a column of shape {np.shape(symbols)} from edge {i}, "
+                    f"expected ({params.b}, {d})"
+                )
+            dtype = getattr(symbols, "dtype", type(symbols).__name__)
+            if dtype != self.field.dtype:
+                raise ProtocolError(
+                    f"helper {helper} got a column of dtype {dtype} from edge {i}, "
+                    f"expected {self.field.dtype}"
+                )
             feeds = self.plan.feeds[i, params.layer_map.cells[helper]]
             self.folded[i, helper] = True
         fed = np.flatnonzero(feeds >= 0)
@@ -529,11 +544,12 @@ def aggregate_helper(
     edge's (b, d) column, present only for surviving links, folded here
     into a fresh GroupSums. The entries are a view of the round's rows, or
     a copy of j's rows on the mapping path. A key that is not an edge of
-    the round, a column of another shape or of a dtype other than the
-    field's, or the GroupSums of another plan or field, raises
-    ProtocolError, as does a cell feeding j's message over a link that was
-    not folded: every group sum only touches edges whose link to j
-    survived. So does a j that is not a helper of the round.
+    the round, or a column of another shape or of a dtype other than the
+    field's, raises GroupSums.fold's ProtocolError. The GroupSums of
+    another plan or field raises ProtocolError, as does a cell feeding
+    j's message over a link that was not folded: every group sum only
+    touches edges whose link to j survived. So does a j that is not a
+    helper of the round.
     """
     params, sums = plan.params, received
     if not is_integer(j) or not 0 <= j < params.n_h:
@@ -541,19 +557,6 @@ def aggregate_helper(
     if not isinstance(received, GroupSums):
         sums = GroupSums(plan, field)
         for i, column in received.items():
-            if not is_integer(i) or not 0 <= i < params.n_e:
-                raise ProtocolError(f"helper {j} got a column from {i!r}, not an edge of the round")
-            if np.shape(column) != (params.b, params.d):
-                raise ProtocolError(
-                    f"helper {j} got a column of shape {np.shape(column)} from edge {i}, "
-                    f"expected ({params.b}, {params.d})"
-                )
-            dtype = getattr(column, "dtype", type(column).__name__)
-            if dtype != field.dtype:
-                raise ProtocolError(
-                    f"helper {j} got a column of dtype {dtype} from edge {i}, "
-                    f"expected {field.dtype}"
-                )
             sums.fold(i, column, helper=j)
     elif received.plan is not plan or received.field != field:
         raise ProtocolError(f"helper {j} got the group sums of another round or field")

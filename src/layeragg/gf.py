@@ -24,25 +24,27 @@ in L2. The log/antilog tables serve only to build the packed tables,
 once per word of coefficients. The two products differ in their tables
 and units:
 
-- GF.matmul, for one-off coefficients (decode solves, make_generator),
-  packs 8 // element_bytes rows a word (8 for m <= 8, 4 for m = 16), in
-  lanes of one symbol. Its tables (_word_tables) have 256 entries, one
-  per byte, and a symbol is read in one pass per byte.
+- GF.matmul, for one-off coefficients (the r x r decode solves of
+  master.decode_global, make_generator), packs 8 // element_bytes rows a
+  word (8 for m <= 8, 4 for m = 16), in lanes of one symbol. Its tables
+  (_word_tables) have 256 entries, one per byte, and a symbol is read in
+  one pass per byte.
 - GF.matmul_fixed, for a coefficient matrix that is reused across many
   calls, such as a code's parity coefficients, which every edge of every
-  round multiplies by (mds.fill_parity), reads and writes rows as 16-bit
-  units, '<u2' views of the rows: one symbol at m = 16, two adjacent
-  symbols, low byte first, at m <= 8. Its tables (_symbol_tables) have
-  2^16 entries, one per unit, with 16-bit lanes for a word of up to 4
-  rows, laid out as the unit itself: 256 KiB for a word of one or two
-  rows. At m <= 8 that is one gather per two symbols; an odd row's last
-  symbol is a unit whose high byte is zero. On a 2-vCPU Xeon host, in
-  two runs of 300 interleaved calls, long_gf8's (2, 3) x (3, 349552)
-  GF(2^8) encode took 1.68-1.84 ms against 2.46-2.54 ms for one gather
-  per symbol, and layers_gf16's (2, 4) x (4, 13440) GF(2^16) encode, one
-  gather per symbol either way, 157-214 against 158-232 us. A table
-  takes 60-150 us to build, so it pays off only when its coefficients
-  are reused.
+  round multiplies by (mds.fill_parity) and by which the decode
+  re-encodes the message symbols it received (master.decode_global),
+  reads and writes rows as 16-bit units, '<u2' views of the rows: one
+  symbol at m = 16, two adjacent symbols, low byte first, at m <= 8. Its
+  tables (_symbol_tables) have 2^16 entries, one per unit, with 16-bit
+  lanes for a word of up to 4 rows, laid out as the unit itself: 256 KiB
+  for a word of one or two rows. At m <= 8 that is one gather per two
+  symbols; an odd row's last symbol is a unit whose high byte is zero.
+  On a 2-vCPU Xeon host, in two runs of 300 interleaved calls,
+  long_gf8's (2, 3) x (3, 349552) GF(2^8) encode took 1.68-1.84 ms
+  against 2.46-2.54 ms for one gather per symbol, and layers_gf16's
+  (2, 4) x (4, 13440) GF(2^16) encode, one gather per symbol either way,
+  157-214 against 158-232 us. A table takes 60-150 us to build, so it
+  pays off only when its coefficients are reused.
 """
 
 from __future__ import annotations

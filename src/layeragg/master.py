@@ -4,10 +4,12 @@ The master derives every helper's emission order from the erasure
 matrix, through the same RoundPlan the helpers use, so the aggregated
 messages need no tags. The plan's decode_patterns hold, per emitter-slot
 pattern, the rows of the concatenated messages that carry each group's
-nu entries; the master gathers those rows once per pattern and
-MDS-decodes them at the coordinates of the emitting helpers (one solve
-per pattern, shared by every group with that pattern), sums the group
-messages into per-layer totals, and inverts the partition layout.
+nu entries. The code is systematic, G = [I | A], so a group's entry at a
+message slot is already its message symbol: the master XORs those rows
+straight into the per-layer totals, and solves only for the r <= s
+message slots that the pattern's cover holds, from its r parity entries
+(one r x r solve per pattern, shared by every group with that pattern).
+Then it inverts the partition layout.
 
 Costs are exact rationals. The primary c_eh / c_hm_realized fields are
 normalized by the padded gradient length, which makes the closed forms
@@ -28,6 +30,7 @@ sorting each (matrix, layer)'s ids above that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -155,8 +158,18 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
 
     messages is a sequence of AggregatedMessage indexed by helper. Every
     (layer, group) is an MDS erasure decode at the layer slots of its nu
-    emitters. Groups that share those slots share one solve: their rows
-    are gathered side by side and decoded with one field matmul.
+    emitters, and groups that share those slots are decoded side by side.
+    The generator is systematic, G = [I | A], so of a pattern's slots the
+    k message slots K carry the message symbols y_K = m_K, which are XORed
+    straight into the layer sums. Its r = nu - k parity slots Q carry
+    y_Q = A[K, Q]^T m_K + A[M, Q]^T m_M, where M are the r message slots
+    of its cover, so m_M = (A[M, Q]^T)^-1 (y_Q + A[K, Q]^T y_K). The
+    re-encode A[K, Q]^T y_K is one GF.matmul_fixed by all s rows of A^T's
+    columns K: each of its words of coefficients is one the encoder's
+    fill_parity reads, so its tables are already cached. The solve is one
+    r x r invert_matrix and one GF.matmul; a pattern with r = 0 needs
+    neither. A[M, Q] is a square submatrix of A, so it is nonsingular
+    (see mds).
 
     The rows to gather come from plan.decode_patterns. A message whose
     sender slot, symbol width, dtype or length (against the plan's m_j) is
@@ -186,14 +199,29 @@ def decode_global(messages, plan: RoundPlan, code: MdsCode) -> np.ndarray:
         if len(msg) != m_j:
             raise ProtocolError(f"helper {j} sent {len(msg)} entries, schedule has {m_j}")
 
+    nu = params.nu
+    parity = code.generator[:, nu:].T  # (s, nu): A^T, the encoder's coefficients
     stacked = _stacked([m.entries for m in messages])
-    layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=field.dtype)
+    layer_sums = np.zeros((params.layers, nu, params.d), dtype=field.dtype)
+    by_slot = layer_sums.transpose(1, 0, 2)
     for slots, (layers, rows) in plan.decode_patterns.items():
-        solver = invert_matrix(field, code.generator[:, list(slots)].T)
-        decoded = field.matmul(solver, stacked[rows].reshape(params.nu, -1))
-        layer_sums[layers] ^= decoded.reshape(
-            params.nu, len(layers), params.d
-        ).transpose(1, 0, 2)
+        k = bisect_left(slots, nu)  # slots ascend: K = slots[:k], Q = slots[k:]
+        kept, parities = list(slots[:k]), [q - nu for q in slots[k:]]
+        if k:
+            message = stacked[rows[:k]]
+            by_slot[np.ix_(kept, layers)] ^= message
+        if not parities:
+            continue
+        residue = stacked[rows[k:]].reshape(len(parities), -1)
+        if k:
+            product = field.matmul_fixed(parity[:, kept], message.reshape(k, -1))
+            for row, q in zip(residue, parities):
+                row ^= product[q]
+            del product  # freed before the solve allocates its output
+        solved = [t for t in range(nu) if t not in kept]
+        solver = invert_matrix(field, parity[np.ix_(parities, solved)])
+        decoded = field.matmul(solver, residue)
+        by_slot[np.ix_(solved, layers)] ^= decoded.reshape(len(solved), -1, params.d)
     return reassemble_gradient(layer_sums, params)
 
 

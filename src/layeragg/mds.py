@@ -1,10 +1,22 @@
 """Systematic [nu+s, nu] MDS codes: construction, encoding, erasure decoding.
 
-The generator starts from a nu x (nu+s) matrix whose columns are
-Vandermonde in the first nu+s powers of the field generator, then the
-left block is row-reduced to the identity. Distinct evaluation points
-make every maximal minor invertible, and row reduction preserves that,
-so the resulting systematic code is MDS.
+make_generator takes the nu x (nu+s) Vandermonde matrix V, V[i, c] =
+x_c^i, in the distinct nonzero points x_c = g^c, c < nu+s, of the field
+generator g, and returns G = V[:, :nu]^-1 V = [I | A], whose left block
+is the identity.
+
+Every nu-minor of G is nonzero. For any nu columns S, det G[:, S] =
+det V[:, S] / det V[:, :nu], a ratio of Vandermonde determinants in
+distinct points: each is the product of x_b - x_a over the pairs a < b
+of its points, and no factor is zero. So any nu coordinates of a
+codeword determine its message, and the code is MDS.
+
+Corollary: every square submatrix of the parity block A is nonsingular.
+Take r rows M and r columns Q of A, and let S be the nu - r message
+slots outside M together with the parity slots nu + Q. The columns of
+G[:, S] at those message slots are unit vectors, so expanding det
+G[:, S] along them leaves +-det A[M, Q], which is then nonzero. This is
+the r x r solve of master.decode_global, with K the message slots in S.
 """
 
 from __future__ import annotations

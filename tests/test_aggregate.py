@@ -947,6 +947,29 @@ def test_group_sums_reject_an_index_that_is_not_an_edge(gf8, i):
     assert not sums.folded.any() and not sums.rows.any()
 
 
+@pytest.mark.parametrize("helper", [-1, 6, 99, 2.0, True, "x"])
+def test_fold_rejects_a_column_for_an_index_that_is_not_a_helper(gf8, helper):
+    # n_h = 6, so -1 would fold the link to helper 5 and 6 index past the cells
+    params, code, eps = seven_edge_setup(gf8)
+    sums = GroupSums(RoundPlan(eps, params), gf8)
+    column = encode_client(np.ones(120, dtype=np.uint8), params, code).column(0)
+    with pytest.raises(ProtocolError, match=re.escape(f"fold got {helper!r}, not a helper of the round")):
+        sums.fold(0, column, helper=helper)
+    assert not sums.folded.any() and not sums.rows.any()
+
+
+@pytest.mark.parametrize("dtype, shape", [(np.uint8, (3, 3)), (np.uint16, (10, 4))])
+def test_fold_rejects_a_column_of_another_shape_or_dtype(gf8, dtype, shape):
+    params, _, eps = seven_edge_setup(gf8)
+    assert (params.b, params.d) == (10, 4)
+    sums = GroupSums(RoundPlan(eps, params), gf8)
+    what = f"shape {shape}" if dtype is np.uint8 else "dtype uint16"
+    message = f"helper 1 got a column of {what} from edge 0, expected "
+    with pytest.raises(ProtocolError, match=re.escape(message)):
+        sums.fold(0, np.zeros(shape, dtype), helper=1)
+    assert not sums.folded.any() and not sums.rows.any()
+
+
 def test_fold_names_the_same_missing_symbol_as_the_reference(gf8):
     params = SchemeParams(p=120, n_e=9, n_h=6, s=2, nu=2)
     code = make_generator(gf8, 2, 2)

@@ -195,3 +195,19 @@ def test_field_kernels_keep_the_call_shape_of_the_benchmark_counters():
     summary = traced.summary()
     assert summary["gf.matmul"]["calls"] and summary["gf.matmul"]["counts"]["mults"]
     assert summary["gf.xor_sum"]["calls"] and summary["gf.xor_sum"]["counts"]["ops"]
+
+
+def test_decode_from_makes_the_calls_the_tracer_self_test_counts(monkeypatch):
+    """roundbench's tracer self-test builds a (3, 2) code and decodes
+    positions [0, 1, 2] with mds.decode_from, then pins two invert_matrix
+    calls and 27 + 45 GF.matmul mults. A decode change that altered these
+    calls would fail the benchmark's own self-test."""
+    inverted = counting(monkeypatch, "layeragg.mds:invert_matrix", lambda args: np.shape(args[1]))
+    products = counting(
+        monkeypatch, "layeragg.gf:GF.matmul", lambda args: (np.shape(args[1]), np.shape(args[2]))
+    )
+    code = layeragg.make_generator(layeragg.GF(8), 3, 2)
+    assert (inverted, products) == ([(3, 3)], [((3, 3), (3, 5))])
+    message = layeragg.mds.decode_from(code, [0, 1, 2], code.generator.T[:3])
+    assert (inverted, products) == ([(3, 3)] * 2, [((3, 3), (3, 5)), ((3, 3), (3, 3))])
+    assert np.array_equal(message, np.eye(3, dtype=np.uint8))

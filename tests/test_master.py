@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from reference_plan import lexmin_cover
 
-from layeragg import aggregate, master
+from layeragg import aggregate, gf, master
 from layeragg.aggregate import AggregatedMessage, GroupSums, RoundPlan, aggregate_helper
-from layeragg.client import SchemeParams, encode_client, random_gradient
+from layeragg.client import SchemeParams, encode_client, random_gradient, reassemble_gradient
 from layeragg.erasure import (
     enumerate_all,
     enumerate_row_sets,
@@ -28,7 +28,7 @@ from layeragg.master import (
     cost_worst_case,
     decode_global,
 )
-from layeragg.mds import make_generator
+from layeragg.mds import decode_from, make_generator
 
 SEVEN_EDGE_ROWS = [[4, 5], [4, 5], [3, 4], [2, 3], [2, 3], [0, 1], [0, 1]]
 
@@ -174,6 +174,72 @@ def test_decode_reads_the_group_sums_of_a_round_in_place(gf8):
     assert decoded.tobytes() == want.tobytes()
     copies = [AggregatedMessage(helper=m.helper, entries=m.entries.copy()) for m in messages]
     assert decode_global(copies, plan, code).tobytes() == want.tobytes()
+
+
+def full_solve_decode(messages, plan, code):
+    """decode_global by definition: each group's nu entries, placed by the
+    messages' schedules, decoded alone by mds.decode_from's nu x nu solve
+    and XORed into its layer's sum; and the r of every group, its emitters
+    at parity slots."""
+    params = plan.params
+    groups = {}
+    for msg, schedule in zip(messages, plan.schedules):
+        for row, (layer, image) in zip(msg.entries, schedule):
+            slot = plan.layer_plans[layer].helpers.index(msg.helper)
+            groups.setdefault((layer, image), {})[slot] = row
+    layer_sums = np.zeros((params.layers, params.nu, params.d), dtype=code.field.dtype)
+    covered = set()
+    for (layer, _), rows in groups.items():
+        slots = sorted(rows)
+        layer_sums[layer] ^= decode_from(code, slots, np.stack([rows[t] for t in slots]))
+        covered.add(sum(t >= params.nu for t in slots))
+    return reassemble_gradient(layer_sums, params), covered
+
+
+@pytest.mark.parametrize(
+    "m, nu, s, n_h",
+    [(4, 2, 2, 6), (8, 3, 2, 8), (16, 4, 2, 10), (8, 1, 3, 5), (16, 3, 3, 7), (8, 2, 5, 8)],
+    ids=["gf4", "gf8", "gf16", "nu-1", "r-to-3", "s-5-two-words"],
+)
+def test_systematic_decode_equals_a_full_solve_per_group(monkeypatch, m, nu, s, n_h):
+    # every r from 0 to min(nu, s), rows of weight s, below s and 0, and
+    # at s = 5 a re-encode of two coefficient words per received row, on
+    # rows of odd length (d = 63) that take matmul_fixed's last-symbol path
+    field, n_e = GF(m), 24
+    params = SchemeParams(p=997, n_e=n_e, n_h=n_h, s=s, nu=nu)
+    rng = np.random.default_rng(m * 100 + nu * 10 + s)
+    eps = sample_uniform(n_e, n_h, s, rng)
+    eps[:4] = 0
+    for row in eps[4:10]:
+        row[rng.choice(np.flatnonzero(row), size=rng.integers(1, s + 1), replace=False)] = 0
+    # r = 0 in layer 0: a footprint of exactly its parity slots
+    eps[10] = 0
+    eps[10, params.layer_map.slot_helpers[0, nu:]] = 1
+    plan = RoundPlan(eps, params)
+    code = make_generator(field, nu, s)
+    grads = np.stack([random_gradient(rng, field, params.p) for _ in range(n_e)])
+    sums = GroupSums(plan, field)
+    for i, g in enumerate(grads):
+        sums.fold(i, encode_client(g, params, code).codeword)
+    messages = [aggregate_helper(j, sums, plan, field) for j in range(n_h)]
+    want, covered = full_solve_decode(messages, plan, code)
+    assert covered == set(range(min(nu, s) + 1))
+    assert np.array_equal(want, np.bitwise_xor.reduce(grads, axis=0))
+    solves, invert = [], master.invert_matrix
+
+    def counting(f, a):
+        solves.append(np.shape(a))
+        return invert(f, a)
+
+    monkeypatch.setattr(master, "invert_matrix", counting)
+    misses = gf._symbol_tables.cache_info().misses
+    got = decode_global(messages, plan, code)
+    # the re-encodes read only the tables the encodes built
+    assert gf._symbol_tables.cache_info().misses == misses
+    assert got.tobytes() == want.tobytes()
+    # one r x r solve per pattern with r >= 1 of its slots at parities
+    assert solves == [(r, r) for r in (sum(t >= nu for t in slots) for slots in plan.decode_patterns) if r]
+    assert {r for r, _ in solves} == set(range(1, min(nu, s) + 1))
 
 
 def test_decode_names_a_message_in_the_wrong_slot(gf8):

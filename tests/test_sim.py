@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -296,9 +297,11 @@ def test_round_plans_each_layer_once(monkeypatch):
     assert calls == [0]
 
 def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_edge(monkeypatch):
-    # GF.matmul: one decode solve per distinct emitter-slot pattern, and
-    # the generator's own product; GF.matmul_fixed: one parity product per
-    # edge, by the code's parity coefficients
+    # GF.matmul: the generator's own product, then one r x r solve per
+    # emitter-slot pattern that covers r >= 1 message slots; GF.matmul_fixed:
+    # one parity product per edge, then one re-encode of the k = nu - r
+    # received message rows by the code's parity coefficients per such
+    # pattern with k >= 1
     calls, fixed = [], []
     matmul, matmul_fixed = GF.matmul, GF.matmul_fixed
 
@@ -316,15 +319,27 @@ def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_e
     result = run_round(scenario)
     assert result.passed
     params = scenario.params()
+    nu, s = params.nu, params.s
     plan = aggregate.RoundPlan(result.eps, params)
-    patterns = {
-        tuple(k for k, h in enumerate(lp.helpers) if h not in cover)
+    # the groups of each cover, as slots of its layer; patterns go in
+    # ascending (lexicographic) cover order
+    covers = Counter(
+        tuple(k for k, h in enumerate(lp.helpers) if h in cover)
         for lp in plan.layer_plans
         for cover in lp.images
-    }
-    assert 1 < len(patterns) < sum(lp.beta for lp in plan.layer_plans)
-    assert len(calls) == len(patterns) + 1
-    assert fixed == [((params.s, params.nu), (params.nu, params.layers * params.d))] * params.n_e
+    )
+    assert 1 < len(covers) < sum(lp.beta for lp in plan.layer_plans)
+    solves, re_encodes = [], []
+    for cover, groups in sorted(covers.items()):
+        r = sum(slot < nu for slot in cover)
+        if r:
+            solves.append(((r, r), (r, groups * params.d)))
+            if r < nu:
+                re_encodes.append(((s, nu - r), (nu - r, groups * params.d)))
+    # some patterns cover no message slot and need no product
+    assert 0 < len(solves) < len(covers)
+    assert calls == [((nu, nu), (nu, nu + s))] + solves
+    assert fixed == [((s, nu), (nu, params.layers * params.d))] * params.n_e + re_encodes
 
 
 def test_invalid_matrix_fails_in_validate_stage():
