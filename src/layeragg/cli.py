@@ -38,7 +38,12 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--field-bits", type=int, default=8, choices=(4, 8, 16))
     parser.add_argument("--output", type=Path, default=None, help="write here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    parser.add_argument(
+        "--format", choices=("json", "csv", "text"), default=None,
+        help="each command honours only some values: encode prints JSON for json, else "
+        "text; simulate adds its JSON report for json; sweep prints JSON for json, else "
+        "CSV; verify always prints JSON",
+    )
 
 
 def _non_negative(value, source: str) -> int:
@@ -197,12 +202,12 @@ def _cmd_verify(args) -> int:
             )
             found = master.cost_worst_case(params, mode="brute_force")
             theorem = master.cost_worst_case(params, mode="theorem")
-            bound = min(params.n_e, params.alpha)
-            ok = found.value <= bound and (not theorem.tight or found.value == theorem.value)
+            bound = theorem.value  # min(n_e, alpha) in both of the theorem's branches
+            ok = found.value <= bound and (not theorem.tight or found.value == bound)
             payload.setdefault("brute_force", {})[str(v)] = {
                 "worst": found.to_dict(),
                 "theorem": theorem.to_dict(),
-                "bound": bound,
+                "bound": int(bound),
                 "consistent": ok,
             }
             if not ok:

@@ -68,7 +68,7 @@ def erased_sets(eps: np.ndarray) -> list[list[int]]:
 def seeded_rng(seed) -> np.random.Generator:
     """seed itself when it is a numpy Generator, else a generator seeded
     with it, which must be a non-negative integer."""
-    if isinstance(seed, np.random.Generator):  # first: Monte Carlo passes one per draw
+    if isinstance(seed, np.random.Generator):  # first: Monte Carlo passes one per chunk
         return seed
     if not is_integer(seed) or seed < 0:
         raise ConfigurationError(f"seed must be a numpy Generator or a non-negative integer, got {seed!r}")

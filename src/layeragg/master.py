@@ -22,16 +22,12 @@ block of rows, every layer of them in one plan_layer call
 draws each chunk's block with one sample_uniform call, which is exact
 because sample_uniform draws row after row. It plans each distinct row
 of a chunk once, since a row's cover ids depend on that row alone.
-count_groups counts a chunk by one presence word per (matrix, layer)
-while alpha = C(nu+s, s) <= 64, in the narrowest unsigned dtype of
-alpha bits, with no per-id temporary wider than the word, and by
-sorting each (matrix, layer)'s ids above that.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -55,8 +51,14 @@ from .gf import check_count
 from .mds import MdsCode, invert_matrix
 
 
-def _rational_dict(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator, "float": float(x)}
+def _fields_json(result) -> dict:
+    """A cost result's fields, in declaration order, each Fraction as
+    {"num", "den", "float"}: the to_dict of every cost result."""
+    return {
+        f.name: {"num": v.numerator, "den": v.denominator, "float": float(v)}
+        if isinstance(v := getattr(result, f.name), Fraction) else v
+        for f in fields(result)
+    }
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,7 @@ class CostReport:
     c_eh_declared: Fraction
     c_hm_realized_declared: Fraction
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "p_padded": self.p_padded,
-            "eh_symbols_per_edge": self.eh_symbols_per_edge,
-            "hm_symbols": self.hm_symbols,
-            "c_eh": _rational_dict(self.c_eh),
-            "c_hm_realized": _rational_dict(self.c_hm_realized),
-            "c_eh_declared": _rational_dict(self.c_eh_declared),
-            "c_hm_realized_declared": _rational_dict(self.c_hm_realized_declared),
-        }
+    to_dict = _fields_json
 
 
 @dataclass(frozen=True)
@@ -101,13 +93,7 @@ class WorstCaseCost:
     lower_bound: Fraction
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "value": _rational_dict(self.value),
-            "tight": self.tight,
-            "lower_bound": _rational_dict(self.lower_bound),
-            "mode": self.mode,
-        }
+    to_dict = _fields_json
 
 
 @dataclass(frozen=True)
@@ -119,18 +105,7 @@ class AverageCost:
     mode: str
     trials: int | None
 
-    def to_dict(self) -> dict:
-        value = (
-            _rational_dict(self.value)
-            if isinstance(self.value, Fraction)
-            else float(self.value)
-        )
-        return {
-            "value": value,
-            "stderr": self.stderr,
-            "mode": self.mode,
-            "trials": self.trials,
-        }
+    to_dict = _fields_json
 
 
 def _stacked(entries: list[np.ndarray]) -> np.ndarray:

@@ -460,6 +460,17 @@ def test_simulate_json_output_is_pinned(m, capsys):
     assert _stdout_sha256(argv, capsys) == SIMULATE_DIGESTS[m]
 
 
+# sha256 of verify's whole JSON report: its checks, then each nu's brute
+# force worst case, the theorem's, the bound and their consistency.
+VERIFY_BRUTE_FORCE_DIGEST = "c17b99620fc95be3c930057d71699596d79faf237bc64ab1e8e7e29c29b5d60b"
+
+
+def test_verify_brute_force_output_is_pinned(capsys):
+    argv = ["verify", "--n-e", "3", "--n-h", "4", "--s", "1", "--nu", "2", "--trials", "2",
+            "--brute-force"]
+    assert _stdout_sha256(argv, capsys) == VERIFY_BRUTE_FORCE_DIGEST
+
+
 # Each would allocate far past the memory cap: a 931 GiB gradient, the
 # C(300, 3) = 4,455,100-row layer grid, a 931 GiB reference sum.
 OVERSIZED = {

@@ -1,5 +1,6 @@
 """Master decode and cost accounting tests; oracle is direct gradient summation."""
 
+import json
 import re
 import tracemalloc
 from fractions import Fraction
@@ -323,6 +324,43 @@ def test_cost_report_optional_sections():
     assert average.to_dict()["value"] == {"num": 13, "den": 9, "float": 13 / 9}
     plain = cost_realized(RoundPlan(eps, params)).to_dict()
     assert "c_hm_worst" not in plain and "c_hm_avg" not in plain
+
+
+# The JSON of each cost result, key order and float text included.
+COST_JSON = {
+    "theorem, tight": (
+        lambda: cost_worst_case(SchemeParams(p=3, n_e=3, n_h=3, s=1, nu=1)),
+        '{"value": {"num": 2, "den": 1, "float": 2.0}, "tight": true, '
+        '"lower_bound": {"num": 2, "den": 1, "float": 2.0}, "mode": "theorem"}',
+    ),
+    "theorem, not tight": (
+        lambda: cost_worst_case(SchemeParams(p=3, n_e=3, n_h=4, s=1, nu=2)),
+        '{"value": {"num": 3, "den": 1, "float": 3.0}, "tight": false, '
+        '"lower_bound": {"num": 9, "den": 4, "float": 2.25}, "mode": "theorem"}',
+    ),
+    "brute force": (
+        lambda: cost_worst_case(SchemeParams(p=3, n_e=3, n_h=4, s=1, nu=2), mode="brute_force"),
+        '{"value": {"num": 3, "den": 1, "float": 3.0}, "tight": true, '
+        '"lower_bound": {"num": 3, "den": 1, "float": 3.0}, "mode": "brute_force"}',
+    ),
+    "exhaustive": (
+        lambda: cost_average(SchemeParams(p=3, n_e=2, n_h=3, s=1, nu=1)),
+        '{"value": {"num": 13, "den": 9, "float": 1.4444444444444444}, '
+        '"stderr": null, "mode": "exhaustive", "trials": null}',
+    ),
+    "monte carlo": (
+        lambda: cost_average(
+            SchemeParams(p=3, n_e=2, n_h=3, s=1, nu=1), mode="monte_carlo", trials=6, seed=0
+        ),
+        '{"value": 1.5, "stderr": 0.1875771446237126, "mode": "monte_carlo", "trials": 6}',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COST_JSON))
+def test_cost_result_json_is_pinned(case):
+    compute, expected = COST_JSON[case]
+    assert json.dumps(compute().to_dict()) == expected
 
 
 def test_worst_case_theorem_tight_when_edges_cover(gf8):
