@@ -341,11 +341,22 @@ def run_scenario(scenario: Scenario, rounds: int = 1) -> list[RoundResult]:
 
 @dataclass
 class TradeoffRow:
+    """One nu of a sweep. A field declared Fraction prints exactly, as
+    {"num", "den"}; the measured cost, a Fraction too, prints as a float."""
+
     nu: int
     c_eh: Fraction
     c_hm: Fraction
     tight: bool
     measured: Fraction | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            f.name: {"num": v.numerator, "den": v.denominator} if f.type == "Fraction"
+            else float(v) if isinstance(v, Fraction) else v
+            for f in fields(self)
+            for v in [getattr(self, f.name)]
+        }
 
 
 @dataclass
@@ -356,41 +367,25 @@ class TradeoffTable:
     rows: list[TradeoffRow]
 
     def to_csv(self) -> str:
+        """to_dict's rows, one line each: a {"num", "den"} field as its _num
+        and _den columns, a bool in lower case, None as an empty cell."""
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(
-            ["nu", "c_eh_num", "c_eh_den", "c_hm_num", "c_hm_den", "tight", "measured"]
+            f.name + part
+            for f in fields(TradeoffRow)
+            for part in (("_num", "_den") if f.type == "Fraction" else ("",))
         )
         for row in self.rows:
-            writer.writerow(
-                [
-                    row.nu,
-                    row.c_eh.numerator,
-                    row.c_eh.denominator,
-                    row.c_hm.numerator,
-                    row.c_hm.denominator,
-                    str(row.tight).lower(),
-                    "" if row.measured is None else float(row.measured),
-                ]
-            )
+            cells = []
+            for v in row.to_dict().values():
+                v = str(v).lower() if isinstance(v, bool) else v
+                cells += v.values() if isinstance(v, dict) else [v]
+            writer.writerow(cells)
         return buf.getvalue()
 
     def to_dict(self) -> dict:
-        return {
-            "n_e": self.n_e,
-            "n_h": self.n_h,
-            "s": self.s,
-            "rows": [
-                {
-                    "nu": row.nu,
-                    "c_eh": {"num": row.c_eh.numerator, "den": row.c_eh.denominator},
-                    "c_hm": {"num": row.c_hm.numerator, "den": row.c_hm.denominator},
-                    "tight": row.tight,
-                    "measured": None if row.measured is None else float(row.measured),
-                }
-                for row in self.rows
-            ],
-        }
+        return dict(vars(self), rows=[row.to_dict() for row in self.rows])
 
 
 def _nu_range(n_e: int, n_h: int, s: int, nu_range=None):

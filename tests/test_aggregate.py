@@ -693,18 +693,27 @@ def lax_matrix(n_e, n_h, s, rng):
 
 
 def assert_fold_matches_reference(params, eps, field, rng):
+    """Each helper's message off its columns equals the per-entry fold, and
+    the group sums folded off whole codewords equal those off every
+    helper's columns."""
     code = make_generator(field, params.nu, params.s)
     arrays = [
         encode_client(random_gradient(rng, field, params.p), params, code)
         for _ in range(params.n_e)
     ]
     plan = RoundPlan(eps, params)
+    by_codeword, by_column = GroupSums(plan, field), GroupSums(plan, field)
+    for i, array in enumerate(arrays):
+        by_codeword.fold(i, array.codeword)
     for j in range(params.n_h):
         received = {i: arrays[i].column(j) for i in range(params.n_e) if not eps[i, j]}
+        for i, column in received.items():
+            by_column.fold(i, column, helper=j)
         got = aggregate_helper(j, received, plan, field).entries
         want = reference_aggregate(j, received, plan, field).entries
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (j, eps.tolist())
+    assert by_codeword.rows.tobytes() == by_column.rows.tobytes(), eps.tolist()
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
@@ -726,6 +735,31 @@ def test_fold_equals_per_entry_reference_on_every_small_matrix(gf8):
             assert_fold_matches_reference(params, eps, gf8, rng)
 
 
+@pytest.mark.parametrize("cells", [1, 3])
+def test_folds_in_slices_of_one_or_three_cells_equal_the_reference(monkeypatch, cells):
+    # every other shape's fed cells fit in one slice of FOLD_BYTES; slices
+    # of one or three cells split each codeword's fold into several
+    def slice_cells(params, field):
+        monkeypatch.setattr(aggregate, "FOLD_BYTES", cells * params.d * field.element_bytes)
+        sums = GroupSums(RoundPlan(np.zeros((params.n_e, params.n_h)), params), field)
+        assert sums._step == cells < params.nu * params.layers
+
+    lax_rows = every_row(4, 1)
+    for m in (4, 8, 16):
+        field, rng = GF(m), np.random.default_rng(m)
+        for s, nu in [(1, 2), (2, 1)]:
+            params = SchemeParams(p=30, n_e=3, n_h=4, s=s, nu=nu)
+            slice_cells(params, field)
+            matrices = enumerate_all(3, 4, s)
+            if s == 1:  # every lax matrix: rows of one erasure or none
+                matrices = (lax_rows[list(c)] for c in product(range(len(lax_rows)), repeat=3))
+            for eps in matrices:
+                assert_fold_matches_reference(params, eps, field, rng)
+        scenario = Scenario(p=600, n_e=9, n_h=6, s=2, nu=2, field_bits=m, seed=cells)
+        slice_cells(scenario.params(), field)
+        assert run_round(scenario, eps=lax_matrix(9, 6, 2, rng)).passed
+
+
 def test_fold_of_a_helper_with_an_empty_schedule(gf8):
     # the only edge erases helper 0, so every cover holds it
     params = SchemeParams(p=12, n_e=1, n_h=4, s=1, nu=2)
@@ -736,11 +770,13 @@ def test_fold_of_a_helper_with_an_empty_schedule(gf8):
     assert msg.entries.shape == (0, params.d)
 
 
-def test_round_calls_xor_sum_once_per_edge_with_fed_cells(monkeypatch):
+def test_round_calls_xor_sum_once_per_slice_of_fed_cells(monkeypatch):
     # roundbench's tracer counts each xor_sum call from one positional
     # (rows, d) array, so the fold must keep that call shape. An edge feeds
     # nu of the nu+s slots of every layer, so every edge has fed cells, and
-    # its fold sums its nu*L fed cells with the rows they feed.
+    # its fold sums its nu*L fed cells with the rows they feed, a slice of
+    # at most FOLD_BYTES bytes of cells a call: here one slice an edge,
+    # then slices of 7 cells
     calls = []
     xor_sum = GF.xor_sum
 
@@ -750,12 +786,23 @@ def test_round_calls_xor_sum_once_per_edge_with_fed_cells(monkeypatch):
 
     monkeypatch.setattr(GF, "xor_sum", recording)
     scenario = Scenario(p=600, n_e=16, n_h=6, s=2, nu=2, seed=5)
-    assert run_round(scenario).passed
     params = scenario.params()
-    assert len(calls) == params.n_e
-    for args, kwargs in calls:
-        assert kwargs == {} and len(args) == 1 and np.ndim(args[0]) == 2
-        assert np.shape(args[0]) == (2, params.nu * params.layers * params.d)
+    cell_bytes = params.d * scenario.field().element_bytes
+    fed = params.nu * params.layers
+    for cells in (aggregate.FOLD_BYTES // cell_bytes, 7):
+        monkeypatch.setattr(aggregate, "FOLD_BYTES", cells * cell_bytes)
+        calls.clear()
+        assert run_round(scenario).passed
+        slices = -(-fed // cells)
+        assert len(calls) == params.n_e * slices and slices == (1 if cells > fed else 5)
+        columns = []
+        for args, kwargs in calls:
+            assert kwargs == {} and len(args) == 1 and np.ndim(args[0]) == 2
+            rows, width = np.shape(args[0])
+            assert rows == 2 and width % params.d == 0 and width <= cells * params.d
+            columns.append(width)
+        edges = np.reshape(columns, (params.n_e, slices)).sum(axis=1)
+        assert edges.tolist() == [fed * params.d] * params.n_e
 
 
 @pytest.mark.parametrize("kind", ["strict", "lax"])

@@ -460,6 +460,23 @@ def test_simulate_json_output_is_pinned(m, capsys):
     assert _stdout_sha256(argv, capsys) == SIMULATE_DIGESTS[m]
 
 
+# sha256 of sweep's stdout: the worst-case table as JSON, and the measured
+# one as CSV and JSON, whose measured column prints as floats.
+SWEEP_DIGESTS = {
+    ("--n-e", "50", "--n-h", "10", "--s", "2", "--format", "json"):
+        "e6f3c9b97471a108d6e3737012f76ea362b1c21280fabc6c53b9e72c76d4fd43",
+    ("--n-e", "5", "--n-h", "4", "--s", "1", "--measure", "--seed", "7", "--format", "csv"):
+        "a71a8327c43e96706d826c1e9123f3682595927109db44d3a7543cc542908429",
+    ("--n-e", "5", "--n-h", "4", "--s", "1", "--measure", "--seed", "7", "--format", "json"):
+        "fada62bcb0cf89d96de405e8e247759a5e4264d8d0e9bddb1d1406e569ff8d33",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SWEEP_DIGESTS))
+def test_sweep_output_is_pinned(argv, capsys):
+    assert _stdout_sha256(["sweep", *argv], capsys) == SWEEP_DIGESTS[argv]
+
+
 # sha256 of verify's whole JSON report: its checks, then each nu's brute
 # force worst case, the theorem's, the bound and their consistency.
 VERIFY_BRUTE_FORCE_DIGEST = "c17b99620fc95be3c930057d71699596d79faf237bc64ab1e8e7e29c29b5d60b"
