@@ -510,7 +510,12 @@ class GroupSums:
 
     def fold(self, i: int, symbols: np.ndarray, helper: int | None = None) -> None:
         """Add edge i's (nu+s, L*d) codeword into the sums it feeds, or with
-        helper j given, the (b, d) column it sent j. An i that is not an
+        helper j given, the (b, d) column it sent j. A codeword whose rows
+        are strided, one edge's view of a batch (client.encode_client), is
+        copied as it is reshaped to cells. On a 2-vCPU x86 host that added
+        6-8 us to a 40-43 us fold of layers_gf16's shape; gathering the
+        cells from the strided view took as long, and whole rounds ran no
+        faster for it. An i that is not an
         edge of the round, a j that is not a helper of it, or a codeword or
         column of another shape or of a dtype other than the field's, raises
         ProtocolError."""

@@ -30,6 +30,11 @@ from .mds import MdsCode, fill_parity
 # every host; runs above it are refused even where they would fit.
 MEMORY_CAP = 1 << 31
 
+# A round encodes its edges in batches of as many codewords as fit in
+# this many bytes, and at least one (edges_per_batch): one parity product
+# a batch, through the code's 16-bit unit tables (GF.matmul_fixed).
+ENCODE_BYTES = 5 << 18
+
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -214,28 +219,62 @@ def check_code(code: MdsCode, params: SchemeParams) -> None:
         )
 
 
-def encode_client(
-    g_i: np.ndarray, params: SchemeParams, code: MdsCode, out: np.ndarray | None = None
-) -> CodewordArray:
-    """Encode one edge's gradient into one slot-major codeword.
+def edges_per_batch(params: SchemeParams, field: GF) -> int:
+    """Edges whose codewords one parity product encodes in a round: as
+    many as fit in ENCODE_BYTES, and at least one."""
+    codeword = params.layers * (params.nu + params.s) * params.d * field.element_bytes
+    return max(1, ENCODE_BYTES // codeword)
 
-    partition_gradient writes the layers' messages into it once, and one
-    parity product encodes every layer. out, when given, is a C-contiguous
-    (nu+s, L*d) array of the field's dtype that receives the codeword, so
-    edge after edge can reuse one buffer, each encode overwriting the last.
+
+def encode_client(
+    g_i, params: SchemeParams, code: MdsCode, out: np.ndarray | None = None
+) -> CodewordArray | list[CodewordArray]:
+    """Encode one edge's gradient, a (p,) array, into one slot-major
+    codeword, or an iterable of B edges' gradients into a list of B.
+
+    A batch's codewords are the column blocks of one (nu+s, B*L*d) array,
+    edge b's the b-th, so each is a view whose rows are strided.
+    partition_gradient writes each gradient's message blocks into its
+    codeword as it is read, and the gradient is dropped before the next
+    is read, so a lazy iterable has one gradient alive at a time. Then one
+    parity product encodes every layer of every edge. out, when given, is
+    a C-contiguous (nu+s, B*L*d) array of the field's dtype that receives
+    the codewords, B = 1 for one gradient, so batch after batch can reuse
+    one buffer, each encode overwriting the last; a batch must then have
+    exactly B gradients.
     """
     check_code(code, params)
-    n, layers, d = code.n, params.layers, params.d
-    shape, dtype = (n, layers * d), code.field.dtype
+    n, width, dtype = code.n, params.layers * params.d, code.field.dtype
+    single = isinstance(g_i, np.ndarray) and g_i.ndim < 2
+    gradients = [g_i] if single else g_i
     if out is None:
-        out = np.empty(shape, dtype=dtype)
-    elif out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        gradients = list(gradients)
+        out = np.empty((n, len(gradients) * width), dtype=dtype)
+    elif (
+        out.ndim != 2 or out.shape[0] != n or out.shape[1] % width or out.dtype != dtype
+        or not out.flags.c_contiguous or single and out.shape[1] != width
+    ):
+        shape = f"({n}, {'' if single else 'B*'}{width})"
         raise ValueError(f"out must be a C-contiguous {shape} array of {dtype}")
-    # message row k of layer l is block (l, k) of the gradient
-    blocks = out[: code.nu].reshape(code.nu, layers, d).transpose(1, 0, 2)
-    partition_gradient(g_i, params, code.field, out=blocks)
+    count = out.shape[1] // width
+    # message row k of layer l of edge b is block (l, k) of its gradient
+    blocks = out[: code.nu].reshape(code.nu, count, params.layers, params.d).transpose(1, 2, 0, 3)
+    b = 0
+    for g in gradients:
+        if b == count:
+            raise ValueError(f"the batch has more gradients than out's {count} codewords")
+        partition_gradient(g, params, code.field, out=blocks[b])
+        b += 1
+        del g  # before the next is read, so one gradient of the batch is alive
+    if b < count:
+        raise ValueError(f"the batch has {b} gradients for out's {count} codewords")
     fill_parity(code, out)
-    return CodewordArray(params=params, codeword=out)
+    if single:
+        return CodewordArray(params=params, codeword=out)
+    return [
+        CodewordArray(params=params, codeword=out[:, b * width : (b + 1) * width])
+        for b in range(count)
+    ]
 
 
 def format_layer_grid(params: SchemeParams) -> str:
@@ -258,8 +297,9 @@ def format_layer_grid(params: SchemeParams) -> str:
 def check_memory(params: SchemeParams, field: GF, grid: bool = False) -> None:
     """Raise CapExceededError, carrying the estimate, when what a command
     holds for params is estimated above MEMORY_CAP bytes: a gradient, a
-    codeword and one more array of its size (the helper columns, or a
-    round's group sums), the layer map's tables (about 72 bytes per
+    round's encode buffer (one codeword, or ENCODE_BYTES when that is
+    larger), one more array of a codeword's size (the helper columns, or
+    a round's group sums), the layer map's tables (about 72 bytes per
     layer slot), a plan's per-edge cells (8 bytes per edge and layer
     slot) and, with grid, format_layer_grid's rows and text (about 12
     bytes per cell: a pointer and the padded text). Reads only params'
@@ -268,8 +308,11 @@ def check_memory(params: SchemeParams, field: GF, grid: bool = False) -> None:
     than an int may print.
     """
     slots = params.layers * (params.nu + params.s)
+    codeword = slots * params.d * field.element_bytes
     estimate = (
-        (params.p + 2 * slots * params.d) * field.element_bytes
+        params.p * field.element_bytes
+        + max(codeword, ENCODE_BYTES)
+        + codeword
         + 72 * slots
         + 8 * params.n_e * slots
         + grid * 12 * (params.layers + 1) * (params.n_h + 1)

@@ -30,8 +30,9 @@ and units:
   (_word_tables) have 256 entries, one per byte, and a symbol is read in
   one pass per byte.
 - GF.matmul_fixed, for a coefficient matrix that is reused across many
-  calls, such as a code's parity coefficients, which every edge of every
-  round multiplies by (mds.fill_parity) and by which the decode
+  calls, such as a code's parity coefficients, by which a round
+  multiplies its edges' messages, a batch of edges a product
+  (client.encode_client, mds.fill_parity), and by which the decode
   re-encodes the message symbols it received (master.decode_global),
   reads and writes rows as 16-bit units, '<u2' views of the rows: one
   symbol at m = 16, two adjacent symbols, low byte first, at m <= 8. Its

@@ -24,6 +24,7 @@ from . import aggregate, erasure, master, mds
 from .client import (
     SchemeParams,
     check_memory,
+    edges_per_batch,
     encode_client,
     load_gradient,
     random_gradient,
@@ -266,6 +267,8 @@ def run_round(
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except StageFailure:
+            raise  # a draw inside the encode stage names its own stage
         except Exception as exc:
             raise StageFailure(name, exc) from exc
 
@@ -280,20 +283,30 @@ def run_round(
 
     plan = stage("plan", aggregate.RoundPlan, eps, params)
 
-    # One pass over the edges: each gradient is drawn, encoded into one
-    # reused codeword (which checks its shape), added to the reference and
-    # folded into the helpers' sums, so one gradient and codeword are alive.
-    # Every edge sends every cell, links to erased helpers included.
+    # The edges go in batches of edges_per_batch. A batch's gradients are
+    # drawn one at a time, each added to the reference and placed in one
+    # reused buffer, where one parity product encodes them all; then each
+    # edge's codeword, a view of the buffer, is folded into the helpers'
+    # sums. Every edge sends every cell, links to erased helpers included.
     draws = stage("gradients", _round_gradients, scenario, fld, round_index, gradient)
     reference = np.zeros(params.p, dtype=fld.dtype)
+
+    def drawn(count):
+        for _ in range(count):
+            g = stage("gradients", next, draws)
+            np.bitwise_xor(reference, g, out=reference)
+            yield g
+            del g  # before the next draw, so one gradient is alive
+
     sums = stage("aggregate", aggregate.GroupSums, plan, fld)
-    buffer = np.empty((params.nu + params.s, params.layers * params.d), dtype=fld.dtype)
-    for i in range(params.n_e):
-        g = stage("gradients", next, draws)
-        codeword = stage("encode", encode_client, g, params, code, out=buffer).codeword
-        reference ^= g
-        del g
-        stage("deliver", sums.fold, i, codeword)
+    batch, size = edges_per_batch(params, fld), (params.nu + params.s) * params.layers * params.d
+    buffer = np.empty(min(batch, params.n_e) * size, dtype=fld.dtype)
+    for start in range(0, params.n_e, batch):
+        count = min(batch, params.n_e - start)
+        out = buffer[: count * size].reshape(params.nu + params.s, -1)
+        arrays = stage("encode", encode_client, drawn(count), params, code, out=out)
+        for i, array in enumerate(arrays, start):
+            stage("deliver", sums.fold, i, array.codeword)
 
     emitted = (aggregate.aggregate_helper(j, sums, plan, fld) for j in range(params.n_h))
     messages = stage("aggregate", list, emitted)

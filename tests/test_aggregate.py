@@ -22,7 +22,7 @@ from reference_plan import (
 )
 
 import layeragg
-from layeragg import aggregate, sim
+from layeragg import aggregate, client, sim
 from layeragg.aggregate import (
     AggregatedMessage,
     GroupSums,
@@ -34,6 +34,7 @@ from layeragg.client import (
     CodewordArray,
     LayerMap,
     SchemeParams,
+    edges_per_batch,
     encode_client,
     random_gradient,
 )
@@ -760,6 +761,42 @@ def test_folds_in_slices_of_one_or_three_cells_equal_the_reference(monkeypatch, 
         assert run_round(scenario, eps=lax_matrix(9, 6, 2, rng)).passed
 
 
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_rounds_encoded_in_batches_of_any_size_give_the_same_sums_and_decode(monkeypatch, m):
+    # batches of 1, 2 and 3 edges (a remainder of one) and of all 7; L*d =
+    # 15*7 is odd, so at m <= 8 each edge's last symbol shares a 16-bit
+    # unit with the next edge's first in a batch's rows
+    field, rng = GF(m), np.random.default_rng(40 + m)
+    params = SchemeParams(p=200, n_e=7, n_h=6, s=2, nu=2)
+    codeword_bytes = (params.nu + params.s) * params.layers * params.d * field.element_bytes
+    assert params.layers * params.d % 2
+    emit = aggregate.aggregate_helper
+    for eps in (sample_uniform(7, 6, 2, rng), lax_matrix(7, 6, 2, rng)):
+        scenario = Scenario(
+            p=params.p, n_e=params.n_e, n_h=params.n_h, s=params.s, nu=params.nu,
+            field_bits=m, seed=int(rng.integers(1 << 16)),
+        )
+        seen = []
+        for edges in (1, 2, 3, params.n_e):
+            monkeypatch.setattr(client, "ENCODE_BYTES", edges * codeword_bytes)
+            assert edges_per_batch(params, field) == edges
+            sums = []
+
+            def recording_emit(j, received, plan, fld):
+                if not sums:
+                    sums.append(received.rows.copy())
+                return emit(j, received, plan, fld)
+
+            monkeypatch.setattr(aggregate, "aggregate_helper", recording_emit)
+            result = run_round(scenario, eps=eps)
+            assert result.passed
+            seen.append((sums[0], result.hm_symbols, result.decoded))
+        rows, hm_symbols, decoded = seen[0]
+        for got in seen[1:]:
+            assert np.array_equal(got[0], rows) and got[1] == hm_symbols
+            assert np.array_equal(got[2], decoded)
+
+
 def test_fold_of_a_helper_with_an_empty_schedule(gf8):
     # the only edge erases helper 0, so every cover holds it
     params = SchemeParams(p=12, n_e=1, n_h=4, s=1, nu=2)
@@ -854,9 +891,9 @@ def emitted_by_round(monkeypatch, scenario, eps):
     encode, emit = sim.encode_client, aggregate.aggregate_helper
 
     def recording_encode(*args, **kwargs):
-        array = encode(*args, **kwargs)
-        codewords.append(array.codeword.copy())
-        return array
+        arrays = encode(*args, **kwargs)
+        codewords.extend(array.codeword.copy() for array in arrays)
+        return arrays
 
     def recording_emit(j, received, plan, field):
         message = emit(j, received, plan, field)

@@ -292,6 +292,60 @@ def test_encode_client_writes_into_a_reused_codeword_buffer(gf8):
             encode_client(g, params, code, out=bad)
 
 
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_each_codeword_of_a_batch_is_the_encode_of_its_gradient_alone(monkeypatch, m):
+    # L*d = 5*3 is odd, so at m <= 8 each row of a batch of one edge ends
+    # in the parity product's odd-symbol tail, and a longer batch's rows
+    # hold codewords that straddle 16-bit units
+    field = GF(m)
+    params = SchemeParams(p=29, n_e=7, n_h=5, s=2, nu=2)
+    n, width = params.nu + params.s, params.layers * params.d
+    assert width % 2
+    code = make_generator(field, params.nu, params.s)
+    rng = np.random.default_rng(m)
+    grads = [random_gradient(rng, field, params.p) for _ in range(params.n_e)]
+    alone = [encode_client(g, params, code) for g in grads]
+    buffer = np.empty(n * width * params.n_e, dtype=field.dtype)
+    for edges in (1, 2, 3, params.n_e):
+        monkeypatch.setattr(client, "ENCODE_BYTES", edges * n * width * field.element_bytes)
+        batch = client.edges_per_batch(params, field)
+        assert batch == edges
+        for start in range(0, params.n_e, batch):
+            part = grads[start : start + batch]
+            out = buffer[: len(part) * n * width].reshape(n, -1)
+            batched = encode_client(iter(part), params, code, out=out)
+            for b, array in enumerate(batched):
+                assert np.shares_memory(array.codeword, out[:, b * width : (b + 1) * width])
+            for arrays in (
+                batched,
+                encode_client(part, params, code),
+                encode_client(np.stack(part), params, code),
+            ):
+                assert len(arrays) == len(part)
+                for b, array in enumerate(arrays):
+                    want = alone[start + b]
+                    assert array.codeword.shape == (n, width)
+                    assert np.array_equal(array.codeword, want.codeword)
+                    assert np.array_equal(array.columns, want.columns)
+                    assert np.array_equal(array.fragments, want.fragments)
+
+
+def test_a_batch_must_fill_its_out_buffer(gf8):
+    params = SchemeParams(p=29, n_e=3, n_h=5, s=2, nu=2)
+    code = make_generator(gf8, 2, 2)
+    g = np.zeros(29, dtype=np.uint8)
+    out = np.empty((4, 3 * params.layers * params.d), dtype=np.uint8)
+    assert len(encode_client([g] * 3, params, code, out=out)) == 3
+    for count in (2, 4):
+        with pytest.raises(ValueError, match="the batch has"):
+            encode_client(iter([g] * count), params, code, out=out)
+    for bad in (out[:, 1:], out[:, :-1].copy(), out[:3]):
+        with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous (4, B*15)")):
+            encode_client([g], params, code, out=bad)
+    with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous (4, 15)")):
+        encode_client(g, params, code, out=out)
+
+
 def test_encode_client_rejects_mismatched_pieces(gf8):
     params = SchemeParams(p=24, n_e=1, n_h=4, s=1, nu=2)
     with pytest.raises(ValueError):

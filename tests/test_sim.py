@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from layeragg import aggregate, sim
-from layeragg.client import SchemeParams, encode_client
+from layeragg import aggregate, client, sim
+from layeragg.client import SchemeParams, edges_per_batch, encode_client
 from layeragg.errors import ConfigurationError
 from layeragg.gf import GF
 from layeragg.sim import (
@@ -259,6 +259,8 @@ def test_round_names_the_stage_of_a_failing_draw_or_encode(monkeypatch):
     assert info.value.stage == "gradients"
 
     monkeypatch.undo()
+    # batches of one edge, so the second edge's encode is a second call
+    monkeypatch.setattr(client, "ENCODE_BYTES", 1)
     encoded = []
 
     def failing(g, params, code, out=None):
@@ -296,12 +298,15 @@ def test_round_plans_each_layer_once(monkeypatch):
     # one call plans every layer of the round's matrix
     assert calls == [0]
 
-def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_edge(monkeypatch):
+@pytest.mark.parametrize("edges", [None, 1, 3])
+def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_batch(monkeypatch, edges):
     # GF.matmul: the generator's own product, then one r x r solve per
     # emitter-slot pattern that covers r >= 1 message slots; GF.matmul_fixed:
-    # one parity product per edge, then one re-encode of the k = nu - r
-    # received message rows by the code's parity coefficients per such
-    # pattern with k >= 1
+    # one parity product per batch of edges_per_batch edges, then one
+    # re-encode of the k = nu - r received message rows by the code's parity
+    # coefficients per such pattern with k >= 1. The batches are of
+    # ENCODE_BYTES as it is (one batch here), then of one and of three
+    # edges, which leaves a remainder of two.
     calls, fixed = [], []
     matmul, matmul_fixed = GF.matmul, GF.matmul_fixed
 
@@ -316,10 +321,14 @@ def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_e
     monkeypatch.setattr(GF, "matmul", counting)
     monkeypatch.setattr(GF, "matmul_fixed", counting_fixed)
     scenario = Scenario(p=53760 // 8, n_e=20, n_h=8, s=2, nu=3, field_bits=16, seed=4)
+    params = scenario.params()
+    nu, s, width = params.nu, params.s, params.layers * params.d
+    if edges is not None:
+        monkeypatch.setattr(client, "ENCODE_BYTES", edges * (nu + s) * width * 2)
+    batch = edges_per_batch(params, scenario.field())
+    assert batch == edges if edges else batch >= params.n_e
     result = run_round(scenario)
     assert result.passed
-    params = scenario.params()
-    nu, s = params.nu, params.s
     plan = aggregate.RoundPlan(result.eps, params)
     # the groups of each cover, as slots of its layer; patterns go in
     # ascending (lexicographic) cover order
@@ -339,7 +348,9 @@ def test_round_makes_one_matmul_per_emitter_pattern_and_one_parity_product_per_e
     # some patterns cover no message slot and need no product
     assert 0 < len(solves) < len(covers)
     assert calls == [((nu, nu), (nu, nu + s))] + solves
-    assert fixed == [((s, nu), (nu, params.layers * params.d))] * params.n_e + re_encodes
+    sizes = [min(batch, params.n_e - start) for start in range(0, params.n_e, batch)]
+    assert len(sizes) == -(-params.n_e // batch) and sum(sizes) == params.n_e
+    assert fixed == [((s, nu), (nu, size * width)) for size in sizes] + re_encodes
 
 
 def test_invalid_matrix_fails_in_validate_stage():
