@@ -10,7 +10,7 @@ the shape).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, cycle, islice, product
 from math import comb
 from typing import Iterator
 
@@ -58,6 +58,16 @@ def from_erased_sets(rows, n_h: int) -> np.ndarray:
             if eps[i, j]:
                 raise ConfigurationError(f"row {i}: helper index {j} named twice")
             eps[i, j] = 1
+    return eps
+
+
+def _from_subsets(subsets, n_h: int) -> np.ndarray:
+    """The matrix whose row i erases the helpers in subsets[i], unchecked:
+    the one builder of every matrix this module generates."""
+    subsets = list(subsets)
+    eps = np.zeros((len(subsets), n_h), dtype=np.uint8)
+    for i, subset in enumerate(subsets):
+        eps[i, subset] = 1
     return eps
 
 
@@ -111,10 +121,7 @@ def sample_uniform(n_e: int, n_h: int, s: int, seed) -> np.ndarray:
         if eps is not None:
             return eps
         bits.state = state
-    eps = np.zeros((n_e, n_h), dtype=np.uint8)
-    for i in range(n_e):
-        eps[i, rng.choice(n_h, size=s, replace=False)] = 1
-    return eps
+    return _from_subsets((rng.choice(n_h, size=s, replace=False) for _ in range(n_e)), n_h)
 
 
 @lru_cache(maxsize=64)
@@ -149,13 +156,11 @@ def worst_case_pattern(n_e: int, n_h: int, s: int) -> np.ndarray:
 
     With n_e >= C(n_h, s) every pattern occurs in some row, which makes
     every layer's aggregation map onto all of its s-subsets. Fewer edges
-    get the lexicographic prefix.
+    get the lexicographic prefix. Only the first n_e subsets are listed.
     """
-    subsets = list(combinations(range(n_h), s))
-    eps = np.zeros((n_e, n_h), dtype=np.uint8)
-    for i in range(n_e):
-        eps[i, subsets[i % len(subsets)]] = 1
-    return eps
+    if not 0 <= s <= n_h:
+        raise ConfigurationError(f"s must be in [0, n_h] = [0, {n_h}], got {s}")
+    return _from_subsets(islice(cycle(combinations(range(n_h), s)), n_e), n_h)
 
 
 def omega_size(n_e: int, n_h: int, s: int) -> int:
@@ -176,11 +181,8 @@ def enumerate_all(n_e: int, n_h: int, s: int) -> Iterator[np.ndarray]:
     """Yield every strict erasure matrix exactly once, refusing above the cap."""
     _check_cap(n_e, n_h, s)
     subsets = list(combinations(range(n_h), s))
-    for choice in product(range(len(subsets)), repeat=n_e):
-        eps = np.zeros((n_e, n_h), dtype=np.uint8)
-        for i, c in enumerate(choice):
-            eps[i, subsets[c]] = 1
-        yield eps
+    for choice in product(subsets, repeat=n_e):
+        yield _from_subsets(choice, n_h)
 
 
 def enumerate_row_sets(n_e: int, n_h: int, s: int) -> Iterator[np.ndarray]:
@@ -194,7 +196,4 @@ def enumerate_row_sets(n_e: int, n_h: int, s: int) -> Iterator[np.ndarray]:
     subsets = list(combinations(range(n_h), s))
     k = min(n_e, len(subsets))
     for chosen in combinations(subsets, k):
-        eps = np.zeros((n_e, n_h), dtype=np.uint8)
-        for i, subset in enumerate(chosen + chosen[:1] * (n_e - k)):
-            eps[i, subset] = 1
-        yield eps
+        yield _from_subsets(chosen + chosen[:1] * (n_e - k), n_h)

@@ -281,21 +281,16 @@ class GF:
         unit j of input row kk indexes table t of that row's tables,
         table_of(m, poly, coefs) for each word of up to rows output rows.
         dst is the output as n units per row, and lane i, 8 * dst.itemsize
-        bits, of a word's XOR is its output row i. A word of zero
-        coefficients is zeroed in dst and skipped, as is an input row with
-        no nonzero coefficient in a word.
+        bits, of a word's XOR is its output row i; zero when k = 0.
         """
         k, n, passes = src.shape
-        words = []
-        for lo in range(0, a.shape[0], rows):
-            coefs = a[lo : lo + rows].T.tolist()
-            if any(map(any, coefs)):
-                words.append((dst[lo : lo + rows], [
-                    table_of(self.m, self.poly, tuple(c)).reshape(passes, -1) if any(c) else None
-                    for c in coefs
-                ]))
-            else:
-                dst[lo : lo + rows] = 0
+        words = [
+            (dst[lo : lo + rows], [
+                table_of(self.m, self.poly, tuple(c)).reshape(passes, -1)
+                for c in a[lo : lo + rows].T.tolist()
+            ])
+            for lo in range(0, a.shape[0], rows)
+        ]
         bits = 8 * dst.itemsize
         # One index buffer per call, refilled per input row, pass and block: a
         # fresh 512 KiB array each time went back to the OS when freed and
@@ -304,21 +299,19 @@ class GF:
         for start in range(0, n, BLOCK):
             cols = slice(start, start + BLOCK)
             idx = buffer[: min(BLOCK, n - start)]
-            acc = [None] * len(words)
+            acc = [0] * len(words)
             for kk in range(k):
                 for t in range(passes):
                     idx[...] = src[kk, cols, t]
                     for w, (_, tables) in enumerate(words):
-                        if tables[kk] is None:
-                            continue
                         # Every index is below the table's width (_operands
                         # checked the symbols), so the gathers need no bounds
                         # check; no name holds a product, so each is freed
                         # before the next.
-                        if acc[w] is None:
-                            acc[w] = tables[kk][t].take(idx, mode="clip")
-                        else:
+                        if kk or t:
                             acc[w] ^= tables[kk][t].take(idx, mode="clip")
+                        else:
+                            acc[w] = tables[kk][t].take(idx, mode="clip")
             for (dest, _), word in zip(words, acc):
                 for row in dest:
                     row[cols] = word
@@ -348,31 +341,29 @@ class GF:
         row, word of 4 output rows, block of BLOCK units), from tables
         indexed by the unit and cached per word, and lane i of the word's
         XOR is output row i's units; see the module docstring. out, when
-        given, is an (n, d) array of the field's dtype that receives the
-        product. A symbol of b outside the field raises IndexError.
+        given, is a C-contiguous (n, d) array of the field's dtype that
+        receives the product; any other raises ValueError. A symbol of b
+        outside the field raises IndexError.
         """
         a, b = self._operands(a, b)
         shape = (a.shape[0], b.shape[1])
         if out is None:
             out = np.empty(shape, dtype=self.dtype)
-        elif out.shape != shape or out.dtype != self.dtype:
+        elif out.shape != shape or out.dtype != self.dtype or not out.flags.c_contiguous:
             raise ValueError(
-                f"out must be a {shape} array of {self.dtype}, got {out.shape} {out.dtype}"
+                f"out must be a C-contiguous {shape} array of {self.dtype}, got {out.shape} {out.dtype}"
             )
-        dest = out if out.flags.c_contiguous else np.empty(shape, dtype=self.dtype)
         pairs = self.m <= 8
 
         def units(x: np.ndarray) -> np.ndarray:
             return x[:, : shape[1] // 2 * 2].view("<u2") if pairs else x
 
-        self._gather(a, units(b)[:, :, None], units(dest), 4, _symbol_tables)
+        self._gather(a, units(b)[:, :, None], units(out), 4, _symbol_tables)
         if pairs and shape[1] % 2:
             # the last symbol, as a unit whose high byte is zero
             last = np.empty((shape[0], 1), "<u2")
             self._gather(a, b[:, -1:, None], last, 4, _symbol_tables)
-            dest[:, -1:] = last
-        if dest is not out:
-            out[...] = dest
+            out[:, -1:] = last
         return out
 
     def xor_sum(self, rows: np.ndarray) -> np.ndarray:

@@ -98,21 +98,23 @@ def make_generator(field: GF, nu: int, s: int) -> MdsCode:
     return MdsCode(field=field, nu=nu, s=s, generator=gen)
 
 
+def slot_subsets(n: int, k: int, cap: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
+    """Every k-subset of n code slots, lexicographically, when there are at
+    most cap of them; else, without listing them, cap draws (which may
+    repeat), each rng.choice(n, size=k, replace=False) sorted."""
+    if comb(n, k) <= cap:
+        return list(combinations(range(n), k))
+    return [tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for _ in range(cap)]
+
+
 def singular_minors(code: MdsCode) -> list[tuple[int, ...]]:
     """Column nu-subsets whose square submatrix is singular; empty means MDS.
 
-    Exhaustive when C(nu+s, nu) <= MINOR_CAP, else a seeded sample of that many.
+    Exhaustive when C(nu+s, nu) <= MINOR_CAP, else that many draws of
+    slot_subsets from a generator seeded with 0.
     """
-    if comb(code.n, code.nu) > MINOR_CAP:
-        rng = np.random.default_rng(0)
-        subsets = [
-            tuple(sorted(rng.choice(code.n, size=code.nu, replace=False).tolist()))
-            for _ in range(MINOR_CAP)
-        ]
-    else:
-        subsets = list(combinations(range(code.n), code.nu))
     bad = []
-    for subset in subsets:
+    for subset in slot_subsets(code.n, code.nu, MINOR_CAP, np.random.default_rng(0)):
         try:
             invert_matrix(code.field, code.generator[:, list(subset)])
         except ValueError:

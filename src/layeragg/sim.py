@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 from math import comb
 from pathlib import Path
 from typing import Iterator
@@ -34,7 +34,8 @@ from .gf import GF, check_count, check_non_negative, is_integer
 
 _GRADIENT_STREAM = 0
 _ERASURE_STREAM = 1
-# verify_scheme decodes each layer from at most this many nu-subsets of slots
+# verify_scheme decodes each layer from every nu-subset of slots, or from
+# this many drawn ones when there are more (mds.slot_subsets)
 DECODABILITY_SUBSETS = 256
 
 
@@ -423,8 +424,8 @@ def sweep_nu(
     field_bits: int = 8,
     seed: int = 0,
 ) -> TradeoffTable:
-    """Theoretical cost tradeoff per nu; optionally simulate under the
-    adversarial pattern and record the measured helper-to-master cost."""
+    """Theoretical cost tradeoff per nu; optionally run_scenario one round
+    under the adversarial pattern and record the measured helper-to-master cost."""
     check_non_negative(seed, "seed")
     rows = []
     for nu in _nu_range(n_e, n_h, s, nu_range):
@@ -435,7 +436,7 @@ def sweep_nu(
         worst = master.cost_worst_case(scenario.params(), mode="theorem")
         measured = None
         if measure:
-            result = run_round(scenario)
+            (result,) = run_scenario(scenario)
             if not result.passed:
                 raise StageFailure("sweep", AssertionError(f"decode failed at nu={nu}"))
             measured = result.report.c_hm_realized
@@ -481,12 +482,7 @@ def _check_layer_decodability(
     d = 4
     message = rng.integers(0, code.field.order, size=(params.nu, d), dtype=code.field.dtype)
     codeword = mds.encode(code, message)
-    n = params.nu + params.s
-    subsets = list(combinations(range(n), params.nu))
-    if len(subsets) > DECODABILITY_SUBSETS:
-        picked = rng.choice(len(subsets), size=DECODABILITY_SUBSETS, replace=False)
-        subsets = [subsets[int(k)] for k in picked]
-    for subset in subsets:
+    for subset in mds.slot_subsets(params.nu + params.s, params.nu, DECODABILITY_SUBSETS, rng):
         got = mds.decode_from(code, list(subset), codeword[list(subset)])
         if not np.array_equal(got, message):
             return CheckResult(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -488,6 +489,28 @@ def test_verify_brute_force_output_is_pinned(capsys):
     assert _stdout_sha256(argv, capsys) == VERIFY_BRUTE_FORCE_DIGEST
 
 
+# sha256 of verify's report on a code of C(12, 6) = 924 > 256 slot
+# subsets, whose decodability check takes the sampled path
+VERIFY_SAMPLED_DIGEST = "66e398c39e2841a4517a9cc053f98f177d1d397ebc66ed0fef7e315a96c85be5"
+
+
+def test_verify_output_past_the_decodability_subset_cap_is_pinned(capsys):
+    argv = ["verify", "--n-e", "3", "--n-h", "12", "--s", "6", "--nu", "6", "--trials", "2"]
+    assert _stdout_sha256(argv, capsys) == VERIFY_SAMPLED_DIGEST
+
+
+def test_a_measured_sweep_of_a_code_longer_than_the_field_exits_2(capsys):
+    argv = ["sweep", "--n-e", "2", "--n-h", "17", "--s", "1", "--nu-min", "15", "--nu-max", "15",
+            "--measure", "--field-bits", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: code length nu+s=16 exceeds the 15 distinct nonzero evaluation points "
+        "of GF(m=4, poly=0x13)\n"
+    )
+
+
 # Each would allocate far past the memory cap: a 931 GiB gradient, the
 # C(300, 3) = 4,455,100-row layer grid, a 931 GiB reference sum.
 OVERSIZED = {
@@ -520,6 +543,51 @@ def test_oversized_encode_and_simulate_are_refused_before_allocating(argv):
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("refused: "), done.stderr
     assert "above the cap of 2^31" in done.stderr and client.MEMORY_CAP == 1 << 31
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _run_limited(*args) -> subprocess.CompletedProcess:
+    """python with args, in a child held to ADDRESS_SPACE from its start."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run(
+        [sys.executable, *args], env=env, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_a_sweep_at_amc_lists_only_the_subsets_its_edges_erase():
+    # C(26, 13) = 10,400,600 13-subsets of helpers: listing them all takes
+    # about 1.6 GB, and the adversarial pattern of 3 edges reads 3
+    done = _run_limited(
+        "-m", "layeragg.cli", "sweep", "--n-e", "3", "--n-h", "26", "--s", "13",
+        "--nu-min", "13", "--nu-max", "13",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1:] == ["13,2,1,3,1,true,"]
+
+
+DECODABILITY = """
+import sys
+import numpy as np
+from layeragg import mds, sim
+from layeragg.client import SchemeParams
+from layeragg.gf import GF
+code = mds.make_generator(GF(8), 13, 13)
+params = SchemeParams(p=13, n_e=3, n_h=26, s=13, nu=13)
+result = sim._check_layer_decodability(code, params, np.random.default_rng(0), "")
+sys.exit(0 if result.passed else str(result))
+"""
+
+
+def test_the_decodability_check_draws_slot_subsets_without_listing_them():
+    # the same C(26, 13) slot subsets, of one [26, 13] codeword
+    done = _run_limited("-c", DECODABILITY)
+    assert done.returncode == 0, done.stderr
 
 
 def test_the_memory_estimate_is_carried_and_grows_with_the_grid():

@@ -184,6 +184,20 @@ def test_worst_case_cycles_over_surplus_rows():
     assert erased_sets(eps) == [[0], [1], [2], [0], [1]]
 
 
+@pytest.mark.parametrize("n_h", range(1, 7))
+def test_worst_case_is_the_cycle_of_all_s_subsets(n_h):
+    for s in range(n_h + 1):
+        subsets = list(combinations(range(n_h), s))
+        for n_e in range(2 * len(subsets) + 2):
+            want = np.zeros((n_e, n_h), dtype=np.uint8)
+            for i in range(n_e):
+                want[i, list(subsets[i % len(subsets)])] = 1
+            got = worst_case_pattern(n_e, n_h, s)
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (n_e, n_h, s)
+    with pytest.raises(ConfigurationError, match=r"^s must be in \[0, n_h\]"):
+        worst_case_pattern(2, n_h, n_h + 1)  # no (n_h+1)-subset to fill a row with
+
+
 def test_enumerate_all_counts():
     nine = list(enumerate_all(2, 3, 1))
     assert len(nine) == 9 == omega_size(2, 3, 1)

@@ -237,7 +237,7 @@ def test_whole_symbol_product_equals_matmul(m, n, k, d, zero, layout, seed):
     coefficients 0 and 1, a zero word or input column, zero a, more than
     one block of units, odd rows (at m <= 8 their last symbol is half a
     unit, and every other row starts at an odd byte), operands at an odd
-    byte address, and non-contiguous operands."""
+    byte address, and non-contiguous operands; a strided out is refused."""
     fld = GF(m)
     rng = np.random.default_rng(seed)
     a = rng.integers(0, fld.order, size=(n, k), dtype=fld.dtype)
@@ -258,6 +258,10 @@ def test_whole_symbol_product_equals_matmul(m, n, k, d, zero, layout, seed):
     got = fld.matmul_fixed(a, b)
     assert got.dtype == fld.dtype and np.array_equal(got, want)
     out = placed(np.full((n, d), fld.order - 1, dtype=fld.dtype), layout)  # stale values are overwritten
+    if not out.flags.c_contiguous:
+        with pytest.raises(ValueError, match="out must be a C-contiguous"):
+            fld.matmul_fixed(a, b, out=out)
+        return
     assert fld.matmul_fixed(a, b, out=out) is out
     assert np.array_equal(out, want)
 

@@ -20,6 +20,7 @@ from layeragg.mds import (
     invert_matrix,
     make_generator,
     singular_minors,
+    slot_subsets,
 )
 
 
@@ -251,3 +252,15 @@ def test_fill_parity_scratch_memory_stays_small(gf8):
         tracemalloc.stop()
     assert peak <= 1.5 * (1 << 20), peak
     assert np.array_equal(codeword[3:], gf8.matmul(code.generator[:, 3:].T, codeword[:3]))
+
+
+def test_slot_subsets_lists_up_to_the_cap_and_draws_past_it():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert slot_subsets(6, 3, 20, rng) == list(combinations(range(6), 3))
+    assert rng.bit_generator.state == before  # nothing drawn
+    ref = np.random.default_rng(5)
+    assert slot_subsets(6, 3, 19, rng) == [
+        tuple(sorted(ref.choice(6, size=3, replace=False).tolist())) for _ in range(19)
+    ]
+    assert rng.bit_generator.state == ref.bit_generator.state

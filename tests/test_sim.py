@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from layeragg import aggregate, client, sim
+from layeragg import aggregate, client, mds, sim
 from layeragg.client import SchemeParams, edges_per_batch, encode_client
 from layeragg.errors import ConfigurationError
 from layeragg.gf import GF
@@ -506,6 +506,21 @@ def test_verify_scheme_default_parameters_pass():
     data = report.to_dict()
     assert data["passed"] is True
     assert all(c["passed"] for c in data["checks"])
+
+
+def test_verify_scheme_decodes_from_drawn_slot_subsets_past_the_cap(monkeypatch):
+    # C(12, 6) = 924 slot subsets, more than DECODABILITY_SUBSETS
+    calls = []
+    decode_from = mds.decode_from
+
+    def counting(code, positions, symbols):
+        calls.append(positions)
+        return decode_from(code, positions, symbols)
+
+    monkeypatch.setattr(mds, "decode_from", counting)
+    report = verify_scheme(n_e=3, n_h=12, s=6, nu=6, trials=2)
+    assert report.passed, report.to_dict()
+    assert len(calls) == sim.DECODABILITY_SUBSETS
 
 
 def test_verify_scheme_reports_a_group_that_reads_an_erased_link(monkeypatch):
