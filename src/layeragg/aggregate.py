@@ -68,6 +68,8 @@ class _Covers:
     ids() maps (n, k) bool footprints to the id of each one's lexmin
     cover, the smallest s-subset containing it, or -1 for a footprint of
     more than s slots. members() maps ids back to (n, k) bool slot rows.
+    slot_masks[t], while C(k, s) <= 64 (else None), sets bit c when cover
+    c takes t, in the narrowest unsigned dtype of C(k, s) bits (count_groups).
     """
 
     def __init__(self, k: int, s: int):
@@ -80,11 +82,15 @@ class _Covers:
             [[comb(k - 1 - t, s - 1 - i) for i in range(s)] + [0] for t in range(k)],
             dtype=object if wide else np.int64,
         )
-        self._ids = self._members = None
+        self._ids = self._members = self.slot_masks = None
         if k <= TABLE_SLOTS:
             masks = np.arange(1 << k)[:, None] >> np.arange(k) & 1
             self._ids = self._rank(masks.astype(bool)).astype(np.int16)
             self._members = self._unrank(np.arange(comb(k, s)))
+        if comb(k, s) <= 64:
+            bits = np.left_shift(1, np.arange(comb(k, s), dtype=np.uint64))
+            words = np.where(self.members(np.arange(len(bits))), bits[:, None], 0).sum(axis=0)
+            self.slot_masks = words.astype(np.min_scalar_type(bits[-1]))
 
     def _rank(self, footprints: np.ndarray) -> np.ndarray:
         weight = footprints.sum(axis=1)
@@ -130,15 +136,6 @@ class _Covers:
 def _cover_table(k: int, s: int) -> _Covers:
     """The covers of every layer with k = nu+s slots, one per (k, s)."""
     return _Covers(k, s)
-
-
-@lru_cache(maxsize=None)
-def _slot_masks(k: int, s: int) -> np.ndarray:
-    """(k,) count_groups' presence masks: bit c of slot t's is set when
-    cover c takes t, in the narrowest unsigned dtype of C(k, s) <= 64 bits."""
-    bits = np.left_shift(1, np.arange(comb(k, s), dtype=np.uint64))
-    inside = _cover_table(k, s).members(np.arange(len(bits)))
-    return np.where(inside, bits[:, None], 0).sum(axis=0).astype(np.min_scalar_type(bits[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +311,7 @@ def _count_present(cover: np.ndarray, params: SchemeParams) -> tuple[np.ndarray,
     popcounts of one word per (matrix, layer), the OR of 1 << id over its
     n_e ids, alone and under each slot's mask. The shifted ids stay in the
     word's dtype: wide words or intp indices cost more in fresh pages."""
-    masks = _slot_masks(params.nu + params.s, params.s)
+    masks = _cover_table(params.nu + params.s, params.s).slot_masks
     bits = np.left_shift(masks.dtype.type(1), cover, dtype=masks.dtype, casting="unsafe")
     word = np.bitwise_or.reduce(bits, axis=1).ravel()
     return np.bitwise_count(word).astype(np.intp), np.bitwise_count(word[:, None] & masks)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 
@@ -114,34 +114,36 @@ class SchemeParams:
 class LayerMap:
     """The (nu+s)-subsets of [0, n_h) in lexicographic order, with column indexes.
 
-    subset l is stored ascending, and slot_helpers[l, t] is its t-th
-    helper. A helper holds one slot per layer, so its b cells, layers
-    ascending, are positions[j] = layer * (nu+s) + slot of slot_helpers
-    (one stable sort of it by helper). Helper j's column holds the layers
-    column_layers(j), and cells[j, r] = slot * L + layer of its row r: the
-    (n_h, b) gather that takes a slot-major codeword to its columns. All
-    tables are read-only, since the maps are shared.
+    slot_helpers[l, t] is the t-th helper of subset l, ascending, and the
+    map's item l is that row as a tuple. A helper holds one slot per layer,
+    so its b cells, layers ascending, are positions[j] = layer * (nu+s) +
+    slot of slot_helpers (one stable sort of it by helper). Helper j's
+    column holds the layers column_layers(j), and cells[j, r] = slot * L +
+    layer of its row r: the (n_h, b) gather that takes a slot-major
+    codeword to its columns. A map holds these three read-only tables
+    alone, 24 bytes a slot, since the maps are shared.
     """
 
     def __init__(self, n_h: int, k: int):
         if not 1 <= k <= n_h:
             raise ConfigurationError(f"subset size {k} out of range [1, {n_h}]")
-        self.subsets = tuple(combinations(range(n_h), k))
-        self.slot_helpers = np.array(self.subsets, dtype=np.intp)
+        helpers = chain.from_iterable(combinations(range(n_h), k))
+        self.slot_helpers = np.fromiter(helpers, np.intp, comb(n_h, k) * k).reshape(-1, k)
         self.positions = np.argsort(self.slot_helpers, axis=None, kind="stable").reshape(n_h, -1)
-        self._col_layers, slots = np.divmod(self.positions, k)
-        self.cells = slots * len(self.subsets) + self._col_layers
-        for table in (self.slot_helpers, self.positions, self._col_layers, self.cells):
+        layers, self.cells = np.divmod(self.positions, k)
+        self.cells *= len(self.slot_helpers)
+        self.cells += layers
+        for table in (self.slot_helpers, self.positions, self.cells):
             table.setflags(write=False)
 
     def __getitem__(self, layer: int) -> tuple[int, ...]:
-        return self.subsets[layer]
+        return tuple(self.slot_helpers[layer].tolist())
 
     def __iter__(self):
-        return iter(self.subsets)
+        return map(self.__getitem__, range(len(self.slot_helpers)))
 
     def column_layers(self, j: int) -> tuple[int, ...]:
-        return tuple(self._col_layers[j].tolist())
+        return tuple((self.positions[j] // self.slot_helpers.shape[1]).tolist())
 
 
 @lru_cache(maxsize=64)
@@ -299,13 +301,13 @@ def check_memory(params: SchemeParams, field: GF, grid: bool = False) -> None:
     holds for params is estimated above MEMORY_CAP bytes: a gradient, a
     round's encode buffer (one codeword, or ENCODE_BYTES when that is
     larger), one more array of a codeword's size (the helper columns, or
-    a round's group sums), the layer map's tables (about 72 bytes per
-    layer slot), a plan's per-edge cells (8 bytes per edge and layer
-    slot) and, with grid, format_layer_grid's rows and text (about 12
-    bytes per cell: a pointer and the padded text). Reads only params'
-    closed forms, so nothing is allocated or planned first. The message
-    gives the estimate as a power of two, since it may have more digits
-    than an int may print.
+    a round's group sums), the layer map's tables (72 bytes per layer
+    slot: an upper bound, as a map holds 24 and its build peaks near 32),
+    a plan's per-edge cells (8 bytes per edge and layer slot) and, with
+    grid, format_layer_grid's rows and text (about 12 bytes per cell: a
+    pointer and the padded text). Reads only params' closed forms, so
+    nothing is allocated or planned first. The message gives the estimate
+    as a power of two, since it may have more digits than an int may print.
     """
     slots = params.layers * (params.nu + params.s)
     codeword = slots * params.d * field.element_bytes

@@ -47,41 +47,37 @@ class StageFailure(RuntimeError):
         self.stage = stage
 
 
-def _must_be(test, what: str):
-    """A rule: ConfigurationError, naming the field, unless test(value)."""
-
-    def rule(value, name: str) -> None:
-        if not test(value):
-            raise ConfigurationError(f"{name} must be {what}")
-
-    return rule
+def _must(ok: bool, name: str, what: str) -> None:
+    """ConfigurationError, naming the field, unless ok."""
+    if not ok:
+        raise ConfigurationError(f"{name} must be {what}")
 
 
-_INTEGER = _must_be(is_integer, "an integer")
-_SEED = _must_be(lambda v: is_integer(v) and v >= 0, "a non-negative integer")
 _REQUIRED = ("p", "n_e", "n_h", "s", "nu")
-# Each field's type, in the order Scenario checks them, before erasures and
-# gradients; the ranges of the integers are SchemeParams' and GF's.
-_FIELD_RULES = {
-    **dict.fromkeys(_REQUIRED, _INTEGER),
-    "seed": _SEED,
-    "field_bits": _INTEGER,
-    "field_poly": _must_be(lambda v: v is None or is_integer(v), "an integer or null"),
+# One rule per key of a scenario or of its erasures or gradients. The ranges
+# of the integers are SchemeParams' and GF's, and _check_rows reads a
+# matrix's rows against the params.
+_RULES = {
+    **dict.fromkeys(_REQUIRED, lambda v, name: _must(is_integer(v), name, "an integer")),
+    "seed": lambda v, name: _must(is_integer(v) and v >= 0, name, "a non-negative integer"),
+    "field_bits": lambda v, name: _must(is_integer(v), name, "an integer"),
+    "field_poly": lambda v, name: _must(v is None or is_integer(v), name, "an integer or null"),
+    "rounds": check_count,
+    "path": lambda v, name: _must(isinstance(v, str), name, "a string"),
 }
-# The keys each kind of erasures and gradients takes besides "kind", as
-# the Scenario docstring lists them: each key's rule and whether it must
-# be given. A matrix's rows are read against the params by _check_rows.
-_SPEC_RULES = {
+# The keys each kind of erasures and gradients takes besides "kind", in the
+# order they are checked, and those it requires, as Scenario's docstring lists.
+_KINDS = {
     "erasures": {
-        "matrix": {"rows": (None, True), "rounds": (check_count, False)},
-        "uniform": {"seed": (_SEED, False), "rounds": (check_count, False)},
-        "worst_case": {"rounds": (check_count, False)},
-        "exhaustive": {},
+        "matrix": (("rows", "rounds"), {"rows"}),
+        "uniform": (("seed", "rounds"), set()),
+        "worst_case": (("rounds",), set()),
+        "exhaustive": ((), set()),
     },
     "gradients": {
-        "random": {"seed": (_SEED, False)},
-        "file": {"path": (_must_be(lambda v: isinstance(v, str), "a string"), True)},
-        "zero": {},
+        "random": (("seed",), set()),
+        "file": (("path",), {"path"}),
+        "zero": ((), set()),
     },
 }
 
@@ -89,7 +85,7 @@ _SPEC_RULES = {
 def _check_spec(spec, name: str) -> None:
     """Check erasures or gradients: a dict of a known kind, with the keys
     that kind requires and none it does not take, each passing its rule."""
-    kinds = _SPEC_RULES[name]
+    kinds = _KINDS[name]
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigurationError(f"scenario field '{name}' needs a 'kind'")
     kind = spec["kind"]
@@ -97,17 +93,18 @@ def _check_spec(spec, name: str) -> None:
         raise ConfigurationError(
             f"scenario field '{name}.kind' must be one of {sorted(kinds)}, got {kind!r}"
         )
+    takes, required = kinds[kind]
     for key in spec:
-        if key != "kind" and key not in kinds[kind]:
+        if key != "kind" and key not in takes:
             raise ConfigurationError(
                 f"scenario field {f'{name}.{key}'!r} is not taken by the {kind!r} kind"
             )
-    for key, (rule, required) in kinds[kind].items():
+    for key in takes:
         if key not in spec:
-            if required:
+            if key in required:
                 raise ConfigurationError(f"scenario field '{name}.{key}' is missing")
-        elif rule is not None:
-            rule(spec[key], f"scenario field '{name}.{key}'")
+        elif key in _RULES:
+            _RULES[key](spec[key], f"scenario field '{name}.{key}'")
 
 
 @dataclass(frozen=True)
@@ -138,9 +135,9 @@ class Scenario:
     field_poly: int | None = None
 
     def __post_init__(self):
-        for name, rule in _FIELD_RULES.items():
-            rule(getattr(self, name), f"scenario field '{name}'")
-        for name in _SPEC_RULES:
+        for name in (*_REQUIRED, "seed", "field_bits", "field_poly"):
+            _RULES[name](getattr(self, name), f"scenario field '{name}'")
+        for name in _KINDS:
             _check_spec(getattr(self, name), name)
         self.params()
         self.field()
@@ -402,17 +399,16 @@ class TradeoffTable:
         return dict(vars(self), rows=[row.to_dict() for row in self.rows])
 
 
-def _nu_range(n_e: int, n_h: int, s: int, nu_range=None):
-    """nu_range, or every nu in [1, n_h-s] when None, once each nu passes
-    SchemeParams' checks with n_e, n_h and s, before any work. An empty
-    range, or a parameter a SchemeParams rejects, raises ConfigurationError."""
+def _nu_range(n_e: int, n_h: int, s: int, nu_range=None) -> list:
+    """The nu of nu_range, or every nu in [1, n_h-s] when None, listed as
+    each passes SchemeParams' checks with n_e, n_h and s, before any work.
+    A parameter a SchemeParams rejects, or no nu at all, raises ConfigurationError."""
     if nu_range is None:
         nu_range = range(1, n_h - s + 1)
-    if not nu_range:
+    nus = [SchemeParams(p=1, n_e=n_e, n_h=n_h, s=s, nu=nu).nu for nu in nu_range]
+    if not nus:
         raise ConfigurationError(f"nu range {nu_range!r} is empty; n_h-s = {n_h - s}")
-    for nu in nu_range:
-        SchemeParams(p=1, n_e=n_e, n_h=n_h, s=s, nu=nu)
-    return nu_range
+    return nus
 
 
 def sweep_nu(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,21 @@ def test_verify_rejects_nonpositive_trials(trials, capsys):
     captured = capsys.readouterr()
     assert "error: trials must be a positive integer" in captured.err
     assert captured.out == ""
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in cli.splitlines() if line.startswith("layeragg ")]
+    scenario = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert any("--scenario" in argv for argv in commands)
+    (tmp_path / "scenario.json").write_text(scenario)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LAYERAGG_SEED", raising=False)
+    monkeypatch.delenv("LAYERAGG_OUTDIR", raising=False)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_sweep_rejects_empty_nu_range(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from math import comb
 
@@ -116,16 +117,30 @@ def test_layer_map_positions_list_each_helpers_cells_layers_ascending():
         for k in range(1, n_h + 1):
             layers = LayerMap(n_h, k)
             listing = [[] for _ in range(n_h)]
-            for layer, subset in enumerate(layers.subsets):
+            for layer, subset in enumerate(layers):
                 for slot, h in enumerate(subset):
                     listing[h].append((layer, slot))
-            count = len(layers.subsets)
+            count = len(layers.slot_helpers)
             assert layers.positions.tolist() == [[l * k + t for l, t in cells] for cells in listing]
             assert layers.cells.tolist() == [[t * count + l for l, t in cells] for cells in listing]
             for j in range(n_h):
                 assert layers.column_layers(j) == tuple(l for l, _ in listing[j])
             for table in (layers.slot_helpers, layers.positions, layers.cells):
                 assert not table.flags.writeable
+
+
+def test_layer_map_holds_three_tables_alone():
+    # 91,390 layers of 4 slots: a fourth table, or a tuple per layer, would
+    # hold at least 2.8 MiB more
+    tracemalloc.start()
+    try:
+        layers = LayerMap(40, 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = comb(40, 4) * 4 * np.dtype(np.intp).itemsize
+    assert layers.slot_helpers.nbytes == table
+    assert held <= 3 * table + (1 << 20)
 
 
 @pytest.mark.parametrize("name", ["p", "n_e", "n_h", "s", "nu"])

@@ -485,6 +485,21 @@ def test_sweep_rejects_bad_range():
     with pytest.raises(ConfigurationError, match="is empty"):
         sweep_nu(5, 4, 1, nu_range=range(3, 3))
 
+
+def test_sweep_lists_a_one_shot_nu_range_once():
+    table = sweep_nu(5, 4, 1, nu_range=(v for v in [1, 2]))
+    assert table.to_dict() == sweep_nu(5, 4, 1, nu_range=[1, 2]).to_dict()
+    assert [row.nu for row in table.rows] == [1, 2]
+    with pytest.raises(ConfigurationError, match="is empty"):
+        sweep_nu(5, 4, 1, nu_range=iter([]))
+
+
+def test_sweep_refuses_a_huge_nu_range_at_its_first_bad_nu():
+    # a range is checked nu by nu, never listed whole first
+    with pytest.raises(ConfigurationError, match=r"nu must lie in \[1, n_h-s\] = \[1, 3\], got 4"):
+        sweep_nu(5, 4, 1, nu_range=range(1, 10**12))
+
+
 def test_sweep_serializations():
     table = sweep_nu(50, 10, 2)
     csv_text = table.to_csv()
